@@ -63,28 +63,6 @@ now()
         .count();
 }
 
-/** The tenant_scale slice profile (see bench/tenant_scale.cc). */
-constexpr double kMeanAllocBytes = 128.0;
-constexpr double kAggFreeRateMiBps = 64.0;
-
-workload::BenchmarkProfile
-sliceProfile(unsigned tenants, uint64_t agg_allocs)
-{
-    workload::BenchmarkProfile p;
-    p.name = "tenant_slice";
-    p.pagesWithPointers = 0.35;
-    p.linePointerDensity = 0.06;
-    p.temporalFragmentation = 0;
-    const double agg_heap_bytes =
-        static_cast<double>(agg_allocs) * kMeanAllocBytes * 1.10;
-    p.liveHeapMiB = agg_heap_bytes / MiB / tenants;
-    p.freeRateMiBps = kAggFreeRateMiBps / tenants;
-    p.freesPerSec =
-        kAggFreeRateMiBps * MiB / kMeanAllocBytes / tenants;
-    p.appDramMiBps = 2000.0 / tenants;
-    return p;
-}
-
 /** Run any due sweep to completion; returns the wall seconds it
  *  spent so mutator-phase timings can subtract it. */
 double
@@ -186,7 +164,7 @@ main()
     uint64_t tenant_ops = 0;
     if (agg_allocs > 0) {
         const workload::BenchmarkProfile profile =
-            sliceProfile(tenants, agg_allocs);
+            bench::sliceProfile(tenants, agg_allocs);
         sim::ExperimentConfig cfg = bench::defaultConfig();
         cfg.tenants = tenants;
         cfg.tenantWeights.clear();

@@ -1,7 +1,8 @@
 /**
  * @file
  * Shared helpers for the benchmark harness: the table 1 system
- * banner and default experiment settings used across figures.
+ * banner, default experiment settings used across figures, and the
+ * tenant_slice profile of the consolidation benches.
  */
 
 #ifndef CHERIVOKE_BENCH_BENCH_COMMON_HH
@@ -12,7 +13,9 @@
 
 #include "support/env.hh"
 #include "support/logging.hh"
+#include "support/units.hh"
 #include "sim/experiment.hh"
+#include "workload/spec_profiles.hh"
 
 namespace cherivoke {
 namespace bench {
@@ -198,6 +201,38 @@ defaultConfig()
     cfg.sweeperRetries = static_cast<unsigned>(
         envI64("CHERIVOKE_SWEEPER_RETRIES", cfg.sweeperRetries, 0));
     return cfg;
+}
+
+/**
+ * The consolidated-service profile for N tenants (bench/tenant_scale
+ * and alloc_hotpath's tenant phase): each tenant is a 1/N slice of a
+ * constant aggregate — live bytes and free traffic — so sweep period
+ * and total work are comparable across tenant counts. Lifetimes are
+ * FIFO (temporalFragmentation 0): the axis here is tenant count, so
+ * lifetime interleaving (§6.1.1) is held at its simplest.
+ */
+inline workload::BenchmarkProfile
+sliceProfile(unsigned tenants, uint64_t agg_allocs)
+{
+    /** Mean allocation size the profile implies (table 2 identity). */
+    constexpr double kMeanAllocBytes = 128.0;
+    /** Aggregate free traffic, split evenly across tenants. */
+    constexpr double kAggFreeRateMiBps = 64.0;
+    workload::BenchmarkProfile p;
+    p.name = "tenant_slice";
+    p.pagesWithPointers = 0.35;
+    p.linePointerDensity = 0.06;
+    p.temporalFragmentation = 0;
+    // Ramp target: agg_allocs allocations of ~125 B expected size,
+    // plus margin so the allocation *count* target is certainly met.
+    const double agg_heap_bytes =
+        static_cast<double>(agg_allocs) * kMeanAllocBytes * 1.10;
+    p.liveHeapMiB = agg_heap_bytes / MiB / tenants;
+    p.freeRateMiBps = kAggFreeRateMiBps / tenants;
+    p.freesPerSec =
+        kAggFreeRateMiBps * MiB / kMeanAllocBytes / tenants;
+    p.appDramMiBps = 2000.0 / tenants; //!< per-tenant app traffic
+    return p;
 }
 
 /**

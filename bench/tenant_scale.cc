@@ -74,38 +74,6 @@ now()
         .count();
 }
 
-/** Mean allocation size the profile implies (table 2 identity). */
-constexpr double kMeanAllocBytes = 128.0;
-/** Aggregate free traffic, split evenly across tenants. */
-constexpr double kAggFreeRateMiBps = 64.0;
-
-/**
- * The consolidated-service profile for N tenants: each tenant is a
- * 1/N slice of a constant aggregate (live bytes and free traffic),
- * so sweep period and total work are comparable across rows.
- * FIFO object lifetimes (temporalFragmentation 0) keep synthesis
- * linear-time at millions of live objects.
- */
-workload::BenchmarkProfile
-sliceProfile(unsigned tenants, uint64_t agg_allocs)
-{
-    workload::BenchmarkProfile p;
-    p.name = "tenant_slice";
-    p.pagesWithPointers = 0.35;
-    p.linePointerDensity = 0.06;
-    p.temporalFragmentation = 0;
-    // Ramp target: agg_allocs allocations of ~125 B expected size,
-    // plus margin so the allocation *count* target is certainly met.
-    const double agg_heap_bytes =
-        static_cast<double>(agg_allocs) * kMeanAllocBytes * 1.10;
-    p.liveHeapMiB = agg_heap_bytes / MiB / tenants;
-    p.freeRateMiBps = kAggFreeRateMiBps / tenants;
-    p.freesPerSec =
-        kAggFreeRateMiBps * MiB / kMeanAllocBytes / tenants;
-    p.appDramMiBps = 2000.0 / tenants; //!< per-tenant app traffic
-    return p;
-}
-
 sim::ExperimentConfig
 rowConfig(unsigned tenants)
 {
@@ -293,7 +261,7 @@ main()
 
     for (unsigned n : counts) {
         const workload::BenchmarkProfile profile =
-            sliceProfile(n, agg_allocs);
+            bench::sliceProfile(n, agg_allocs);
         const sim::ExperimentConfig cfg = rowConfig(n);
 
         // Record once through the binary codec, then replay — the
@@ -356,7 +324,7 @@ main()
     bool single_match = true;
     {
         const workload::BenchmarkProfile profile =
-            sliceProfile(1, agg_allocs);
+            bench::sliceProfile(1, agg_allocs);
         const sim::ExperimentConfig cfg = rowConfig(1);
         const sim::BenchResult classic =
             sim::runBenchmark(profile, cfg);
@@ -401,7 +369,7 @@ main()
          churn_complete = true, churn_deterministic = true;
     if (churn_cycles > 0) {
         const workload::BenchmarkProfile profile =
-            sliceProfile(2, std::max<uint64_t>(agg_allocs / 4, 20000));
+            bench::sliceProfile(2, std::max<uint64_t>(agg_allocs / 4, 20000));
         sim::ExperimentConfig cfg = rowConfig(2);
         cfg.tenantChurn = churn_cycles;
         cfg.tenantScope = tenant::RevocationScope::PerTenant;
@@ -494,7 +462,7 @@ main()
     const char *mixed_policies[2] = {"concurrent", "stop-the-world"};
     {
         const workload::BenchmarkProfile profile =
-            sliceProfile(2, std::max<uint64_t>(agg_allocs / 4, 20000));
+            bench::sliceProfile(2, std::max<uint64_t>(agg_allocs / 4, 20000));
         sim::ExperimentConfig cfg = rowConfig(2);
         cfg.tenantScope = tenant::RevocationScope::PerTenant;
         cfg.tenantPolicies = {revoke::PolicyKind::Concurrent,

@@ -1,25 +1,14 @@
 #include "workload/synth.hh"
 
 #include <algorithm>
-#include <deque>
 
 #include "support/logging.hh"
 #include "support/rng.hh"
 #include "support/units.hh"
+#include "workload/live_set.hh"
 
 namespace cherivoke {
 namespace workload {
-
-namespace {
-
-/** Live-object bookkeeping during synthesis. */
-struct LiveObject
-{
-    uint64_t id;
-    uint64_t size;
-};
-
-} // namespace
 
 Trace
 synthesize(const BenchmarkProfile &profile, const SynthConfig &config)
@@ -65,20 +54,18 @@ synthesize(const BenchmarkProfile &profile, const SynthConfig &config)
     const uint64_t size_hi = std::max<uint64_t>(
         size_lo + 16, static_cast<uint64_t>(mean_alloc * 2.5));
 
-    uint64_t next_id = 1;
     uint64_t live_bytes = 0;
-    std::deque<LiveObject> live; // front = oldest
+    LiveSet live;
 
     auto emit_alloc = [&](double dt) {
         const uint64_t size = rng.nextLogUniform(size_lo, size_hi);
-        const uint64_t id = next_id++;
+        const uint64_t id = live.push(size);
         TraceOp op;
         op.kind = OpKind::Malloc;
         op.id = id;
         op.size = size;
         op.dt = dt;
         trace.ops.push_back(op);
-        live.push_back(LiveObject{id, size});
         live_bytes += size;
 
         // Phase bookkeeping: switch phases every few pages' worth
@@ -99,8 +86,8 @@ synthesize(const BenchmarkProfile &profile, const SynthConfig &config)
                        static_cast<double>(lines) *
                        line_density_within));
             for (uint64_t k = 0; k < stores; ++k) {
-                const LiveObject &src =
-                    live[rng.nextBounded(live.size())];
+                const LiveSet::Object src =
+                    live.at(rng.nextBounded(live.size()));
                 TraceOp st;
                 st.kind = OpKind::StorePtr;
                 st.src = src.id;
@@ -126,16 +113,14 @@ synthesize(const BenchmarkProfile &profile, const SynthConfig &config)
     auto emit_free_one = [&]() {
         if (live.empty())
             return;
-        size_t idx = 0;
-        if (!rng.nextBool(profile.temporalFragmentation)) {
-            idx = 0; // FIFO: oldest first
-        } else {
-            // Temporal fragmentation: free a random-aged object,
-            // interleaving lifetimes on the heap (§6.1.1).
-            idx = rng.nextBounded(live.size());
-        }
-        const LiveObject obj = live[idx];
-        live.erase(live.begin() + static_cast<long>(idx));
+        // FIFO frees the oldest object; temporal fragmentation frees
+        // a random-aged one, interleaving lifetimes on the heap
+        // (§6.1.1).
+        const uint64_t rank =
+            rng.nextBool(profile.temporalFragmentation)
+                ? rng.nextBounded(live.size())
+                : 0;
+        const LiveSet::Object obj = live.erase(rank);
         live_bytes -= obj.size;
         TraceOp op;
         op.kind = OpKind::Free;
@@ -159,8 +144,8 @@ synthesize(const BenchmarkProfile &profile, const SynthConfig &config)
                 emit_free_one();
             // Sprinkle plain data writes (tag-killing overwrites).
             if (rng.nextBool(0.1) && !live.empty()) {
-                const LiveObject &dst =
-                    live[rng.nextBounded(live.size())];
+                const LiveSet::Object dst =
+                    live.at(rng.nextBounded(live.size()));
                 TraceOp st;
                 st.kind = OpKind::StoreData;
                 st.dst = dst.id;
