@@ -1,11 +1,11 @@
 #include "alloc/cherivoke_alloc.hh"
 
 #include <algorithm>
-#include <thread>
 
 #include "alloc/chunk.hh"
 #include "support/bitops.hh"
 #include "support/fault.hh"
+#include "support/fork_join.hh"
 #include "support/logging.hh"
 
 namespace cherivoke {
@@ -39,42 +39,19 @@ PaintStats
 paintShardsConcurrent(ShadowMap &shadow,
                       const std::vector<QuarantineShard> &shards)
 {
-    // Collect the shards that actually have work; paint small jobs
-    // inline rather than paying a thread spawn for each.
+    // Only shards that actually have work get a worker, so a lone
+    // busy shard paints inline. A painter's fault (e.g. an address
+    // beyond the simulated VA width) resurfaces as the catchable
+    // exception the serial path would have thrown.
     std::vector<size_t> work;
     for (size_t i = 0; i < shards.size(); ++i) {
         if (!shards[i].runs.empty())
             work.push_back(i);
     }
     std::vector<PaintStats> partial(work.size());
-    if (work.size() <= 1) {
-        for (size_t w = 0; w < work.size(); ++w)
-            partial[w] = paintOneShard(shadow, shards[work[w]]);
-    } else {
-        std::vector<std::thread> pool;
-        pool.reserve(work.size());
-        std::vector<std::exception_ptr> errors(work.size());
-        for (size_t w = 0; w < work.size(); ++w) {
-            pool.emplace_back([&shadow, &shards, &partial, &work,
-                               &errors, w] {
-                try {
-                    partial[w] =
-                        paintOneShard(shadow, shards[work[w]]);
-                } catch (...) {
-                    errors[w] = std::current_exception();
-                }
-            });
-        }
-        for (auto &t : pool)
-            t.join();
-        // Re-raise a painter's fault (e.g. an address beyond the
-        // simulated VA width) as the catchable exception the serial
-        // path would have thrown.
-        for (const std::exception_ptr &e : errors) {
-            if (e)
-                std::rethrow_exception(e);
-        }
-    }
+    forkJoin(work.size(), [&](size_t w) {
+        partial[w] = paintOneShard(shadow, shards[work[w]]);
+    });
     // Deterministic merge in shard (address-band) order: identical
     // totals to a serial shard-by-shard paint.
     PaintStats stats;

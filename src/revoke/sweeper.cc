@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cstring>
-#include <thread>
 
 #include "cap/capability.hh"
 #include "support/bitops.hh"
+#include "support/fork_join.hh"
 #include "support/logging.hh"
 
 namespace cherivoke {
@@ -168,32 +168,14 @@ Sweeper::sweepPages(mem::AddressSpace &space,
     const size_t workers = bounds.size() - 1;
     std::vector<SweepStats> partial(workers);
     std::vector<cache::TrafficLog> logs(hierarchy ? workers : 0);
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    std::vector<std::exception_ptr> errors(workers);
-    for (size_t t = 0; t < workers; ++t) {
-        cache::TrafficSink *sink = hierarchy ? &logs[t] : nullptr;
-        const size_t wlo = bounds[t], whi = bounds[t + 1];
-        pool.emplace_back([this, &space, &shadow, &pages, &partial,
-                           &errors, sink, t, wlo, whi] {
-            // The shadow map is read-only for the whole sweep, so
-            // workers share it safely.
-            try {
-                partial[t] = sweepPageRange(space, shadow, pages,
-                                            wlo, whi, sink);
-            } catch (...) {
-                errors[t] = std::current_exception();
-            }
-        });
-    }
-    for (auto &w : pool)
-        w.join();
-    // Surface a worker's fault as the catchable exception a serial
-    // sweep would have thrown.
-    for (const std::exception_ptr &e : errors) {
-        if (e)
-            std::rethrow_exception(e);
-    }
+    // The shadow map is read-only for the whole sweep, so workers
+    // share it safely; a worker's fault resurfaces as the catchable
+    // exception a serial sweep would have thrown.
+    forkJoin(workers, [&](size_t t) {
+        partial[t] = sweepPageRange(space, shadow, pages, bounds[t],
+                                    bounds[t + 1],
+                                    hierarchy ? &logs[t] : nullptr);
+    });
 
     // Merge in worklist order: statistics first, then the recorded
     // traffic, replayed into the hierarchy exactly as a serial sweep

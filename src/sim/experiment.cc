@@ -5,6 +5,7 @@
 #include <memory>
 
 #include "revoke/analytical_model.hh"
+#include "support/fork_join.hh"
 #include "support/logging.hh"
 
 namespace cherivoke {
@@ -315,15 +316,15 @@ synthesizeTenantTraces(const workload::BenchmarkProfile &profile,
     workload::BenchmarkProfile tenant_profile = profile;
     if (config.tenantHeapMiB > 0)
         tenant_profile.liveHeapMiB = config.tenantHeapMiB;
-    std::vector<workload::Trace> traces;
-    traces.reserve(config.tenants);
-    for (unsigned i = 0; i < config.tenants; ++i) {
+    // Tenants are independent: one thread each. Each trace depends
+    // only on its own seed, so the set is the serial one.
+    std::vector<workload::Trace> traces(config.tenants);
+    forkJoin(config.tenants, [&](size_t i) {
         workload::SynthConfig synth_cfg =
             synthConfigFor(tenant_profile, config);
         synth_cfg.seed = config.seed + 0x9e3779b9ULL * i;
-        traces.push_back(
-            workload::synthesize(tenant_profile, synth_cfg));
-    }
+        traces[i] = workload::synthesize(tenant_profile, synth_cfg);
+    });
     if (config.tenantChurn > 0) {
         const TenantChurnPlan plan = makeTenantChurnPlan(
             profile, config, traces[0].ops.size());

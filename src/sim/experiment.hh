@@ -260,9 +260,11 @@ void injectChurnOps(workload::Trace &host,
  * keeps the experiment seed, so a 1-tenant run replays runBenchmark's
  * exact trace. With config.tenantChurn > 0, tenant 0's trace carries
  * the churn plan's spawn/retire ops (so recording the traces through
- * the binary codec captures the lifecycle schedule too). Exposed so
- * benches can record traces once (through tenant/trace_codec) and
- * replay them deterministically.
+ * the binary codec captures the lifecycle schedule too). Tenants
+ * synthesise in parallel, one thread each; the traces are the serial
+ * ones byte for byte, and a failure rethrows the lowest failing
+ * tenant's exception. Exposed so benches can record traces once
+ * (through tenant/trace_codec) and replay them deterministically.
  */
 std::vector<workload::Trace>
 synthesizeTenantTraces(const workload::BenchmarkProfile &profile,

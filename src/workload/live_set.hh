@@ -59,6 +59,9 @@ class LiveSet
         return id;
     }
 
+    /** Make room for @p allocs allocations in total. */
+    void reserve(uint64_t allocs) { sizes_.reserve(allocs); }
+
     uint64_t size() const { return live_; }
     bool empty() const { return live_ == 0; }
 
@@ -96,6 +99,8 @@ class LiveSet
     build()
     {
         const uint64_t n = sizes_.size();
+        // Later pushes grow the tree with the slot array.
+        tree_.reserve(sizes_.capacity() + 1);
         tree_.assign(n + 1, 0);
         for (uint64_t i = head_; i <= n; ++i)
             tree_[i] = 1;

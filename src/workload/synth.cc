@@ -1,6 +1,7 @@
 #include "workload/synth.hh"
 
 #include <algorithm>
+#include <cmath>
 
 #include "support/logging.hh"
 #include "support/rng.hh"
@@ -9,6 +10,58 @@
 
 namespace cherivoke {
 namespace workload {
+
+namespace {
+
+/** Virtual-time ticks of an allocation-quiet benchmark's trace. */
+constexpr int kQuietTicks = 100;
+/** Chance that an allocation is also rooted in globals (RootPtr). */
+constexpr double kRootChance = 0.05;
+/** Chance that a steady-state step also writes data (StoreData). */
+constexpr double kDataWriteChance = 0.1;
+
+/** Pointer stores that populate a @p size-byte object allocated in a
+ *  pointer phase: @p line_density of its lines, at least one. */
+uint64_t
+storesFor(uint64_t size, double line_density)
+{
+    const uint64_t lines = std::max<uint64_t>(1, size / 64);
+    return std::max<uint64_t>(
+        1, static_cast<uint64_t>(static_cast<double>(lines) *
+                                 line_density));
+}
+
+/** Mean size and mean pointer stores of one allocation drawn from
+ *  Rng::nextLogUniform(lo, hi), by midpoint quadrature over the
+ *  uniform variate the draw exponentiates. */
+struct SizeLawMeans
+{
+    double bytes = 0;
+    double stores = 0;
+};
+
+SizeLawMeans
+sizeLawMeans(uint64_t lo, uint64_t hi, double line_density)
+{
+    constexpr int kPoints = 64;
+    const double llo = std::log(static_cast<double>(lo));
+    const double lhi = std::log(static_cast<double>(hi));
+    SizeLawMeans means;
+    for (int k = 0; k < kPoints; ++k) {
+        const double u = (k + 0.5) / kPoints;
+        const uint64_t size = std::clamp<uint64_t>(
+            static_cast<uint64_t>(std::exp(llo + (lhi - llo) * u)), lo,
+            hi);
+        means.bytes += static_cast<double>(size);
+        means.stores +=
+            static_cast<double>(storesFor(size, line_density));
+    }
+    means.bytes /= kPoints;
+    means.stores /= kPoints;
+    return means;
+}
+
+} // namespace
 
 Trace
 synthesize(const BenchmarkProfile &profile, const SynthConfig &config)
@@ -54,8 +107,37 @@ synthesize(const BenchmarkProfile &profile, const SynthConfig &config)
     const uint64_t size_hi = std::max<uint64_t>(
         size_lo + 16, static_cast<uint64_t>(mean_alloc * 2.5));
 
+    const uint64_t steps =
+        alloc_events_per_sec > 1.0
+            ? static_cast<uint64_t>(config.durationSec *
+                                    alloc_events_per_sec)
+            : 0;
+
+    // Reserve the trace and the live set once, from the expected
+    // counts the loops below produce (plus a 25% margin), instead of
+    // growing them by doubling. Each allocation emits a Malloc, a
+    // RootPtr at kRootChance and, in a pointer phase, its stores;
+    // each steady-state step adds a Free and, at kDataWriteChance, a
+    // StoreData. Growth copies cost time, and on a worker thread
+    // (sim::synthesizeTenantTraces) the freed growth buffers stay in
+    // that thread's malloc arena, where no other thread reuses them.
+    const SizeLawMeans per_alloc =
+        sizeLawMeans(size_lo, size_hi, line_density_within);
+    const double expected_allocs =
+        static_cast<double>(live_target) / per_alloc.bytes +
+        static_cast<double>(steps);
+    const double expected_ops =
+        expected_allocs * (1.0 + kRootChance +
+                           ptr_phase_fraction * per_alloc.stores) +
+        (alloc_events_per_sec > 1.0
+             ? (1.0 + kDataWriteChance) * static_cast<double>(steps)
+             : kQuietTicks);
+    constexpr double kMargin = 1.25;
+    trace.ops.reserve(static_cast<size_t>(kMargin * expected_ops));
+
     uint64_t live_bytes = 0;
     LiveSet live;
+    live.reserve(static_cast<size_t>(kMargin * expected_allocs));
 
     auto emit_alloc = [&](double dt) {
         const uint64_t size = rng.nextLogUniform(size_lo, size_hi);
@@ -80,11 +162,8 @@ synthesize(const BenchmarkProfile &profile, const SynthConfig &config)
 
         // Populate the object with pointers to live objects.
         if (ptr_phase && !live.empty()) {
-            const uint64_t lines = std::max<uint64_t>(1, size / 64);
-            const uint64_t stores = std::max<uint64_t>(
-                1, static_cast<uint64_t>(
-                       static_cast<double>(lines) *
-                       line_density_within));
+            const uint64_t stores =
+                storesFor(size, line_density_within);
             for (uint64_t k = 0; k < stores; ++k) {
                 const LiveSet::Object src =
                     live.at(rng.nextBounded(live.size()));
@@ -101,7 +180,7 @@ synthesize(const BenchmarkProfile &profile, const SynthConfig &config)
         }
         // Occasionally root the object in globals (stack/global
         // pointers the sweep must also visit).
-        if (rng.nextBool(0.05)) {
+        if (rng.nextBool(kRootChance)) {
             TraceOp rt;
             rt.kind = OpKind::RootPtr;
             rt.src = id;
@@ -136,14 +215,12 @@ synthesize(const BenchmarkProfile &profile, const SynthConfig &config)
     // Steady state.
     if (alloc_events_per_sec > 1.0) {
         const double dt = 1.0 / alloc_events_per_sec;
-        const uint64_t steps = static_cast<uint64_t>(
-            config.durationSec * alloc_events_per_sec);
         for (uint64_t i = 0; i < steps; ++i) {
             emit_alloc(dt);
             while (live_bytes > live_target)
                 emit_free_one();
             // Sprinkle plain data writes (tag-killing overwrites).
-            if (rng.nextBool(0.1) && !live.empty()) {
+            if (rng.nextBool(kDataWriteChance) && !live.empty()) {
                 const LiveSet::Object dst =
                     live.at(rng.nextBounded(live.size()));
                 TraceOp st;
@@ -159,13 +236,12 @@ synthesize(const BenchmarkProfile &profile, const SynthConfig &config)
     } else {
         // Allocation-quiet benchmark (bzip2, sjeng, lbm...): virtual
         // time passes with data writes only.
-        const int ticks = 100;
-        for (int i = 0; i < ticks; ++i) {
+        for (int i = 0; i < kQuietTicks; ++i) {
             TraceOp st;
             st.kind = OpKind::StoreData;
             st.dst = live.empty() ? 0 : live.front().id;
             st.offset = 0;
-            st.dt = config.durationSec / ticks;
+            st.dt = config.durationSec / kQuietTicks;
             trace.ops.push_back(st);
         }
     }

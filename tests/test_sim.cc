@@ -2,14 +2,21 @@
  * @file
  * Tests for the machine timing model and the experiment runner:
  * kernel bandwidth calibration (figure 7 targets), scale invariance,
- * and the shape of the headline results (figure 5 / 6 structure).
+ * the shape of the headline results (figure 5 / 6 structure), and
+ * the parallel synthesis of tenant traces.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "revoke/sweep_loop.hh"
 #include "sim/experiment.hh"
 #include "sim/machine.hh"
+#include "support/units.hh"
+#include "workload/synth.hh"
 
 namespace cherivoke {
 namespace sim {
@@ -211,6 +218,100 @@ TEST_F(ExperimentTest, TrafficOverheadModest)
     const BenchResult r = runBenchmark(
         workload::profileFor("dealII"), fastConfig());
     EXPECT_LT(r.trafficOverheadPct, 25.0);
+}
+
+/** Tenant @p i's synthesis settings for an allocation-intensive
+ *  profile, restated from sim/experiment.cc: the experiment seed
+ *  stepped by 0x9e3779b9 per tenant, and a duration covering three
+ *  sweep periods. */
+workload::SynthConfig
+tenantSynthConfig(const workload::BenchmarkProfile &profile,
+                  const ExperimentConfig &config, unsigned i)
+{
+    workload::SynthConfig synth;
+    synth.scale = config.scale;
+    synth.seed = config.seed + 0x9e3779b9ULL * i;
+    const double live = std::max<double>(
+        profile.liveHeapMiB * MiB * config.scale,
+        static_cast<double>(synth.minLiveBytes));
+    const double period = config.quarantineFraction * live /
+                          (profile.freeRateMiBps * MiB * config.scale);
+    synth.durationSec =
+        std::max(config.durationSec, std::min(60.0, 3.0 * period));
+    return synth;
+}
+
+/** Compare two traces op by op; stop at the first difference. */
+void
+expectSameOps(const workload::Trace &got, const workload::Trace &want,
+              const std::string &what)
+{
+    ASSERT_EQ(got.ops.size(), want.ops.size()) << what;
+    for (size_t k = 0; k < got.ops.size(); ++k) {
+        const workload::TraceOp &a = got.ops[k];
+        const workload::TraceOp &b = want.ops[k];
+        ASSERT_TRUE(a.kind == b.kind && a.id == b.id &&
+                    a.size == b.size && a.src == b.src &&
+                    a.dst == b.dst && a.offset == b.offset &&
+                    a.dt == b.dt)
+            << what << ": op " << k << " differs";
+    }
+}
+
+class TenantTracesTest : public ::testing::Test
+{
+  protected:
+    void
+    SetUp() override
+    {
+        ASSERT_TRUE(profile.allocationIntensive());
+        config.scale = 1.0 / 256;
+        config.durationSec = 0.1;
+        config.seed = 11;
+    }
+
+    const workload::BenchmarkProfile profile =
+        workload::profileFor("omnetpp");
+    ExperimentConfig config;
+};
+
+TEST_F(TenantTracesTest, ParallelSynthesisMatchesSerial)
+{
+    // Nine tenants outnumber a 4-CPU host's cores, so their
+    // synthesis threads share CPUs.
+    for (const unsigned tenants : {1u, 3u, 4u, 9u}) {
+        config.tenants = tenants;
+        const std::vector<workload::Trace> traces =
+            synthesizeTenantTraces(profile, config);
+        ASSERT_EQ(traces.size(), tenants);
+        for (unsigned i = 0; i < tenants; ++i) {
+            expectSameOps(
+                traces[i],
+                workload::synthesize(
+                    profile, tenantSynthConfig(profile, config, i)),
+                "tenant " + std::to_string(i) + " of " +
+                    std::to_string(tenants));
+        }
+    }
+}
+
+TEST_F(TenantTracesTest, ChurnOpsLandWhereSerialInjectionPutsThem)
+{
+    config.tenants = 4;
+    config.tenantChurn = 2;
+    const std::vector<workload::Trace> traces =
+        synthesizeTenantTraces(profile, config);
+    ASSERT_EQ(traces.size(), 4u);
+
+    workload::Trace host = workload::synthesize(
+        profile, tenantSynthConfig(profile, config, 0));
+    const size_t host_ops = host.ops.size();
+    injectChurnOps(host,
+                   makeTenantChurnPlan(profile, config, host_ops));
+    expectSameOps(traces[0], host, "tenant 0");
+    EXPECT_EQ(traces[0].ops.size(), host_ops + 2 * config.tenantChurn);
+    for (unsigned i = 1; i < traces.size(); ++i)
+        EXPECT_FALSE(traces[i].hasLifecycleOps()) << "tenant " << i;
 }
 
 } // namespace

@@ -1,14 +1,22 @@
 /**
  * @file
  * Unit tests for the support substrate: bit utilities, logging
- * channels, deterministic RNG, and unit formatting.
+ * channels, deterministic RNG, unit formatting, and the fork-join
+ * helper.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <set>
+#include <stdexcept>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "support/bitops.hh"
+#include "support/fork_join.hh"
 #include "support/logging.hh"
 #include "support/rng.hh"
 #include "support/units.hh"
@@ -181,6 +189,70 @@ TEST(Rng, WeightedRespectsZeroWeight)
     std::vector<double> w{0.0, 1.0, 0.0};
     for (int i = 0; i < 200; ++i)
         EXPECT_EQ(rng.nextWeighted(w), 1u);
+}
+
+TEST(ForkJoin, RunsEveryIndexExactlyOnce)
+{
+    std::vector<std::atomic<int>> runs(10);
+    forkJoin(runs.size(), [&](size_t i) { ++runs[i]; });
+    for (size_t i = 0; i < runs.size(); ++i)
+        EXPECT_EQ(runs[i].load(), 1) << "task " << i;
+}
+
+TEST(ForkJoin, NoTasksDoesNothing)
+{
+    bool ran = false;
+    forkJoin(0, [&](size_t) { ran = true; });
+    EXPECT_FALSE(ran);
+}
+
+TEST(ForkJoin, CallerRunsTaskZero)
+{
+    const std::thread::id caller = std::this_thread::get_id();
+    std::thread::id only;
+    forkJoin(1, [&](size_t) { only = std::this_thread::get_id(); });
+    EXPECT_EQ(only, caller);
+
+    std::vector<std::thread::id> where(4);
+    forkJoin(where.size(),
+             [&](size_t i) { where[i] = std::this_thread::get_id(); });
+    EXPECT_EQ(where[0], caller);
+    for (size_t i = 1; i < where.size(); ++i)
+        EXPECT_NE(where[i], caller) << "task " << i;
+}
+
+TEST(ForkJoin, ExceptionWaitsForEveryTask)
+{
+    std::atomic<int> finished{0};
+    EXPECT_THROW(forkJoin(6,
+                          [&](size_t i) {
+                              if (i == 2)
+                                  throw std::runtime_error("task 2");
+                              std::this_thread::sleep_for(
+                                  std::chrono::milliseconds(20));
+                              ++finished;
+                          }),
+                 std::runtime_error);
+    EXPECT_EQ(finished.load(), 5);
+}
+
+TEST(ForkJoin, LowestFailingIndexWins)
+{
+    // Task 1 sleeps before it throws, so the higher tasks throw
+    // first.
+    try {
+        forkJoin(6, [](size_t i) {
+            if (i == 0)
+                return;
+            if (i == 1)
+                std::this_thread::sleep_for(
+                    std::chrono::milliseconds(20));
+            throw std::runtime_error(std::to_string(i));
+        });
+        ADD_FAILURE() << "no exception";
+    } catch (const std::runtime_error &e) {
+        EXPECT_STREQ(e.what(), "1");
+    }
 }
 
 TEST(Units, FormatBytes)

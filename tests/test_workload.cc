@@ -215,6 +215,30 @@ TEST(Synth, TracesPinnedForEveryProfileAndSeed)
     }
 }
 
+TEST(Synth, PresizedTraceFitsItsOps)
+{
+    // The synthesiser reserves its ops once from an estimate; growth
+    // by doubling would leave up to twice the ops' memory allocated.
+    std::vector<BenchmarkProfile> profiles = specProfiles();
+    profiles.push_back(tenantSliceProfile());
+    for (const double scale : {1.0 / 64, 1.0 / 8}) {
+        for (const uint64_t seed : {1, 42}) {
+            SynthConfig cfg;
+            cfg.scale = scale;
+            cfg.seed = seed;
+            for (const BenchmarkProfile &profile : profiles) {
+                const Trace t = synthesize(profile, cfg);
+                if (t.ops.size() < 100000)
+                    continue;
+                EXPECT_LE(static_cast<double>(t.ops.capacity()),
+                          1.5 * static_cast<double>(t.ops.size()))
+                    << profile.name << " scale " << scale << " seed "
+                    << seed << ": " << t.ops.size() << " ops";
+            }
+        }
+    }
+}
+
 class SynthDriverTest : public ::testing::Test
 {
   protected:
