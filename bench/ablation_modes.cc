@@ -196,9 +196,9 @@ incrementalAblation()
         Image image(16 * MiB, /*paint=*/false);
         revoke::RevocationEngine inc(
             *image.heap, image.space,
-            revoke::EngineConfig{revoke::SweepOptions{},
-                                 revoke::PolicyKind::Incremental,
-                                 64, 1});
+            revoke::EngineConfig{
+                .policy = revoke::PolicyKind::Incremental,
+                .sweeperPlan = {}});
         for (size_t i = 0; i < image.live.size(); i += 5)
             image.heap->free(image.live[i]);
         const size_t step_size =
@@ -226,8 +226,8 @@ incrementalAblation()
              std::to_string(steps),
              stats::TextTable::num(max_pause, 3),
              stats::TextTable::num(total, 3),
-             std::to_string(image.space.memory().counters().value(
-                 "mem.load_barrier_strips"))});
+             std::to_string(
+                 image.space.memory().counters().loadBarrierStrips)});
     }
     std::printf("%s\n", table.render().c_str());
     std::printf("Smaller steps bound the mutator pause at slightly "

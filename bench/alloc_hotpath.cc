@@ -89,8 +89,7 @@ main()
                static_cast<int64_t>(live_target / 2)));
     const uint64_t agg_allocs = static_cast<uint64_t>(
         envI64("CHERIVOKE_TENANT_AGG_ALLOCS", 1000000));
-    const unsigned tenants = static_cast<unsigned>(
-        envI64("CHERIVOKE_TENANT_MAX", 8));
+    const unsigned tenants = envUnsigned("CHERIVOKE_TENANT_MAX", 8);
 
     bench::printSystems(
         "Mutator allocator/quarantine hot-path throughput "
@@ -156,8 +155,7 @@ main()
         ok = false;
     }
 
-    const stats::MutatorPathSummary mutator =
-        stats::summarizeMutatorPath(heap.dl().counters());
+    const stats::MutatorPathSummary mutator = heap.dl().counters();
 
     // ---- Phase D: the tenant_scale mutator loop -----------------
     double tenant_wall = 0, tenant_ops_per_sec = 0;

@@ -116,12 +116,10 @@ defaultConfig()
     if (!revoke::parsePolicy(policy, cfg.policy))
         fatal("CHERIVOKE_POLICY: unknown policy '%s'",
               policy.c_str());
-    cfg.threads = static_cast<unsigned>(
-        envI64("CHERIVOKE_THREADS", cfg.threads));
-    cfg.paintShards = static_cast<unsigned>(
-        envI64("CHERIVOKE_PAINT_SHARDS", cfg.paintShards));
-    cfg.tenants = static_cast<unsigned>(
-        envI64("CHERIVOKE_TENANTS", cfg.tenants));
+    cfg.threads = envUnsigned("CHERIVOKE_THREADS", cfg.threads);
+    cfg.paintShards =
+        envUnsigned("CHERIVOKE_PAINT_SHARDS", cfg.paintShards);
+    cfg.tenants = envUnsigned("CHERIVOKE_TENANTS", cfg.tenants);
     const std::string scope = envStr(
         "CHERIVOKE_TENANT_SCOPE", tenant::scopeName(cfg.tenantScope));
     if (!tenant::parseScope(scope, cfg.tenantScope))
@@ -167,8 +165,8 @@ defaultConfig()
         fatal("CHERIVOKE_TENANT_BACKENDS: %zu backends for %u "
               "tenants",
               cfg.tenantBackends.size(), cfg.tenants);
-    cfg.backendConfig.colors = static_cast<unsigned>(
-        envI64("CHERIVOKE_COLORS", cfg.backendConfig.colors));
+    cfg.backendConfig.colors =
+        envUnsigned("CHERIVOKE_COLORS", cfg.backendConfig.colors);
     cfg.backendConfig.allocsPerColor = static_cast<uint64_t>(
         envI64("CHERIVOKE_ALLOCS_PER_COLOR",
                static_cast<int64_t>(
@@ -180,12 +178,12 @@ defaultConfig()
         envI64("CHERIVOKE_ID_COMPACT",
                static_cast<int64_t>(
                    cfg.backendConfig.idCompactRetired)));
-    cfg.tenantChurn = static_cast<unsigned>(
-        envI64("CHERIVOKE_TENANT_CHURN", cfg.tenantChurn, 0));
-    cfg.mutatorThreads = static_cast<unsigned>(
-        envI64("CHERIVOKE_MUTATOR_THREADS", cfg.mutatorThreads));
-    cfg.remoteBatch = static_cast<unsigned>(
-        envI64("CHERIVOKE_REMOTE_BATCH", cfg.remoteBatch));
+    cfg.tenantChurn =
+        envUnsigned("CHERIVOKE_TENANT_CHURN", cfg.tenantChurn, 0);
+    cfg.mutatorThreads =
+        envUnsigned("CHERIVOKE_MUTATOR_THREADS", cfg.mutatorThreads);
+    cfg.remoteBatch =
+        envUnsigned("CHERIVOKE_REMOTE_BATCH", cfg.remoteBatch);
     const std::string plan = envStr("CHERIVOKE_FAULT_PLAN", "");
     if (!plan.empty()) {
         parseFaultPlan(plan); // strict: reject malformed text here
@@ -198,8 +196,8 @@ defaultConfig()
     cfg.bgSweeper = envI64("CHERIVOKE_BG_SWEEPER", 0, 0) != 0;
     cfg.epochDeadlineMs = envF64("CHERIVOKE_EPOCH_DEADLINE_MS",
                                  cfg.epochDeadlineMs, 0);
-    cfg.sweeperRetries = static_cast<unsigned>(
-        envI64("CHERIVOKE_SWEEPER_RETRIES", cfg.sweeperRetries, 0));
+    cfg.sweeperRetries =
+        envUnsigned("CHERIVOKE_SWEEPER_RETRIES", cfg.sweeperRetries, 0);
     return cfg;
 }
 

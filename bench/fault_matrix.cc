@@ -344,20 +344,27 @@ std::vector<SupervisionCell>
 supervisionCells()
 {
     std::vector<SupervisionCell> cells;
-    cells.push_back({"bg-parity", "", 0, 0, 0, 0, 0, 0});
-    cells.push_back(
-        {"slow-recovers", "sweeper-slow@1:1:2", 1, 2, 0, 0, 0, 0});
-    cells.push_back(
-        {"stall-assist", "sweeper-stall@1:1", 1, 2, 0, 1, 0, 0});
-    cells.push_back({"stall-stw",
-                     "sweeper-stall@1:1,sweeper-stall@1:2", 2, 4, 0,
-                     1, 1, 0});
-    cells.push_back({"stall-contain",
-                     "sweeper-stall@1:1,sweeper-stall@1:2,"
-                     "sweeper-stall@1:3",
-                     3, 6, 0, 1, 1, 1});
-    cells.push_back(
-        {"crash-assist", "sweeper-crash@1:1", 0, 0, 1, 1, 0, 0});
+    cells.push_back({.name = "bg-parity", .detText = {}});
+    cells.push_back({.name = "slow-recovers",
+                     .plan = "sweeper-slow@1:1:2",
+                     .stalls = 1, .retries = 2, .detText = {}});
+    cells.push_back({.name = "stall-assist",
+                     .plan = "sweeper-stall@1:1",
+                     .stalls = 1, .retries = 2, .reassigns = 1,
+                     .detText = {}});
+    cells.push_back({.name = "stall-stw",
+                     .plan = "sweeper-stall@1:1,sweeper-stall@1:2",
+                     .stalls = 2, .retries = 4, .reassigns = 1,
+                     .stwCatchups = 1, .detText = {}});
+    cells.push_back({.name = "stall-contain",
+                     .plan = "sweeper-stall@1:1,sweeper-stall@1:2,"
+                             "sweeper-stall@1:3",
+                     .stalls = 3, .retries = 6, .reassigns = 1,
+                     .stwCatchups = 1, .containments = 1,
+                     .detText = {}});
+    cells.push_back({.name = "crash-assist",
+                     .plan = "sweeper-crash@1:1",
+                     .crashes = 1, .reassigns = 1, .detText = {}});
     return cells;
 }
 

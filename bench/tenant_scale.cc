@@ -237,8 +237,8 @@ main()
 {
     const uint64_t agg_allocs = static_cast<uint64_t>(
         envI64("CHERIVOKE_TENANT_AGG_ALLOCS", 1000000));
-    const unsigned max_tenants = static_cast<unsigned>(
-        envI64("CHERIVOKE_TENANT_MAX", 8));
+    const unsigned max_tenants =
+        envUnsigned("CHERIVOKE_TENANT_MAX", 8);
 
     bench::printSystems("Multi-tenant consolidation scaling "
                         "(bench/tenant_scale)");
@@ -360,8 +360,7 @@ main()
     // 0 skips the phase (matching the knob's meaning everywhere
     // else); any non-zero request runs at least 2 cycles so the
     // slot-reuse gate is always exercised.
-    unsigned churn_cycles = static_cast<unsigned>(
-        envI64("CHERIVOKE_TENANT_CHURN", 4, 0));
+    unsigned churn_cycles = envUnsigned("CHERIVOKE_TENANT_CHURN", 4, 0);
     if (churn_cycles == 1)
         churn_cycles = 2;
     sim::MultiTenantBenchResult churn_bench;

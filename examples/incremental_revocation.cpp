@@ -25,8 +25,9 @@ main()
     alloc::CherivokeAllocator heap(space, cfg);
     revoke::RevocationEngine revoker(
         heap, space,
-        revoke::EngineConfig{revoke::SweepOptions{},
-                             revoke::PolicyKind::Incremental, 8, 1});
+        revoke::EngineConfig{.policy = revoke::PolicyKind::Incremental,
+                             .pagesPerSlice = 8,
+                             .sweeperPlan = {}});
     auto &memory = space.memory();
     Rng rng(1);
 
@@ -75,7 +76,6 @@ main()
     }
     revoker.finishEpoch();
 
-    const auto &counters = memory.counters();
     std::printf("epoch done: %d bounded pauses, %llu mutator ops "
                 "interleaved\n",
                 pauses,
@@ -85,7 +85,7 @@ main()
                 static_cast<unsigned long long>(
                     revoker.totals().sweep.capsRevoked),
                 static_cast<unsigned long long>(
-                    counters.value("mem.load_barrier_strips")));
+                    memory.counters().loadBarrierStrips));
 
     // Verify: no tagged reference to any freed object anywhere.
     uint64_t dangling = 0;

@@ -67,8 +67,6 @@ CherivokeAllocator::CherivokeAllocator(mem::AddressSpace &space,
 {
     CHERIVOKE_ASSERT(config_.quarantineFraction > 0,
                      "(quarantine fraction must be positive)");
-    c_quarantine_merges_ =
-        &dl_.counters().counter("alloc.quarantine_merges");
 }
 
 void
@@ -102,8 +100,8 @@ CherivokeAllocator::free(const cap::Capability &capability)
         dl_.internalFree(chunk.addr, chunk.size);
         return;
     }
-    c_quarantine_merges_->increment(
-        quarantine_.add(dl_, chunk.addr, chunk.size, birth));
+    dl_.counters().quarantineMerges +=
+        quarantine_.add(dl_, chunk.addr, chunk.size, birth);
 }
 
 cap::Capability
@@ -119,11 +117,8 @@ CherivokeAllocator::realloc(const cap::Capability &capability,
     // Copy preserving capability tags, as a CheriABI memcpy would,
     // then quarantine the old allocation.
     const uint64_t copy = std::min<uint64_t>(old_usable, new_size);
-    if (copy > 0) {
-        dl_.counters().counter("alloc.realloc_copied_bytes")
-            .increment(copy);
+    if (copy > 0)
         mem_->copyPreservingTags(fresh.base(), old_payload, copy);
-    }
     free(capability);
     return fresh;
 }

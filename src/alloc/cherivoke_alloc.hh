@@ -235,8 +235,6 @@ class CherivokeAllocator
     uint64_t sweeps_ = 0;
     AllocObserver *observer_ = nullptr;
     TierStamper *stamper_ = nullptr;
-    /** Cached counter (in dl_'s group): runs merged per free. */
-    stats::Counter *c_quarantine_merges_ = nullptr;
 };
 
 } // namespace alloc

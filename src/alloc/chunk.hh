@@ -34,7 +34,7 @@
 #include <cstdint>
 
 #include "mem/tagged_memory.hh"
-#include "stats/counters.hh"
+#include "stats/summary.hh"
 #include "support/bitops.hh"
 
 namespace cherivoke {
@@ -83,22 +83,15 @@ constexpr uint64_t kChunkHeader = 16;
 constexpr uint64_t kMinChunk = 32;
 
 /**
- * Pre-resolved counters for the chunk-access fast path (cached
- * stats::Counter references — no string lookup per field access).
- * Optional: views constructed without one count nothing.
+ * Reads and writes chunk metadata through the simulated memory.
+ * Each access bumps the raw or slow header count of the optional
+ * @p counters; views constructed without them count nothing.
  */
-struct ChunkAccessCounters
-{
-    stats::Counter *rawAccesses = nullptr;  //!< through the span
-    stats::Counter *slowAccesses = nullptr; //!< out-of-span fallback
-};
-
-/** Reads and writes chunk metadata through the simulated memory. */
 class ChunkView
 {
   public:
     ChunkView(mem::TaggedMemory &memory, uint64_t addr,
-              ChunkAccessCounters *counters = nullptr)
+              stats::MutatorPathSummary *counters = nullptr)
         : mem_(&memory), span_(memory.hostSpan(addr)), addr_(addr),
           counters_(counters)
     {}
@@ -184,11 +177,11 @@ class ChunkView
     {
         if (span_.covers(a, 8)) {
             if (counters_)
-                counters_->rawAccesses->increment();
+                ++counters_->rawHeaderAccesses;
             return span_.readU64(a);
         }
         if (counters_)
-            counters_->slowAccesses->increment();
+            ++counters_->slowHeaderAccesses;
         return mem_->spanReadU64(a);
     }
 
@@ -197,19 +190,19 @@ class ChunkView
     {
         if (span_.covers(a, 8)) {
             if (counters_)
-                counters_->rawAccesses->increment();
+                ++counters_->rawHeaderAccesses;
             span_.writeU64(a, v);
             return;
         }
         if (counters_)
-            counters_->slowAccesses->increment();
+            ++counters_->slowHeaderAccesses;
         mem_->spanWriteU64(a, v);
     }
 
     mem::TaggedMemory *mem_;
     mem::HostSpan span_;
     uint64_t addr_;
-    ChunkAccessCounters *counters_;
+    stats::MutatorPathSummary *counters_;
 };
 
 } // namespace alloc

@@ -15,15 +15,6 @@ DlAllocator::DlAllocator(mem::AddressSpace &space, DlConfig config)
     : space_(&space), mem_(&space.memory()), config_(config),
       bins_(kNumBins, 0)
 {
-    // Resolve the hot-path counters once; the fast paths bump them
-    // through these references instead of a string lookup per op.
-    chunk_counters_.rawAccesses =
-        &counters_.counter("alloc.header_raw_accesses");
-    chunk_counters_.slowAccesses =
-        &counters_.counter("alloc.header_slow_accesses");
-    c_bin_scan_steps_ = &counters_.counter("alloc.bin_scan_steps");
-    c_bin_searches_ = &counters_.counter("alloc.bin_searches");
-
     const uint64_t size = alignUp(config_.initialHeapBytes, kPageBytes);
     heap_base_ = space_->mmapHeap(size);
     heap_end_ = heap_base_ + size;
@@ -95,7 +86,7 @@ DlAllocator::extendTop(uint64_t min_bytes)
     heap_end_ += grow;
     ChunkView t = view(top_);
     t.setHeader(t.size() + grow, t.sizeWord() & kFlagMask);
-    counters_.counter("alloc.extends").increment();
+    ++counters_.extends;
 }
 
 uint64_t
@@ -118,7 +109,7 @@ DlAllocator::allocFromTop(uint64_t chunk_size)
 uint64_t
 DlAllocator::takeFromBins(uint64_t chunk_size)
 {
-    c_bin_searches_->increment();
+    ++counters_.binSearches;
     // The occupancy bitmap jumps straight to candidate bins; empty
     // bins cost nothing. Small bins are exact-fit (one size per
     // bin), so their head always satisfies the request; only large
@@ -131,14 +122,14 @@ DlAllocator::takeFromBins(uint64_t chunk_size)
             // Exact-size bin at or above the request: its head fits
             // by construction.
             const uint64_t addr = bins_[idx];
-            c_bin_scan_steps_->increment();
+            ++counters_.binScanSteps;
             unlinkChunk(addr);
             return addr;
         }
         uint64_t addr = bins_[idx];
         while (addr) {
             ChunkView c = view(addr);
-            c_bin_scan_steps_->increment();
+            ++counters_.binScanSteps;
             if (c.size() >= chunk_size) {
                 unlinkChunk(addr);
                 return addr;
@@ -160,7 +151,6 @@ DlAllocator::maybeSplit(uint64_t addr, uint64_t chunk_size)
         // The remainder inherits PINUSE = 1 (we are in use).
         view(addr + chunk_size).setHeader(orig - chunk_size, kPinuse);
         insertFreeChunk(addr + chunk_size, orig - chunk_size);
-        counters_.counter("alloc.splits").increment();
     } else {
         c.setHeader(orig, kCinuse | pinuse);
         // Next chunk borders an in-use chunk again.
@@ -258,7 +248,7 @@ DlAllocator::capForPayload(uint64_t payload, uint64_t requested) const
 Capability
 DlAllocator::malloc(uint64_t size)
 {
-    counters_.counter("alloc.malloc_calls").increment();
+    ++counters_.mallocCalls;
     const uint64_t requested = std::max<uint64_t>(size, 1);
     uint64_t payload_len = alignUp(requested, kGranuleBytes);
 
@@ -290,8 +280,6 @@ DlAllocator::malloc(uint64_t size)
 
     const uint64_t payload = addr + kChunkHeader;
     live_bytes_ += view(addr).size() - kChunkHeader;
-    counters_.counter("alloc.allocated_bytes")
-        .increment(view(addr).size());
     return capForPayload(payload, bounds_len);
 }
 
@@ -349,7 +337,6 @@ DlAllocator::checkedFreeView(uint64_t addr) const
 void
 DlAllocator::freeAddr(uint64_t payload)
 {
-    counters_.counter("alloc.free_calls").increment();
     const uint64_t addr = chunkOf(payload);
     ChunkView c = checkedFreeView(addr);
     live_bytes_ -= c.size() - kChunkHeader;
@@ -434,7 +421,7 @@ DlAllocator::usableSize(uint64_t payload) const
 DlAllocator::QuarantinedChunk
 DlAllocator::quarantineFree(const Capability &capability)
 {
-    counters_.counter("alloc.quarantine_frees").increment();
+    ++counters_.quarantineFrees;
     if (!capability.tag())
         heapFault(HeapFaultKind::WildFree,
                   "free() through an untagged capability");
@@ -461,7 +448,6 @@ DlAllocator::mergeQuarantinedRun(uint64_t addr, uint64_t new_size)
 void
 DlAllocator::internalFree(uint64_t addr, uint64_t size)
 {
-    counters_.counter("alloc.internal_frees").increment();
     ChunkView c = view(addr);
     CHERIVOKE_ASSERT(c.quarantined() && c.size() == size,
                      "(internalFree of non-quarantined run)");
@@ -500,8 +486,6 @@ DlAllocator::releaseColdPages()
     }
     // The wilderness chunk: only its header matters.
     release_interior(top_ + kMinChunk, heap_end_);
-    counters_.counter("alloc.cold_pages_released")
-        .increment(released);
     return released;
 }
 

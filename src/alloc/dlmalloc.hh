@@ -27,7 +27,7 @@
 #include "alloc/chunk.hh"
 #include "cap/capability.hh"
 #include "mem/addr_space.hh"
-#include "stats/counters.hh"
+#include "stats/summary.hh"
 
 namespace cherivoke {
 namespace alloc {
@@ -165,8 +165,13 @@ class DlAllocator
     uint64_t heapBase() const { return heap_base_; }
     uint64_t heapEnd() const { return heap_end_; }
 
-    stats::CounterGroup &counters() { return counters_; }
-    const stats::CounterGroup &counters() const { return counters_; }
+    /** Mutator-path counters; the quarantine's owner adds its run
+     *  merges through the non-const overload. */
+    stats::MutatorPathSummary &counters() { return counters_; }
+    const stats::MutatorPathSummary &counters() const
+    {
+        return counters_;
+    }
     /// @}
 
   private:
@@ -182,12 +187,12 @@ class DlAllocator
 
     ChunkView view(uint64_t addr) const
     {
-        return ChunkView(*mem_, addr, &chunk_counters_);
+        return ChunkView(*mem_, addr, &counters_);
     }
 
     /** Uncounted view for inspection paths (walkHeap/validateHeap):
-     *  keeps the alloc.header_* counters a pure mutator-path
-     *  metric, unskewed by how often validation runs. */
+     *  keeps the header-access counts a pure mutator-path metric,
+     *  unskewed by how often validation runs. */
     ChunkView viewUncounted(uint64_t addr) const
     {
         return ChunkView(*mem_, addr);
@@ -265,14 +270,8 @@ class DlAllocator
 
     uint64_t live_bytes_ = 0;
     uint64_t quarantined_bytes_ = 0;
-    stats::CounterGroup counters_;
-
-    /** @name Cached counter references (no string lookup per op) */
-    /// @{
-    mutable ChunkAccessCounters chunk_counters_;
-    stats::Counter *c_bin_scan_steps_ = nullptr;
-    stats::Counter *c_bin_searches_ = nullptr;
-    /// @}
+    /** mutable: counted views are built on const read paths too. */
+    mutable stats::MutatorPathSummary counters_;
 };
 
 } // namespace alloc

@@ -168,8 +168,7 @@ TaggedMemory::clearTagsInRange(uint64_t addr, uint64_t size)
                                   kGranuleShift);
         if (page->granuleTag(idx)) {
             page->clearGranuleTag(idx);
-            counters_.counter("mem.tags_cleared_by_overwrite")
-                .increment();
+            ++counters_.tagsClearedByOverwrite;
         }
     }
 }
@@ -181,7 +180,6 @@ TaggedMemory::writeBytes(uint64_t addr, const void *src, uint64_t size)
         return;
     checkMapped(addr, size, true);
     clearTagsInRange(addr, size);
-    counters_.counter("mem.data_write_bytes").increment(size);
     const uint8_t *p = static_cast<const uint8_t *>(src);
     uint64_t remaining = size;
     uint64_t cur = addr;
@@ -202,9 +200,6 @@ TaggedMemory::readBytes(uint64_t addr, void *dst, uint64_t size) const
     if (size == 0)
         return;
     checkMapped(addr, size, false);
-    counters_
-        .counter("mem.data_read_bytes")
-        .increment(size);
     uint8_t *p = static_cast<uint8_t *>(dst);
     uint64_t remaining = size;
     uint64_t cur = addr;
@@ -265,7 +260,6 @@ TaggedMemory::fill(uint64_t addr, uint8_t byte, uint64_t size)
         return;
     checkMapped(addr, size, true);
     clearTagsInRange(addr, size);
-    counters_.counter("mem.data_write_bytes").increment(size);
     uint64_t remaining = size;
     uint64_t cur = addr;
     while (remaining > 0) {
@@ -302,16 +296,15 @@ TaggedMemory::writeCap(uint64_t addr, const cap::Capability &capability)
     const unsigned g = static_cast<unsigned>(off >> kGranuleShift);
     if (capability.tag()) {
         page.setGranuleTag(g);
-        counters_.counter("mem.cap_writes").increment();
+        ++counters_.capWrites;
         if (pt_.setCapDirty(addr))
-            counters_.counter("mem.capdirty_traps").increment();
+            ++counters_.capDirtyTraps;
         for (const CapStoreListener &l : cap_store_listeners_) {
             if (addr >= l.lo && addr < l.hi)
                 l.fn(addr);
         }
     } else {
         page.clearGranuleTag(g);
-        counters_.counter("mem.untagged_cap_writes").increment();
     }
 }
 
@@ -323,7 +316,6 @@ TaggedMemory::readCap(uint64_t addr) const
                        "capability load must be 16-byte aligned");
     }
     checkMapped(addr, kCapBytes, false);
-    counters_.counter("mem.cap_reads").increment();
     const Page *page = pageIfPresent(addr);
     if (!page)
         return cap::Capability{};
@@ -342,7 +334,7 @@ TaggedMemory::readCap(uint64_t addr) const
         load_barrier_(cap::Capability::decodeBase(lo, hi))) {
         tag = false;
         const_cast<TaggedMemory *>(this)->clearTagAt(addr);
-        counters_.counter("mem.load_barrier_strips").increment();
+        ++counters_.loadBarrierStrips;
     }
     return cap::Capability::unpack(lo, hi, tag);
 }

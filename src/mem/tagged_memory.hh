@@ -28,7 +28,6 @@
 
 #include "cap/capability.hh"
 #include "mem/page_table.hh"
-#include "stats/counters.hh"
 #include "support/bitops.hh"
 #include "support/logging.hh"
 #include "support/units.hh"
@@ -59,8 +58,8 @@ struct Page
  * allocator's chunk metadata (boundary tags, bin links) clusters on
  * one or two pages per chunk, so alloc::ChunkView resolves the page
  * once and then reads/writes fields through plain host loads and
- * stores instead of paying a page lookup, a page-table walk and a
- * string-keyed counter bump per field.
+ * stores instead of paying a page lookup and a page-table walk per
+ * field.
  *
  * The span is part of the trusted computing base: accesses skip
  * page-table protection checks (the allocator only touches its own
@@ -208,6 +207,15 @@ class PageDirectory
     std::mutex leaves_mu_;
     std::vector<Leaf *> leaves_; //!< for O(resident) destruction
     std::atomic<size_t> resident_{0};
+};
+
+/** The event counts TaggedMemory keeps; callers read the fields. */
+struct MemoryCounters
+{
+    uint64_t tagsClearedByOverwrite = 0; //!< tags killed by data writes
+    uint64_t capWrites = 0;              //!< tagged capability stores
+    uint64_t capDirtyTraps = 0;          //!< PTE clean→dirty, §3.4.2
+    uint64_t loadBarrierStrips = 0;      //!< loads the barrier stripped
 };
 
 /**
@@ -472,8 +480,7 @@ class TaggedMemory
     }
     /// @}
 
-    stats::CounterGroup &counters() { return counters_; }
-    const stats::CounterGroup &counters() const { return counters_; }
+    const MemoryCounters &counters() const { return counters_; }
 
   private:
     Page &pageForWrite(uint64_t addr);
@@ -496,8 +503,8 @@ class TaggedMemory
     std::vector<CapStoreListener> cap_store_listeners_;
     uint64_t next_listener_id_ = 1;
     size_t soft_budget_ = 0; //!< resident-page soft cap; 0 = none
-    /** mutable: read paths account traffic too. */
-    mutable stats::CounterGroup counters_;
+    /** mutable: a barrier strip is counted on the const load path. */
+    mutable MemoryCounters counters_;
     std::function<bool(uint64_t)> load_barrier_;
 };
 

@@ -197,8 +197,7 @@ RevocationEngine::RevocationEngine(
     alloc::CherivokeAllocator &allocator, mem::AddressSpace &space,
     SweepOptions sweep)
     : RevocationEngine(allocator, space,
-                       EngineConfig{sweep, PolicyKind::StopTheWorld,
-                                    64, 1})
+                       EngineConfig{.sweep = sweep, .sweeperPlan = {}})
 {}
 
 RevocationEngine::~RevocationEngine()

@@ -145,9 +145,11 @@ struct EngineConfig
      *  fires. */
     unsigned sweeperRetries = 2;
     /** Injectable clock for the watchdog (null → a steady clock
-     *  owned by the engine). Deterministic chaos never reads it:
-     *  injected sweeper faults are states, observed at rendezvous
-     *  points. */
+     *  owned by the engine). An injected stall is a state, observed
+     *  at rendezvous points and walked through the retries without
+     *  reading the clock; but every running worker, injected or
+     *  not, is polled on it, so a run that must see only its
+     *  injected events passes a clock that never advances. */
     support::Clock *clock = nullptr;
     /** Adaptive-policy tunables (used when any domain runs
      *  PolicyKind::Adaptive; inert otherwise). */

@@ -108,24 +108,6 @@ MutatorPathSummary::render() const
     return buf;
 }
 
-MutatorPathSummary
-summarizeMutatorPath(const CounterGroup &alloc_counters)
-{
-    MutatorPathSummary s;
-    s.mallocCalls = alloc_counters.value("alloc.malloc_calls");
-    s.quarantineFrees =
-        alloc_counters.value("alloc.quarantine_frees");
-    s.binSearches = alloc_counters.value("alloc.bin_searches");
-    s.binScanSteps = alloc_counters.value("alloc.bin_scan_steps");
-    s.rawHeaderAccesses =
-        alloc_counters.value("alloc.header_raw_accesses");
-    s.slowHeaderAccesses =
-        alloc_counters.value("alloc.header_slow_accesses");
-    s.quarantineMerges =
-        alloc_counters.value("alloc.quarantine_merges");
-    return s;
-}
-
 double
 geomean(const std::vector<double> &values)
 {

@@ -13,8 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "stats/counters.hh"
-
 namespace cherivoke {
 namespace stats {
 
@@ -43,14 +41,14 @@ class Summary
 };
 
 /**
- * Derived view of the allocator's mutator-path counters: how hard
- * the malloc/free fast path actually worked. Raw counts come from
- * the DlAllocator CounterGroup (alloc.* counters); the ratios are
- * the quantities worth watching — mean bin-scan length should sit
- * near 1 with the occupancy bitmap, the raw-span rate near 1 with
- * the cached chunk spans, and the merge ratio is the §5.2
- * aggregation quality (internal frees per program free shrink as it
- * rises).
+ * The allocator's mutator-path counters: how hard the malloc/free
+ * fast path actually worked. alloc::DlAllocator bumps these fields
+ * directly (CherivokeAllocator adds the quarantine merges); the
+ * ratios are the quantities worth watching — mean bin-scan length
+ * should sit near 1 with the occupancy bitmap, the raw-span rate
+ * near 1 with the cached chunk spans, and the merge ratio is the
+ * §5.2 aggregation quality (internal frees per program free shrink
+ * as it rises).
  */
 struct MutatorPathSummary
 {
@@ -61,6 +59,7 @@ struct MutatorPathSummary
     uint64_t rawHeaderAccesses = 0; //!< chunk fields via host span
     uint64_t slowHeaderAccesses = 0; //!< out-of-span fallbacks
     uint64_t quarantineMerges = 0;
+    uint64_t extends = 0;           //!< wilderness growths (mmap)
 
     /** Free-list nodes examined per takeFromBins call. */
     double meanBinScanLength() const;
@@ -72,10 +71,6 @@ struct MutatorPathSummary
     /** Human-readable block for bench reports. */
     std::string render() const;
 };
-
-/** Build the summary from a DlAllocator counter group. */
-MutatorPathSummary
-summarizeMutatorPath(const CounterGroup &alloc_counters);
 
 /** Geometric mean of a vector of positive values. */
 double geomean(const std::vector<double> &values);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdlib>
+#include <limits>
 
 #include "support/logging.hh"
 
@@ -214,6 +215,18 @@ envI64(const char *name, int64_t fallback, int64_t min)
               static_cast<long long>(min));
     recordKnob(name, std::to_string(value), true);
     return value;
+}
+
+unsigned
+envUnsigned(const char *name, unsigned fallback, unsigned min)
+{
+    constexpr int64_t kMax = std::numeric_limits<unsigned>::max();
+    const int64_t value = envI64(name, fallback, min);
+    if (value > kMax)
+        fatal("%s: %lld is above the maximum %lld", name,
+              static_cast<long long>(value),
+              static_cast<long long>(kMax));
+    return static_cast<unsigned>(value);
 }
 
 double

@@ -45,6 +45,11 @@ bool parseF64(const std::string &text, double &out);
  */
 int64_t envI64(const char *name, int64_t fallback, int64_t min = 1);
 
+/** envI64 for an `unsigned` knob: also fatal() when the value does
+ *  not fit in unsigned, rather than truncating it. */
+unsigned envUnsigned(const char *name, unsigned fallback,
+                     unsigned min = 1);
+
 /** Floating-point environment knob; fatal() unless value >= @p min
  *  (strictly > when @p min is an exclusive bound of 0). */
 double envF64(const char *name, double fallback, double min = 0);

@@ -222,8 +222,7 @@ TEST(QuarantineRuns, SurvivesManyEpochsOfChurn)
     EXPECT_GT(frees, 1000u);
     heap.dl().validateHeap();
     // Merge accounting survives the facade's quarantine swaps.
-    const uint64_t merges =
-        heap.dl().counters().value("alloc.quarantine_merges");
+    const uint64_t merges = heap.dl().counters().quarantineMerges;
     EXPECT_GT(merges, 0u);
     EXPECT_LE(merges, frees);
 }
@@ -271,8 +270,7 @@ TEST(AllocFuzz, RandomOpsKeepEveryInvariant)
     heap.dl().validateHeap();
 
     // The mutator-path summary reflects a healthy fast path.
-    const stats::MutatorPathSummary s =
-        stats::summarizeMutatorPath(heap.dl().counters());
+    const stats::MutatorPathSummary &s = heap.dl().counters();
     EXPECT_GT(s.mallocCalls, 0u);
     EXPECT_GT(s.rawSpanRate(), 0.9)
         << "nearly all header accesses should hit the cached span";

@@ -18,6 +18,7 @@
 #include "alloc/cherivoke_alloc.hh"
 #include "revoke/background_sweeper.hh"
 #include "revoke/revocation_engine.hh"
+#include "support/clock.hh"
 #include "support/fault.hh"
 #include "tenant/tenant_manager.hh"
 #include "workload/driver.hh"
@@ -29,6 +30,13 @@ namespace revoke {
 namespace {
 
 using alloc::CherivokeAllocator;
+
+/**
+ * The watchdog clock for every engine here. It never advances, so a
+ * running worker can never overrun its deadline however loaded the
+ * host is: only the injected sweeper states drive the ladder.
+ */
+support::FakeClock frozen_clock;
 
 /** A trace sized to trigger a dozen-odd epochs. */
 workload::Trace
@@ -218,6 +226,7 @@ TEST(BackgroundSweeperParity, ModeledStatsBitIdentical)
         EngineConfig off;
         off.policy = policy;
         off.pagesPerSlice = 8;
+        off.clock = &frozen_clock;
         EngineConfig on = off;
         on.backgroundSweeper = true;
 
@@ -257,6 +266,7 @@ TEST(BackgroundSweeperParity, EventLogIsDeterministic)
     on.policy = PolicyKind::Incremental;
     on.pagesPerSlice = 8;
     on.backgroundSweeper = true;
+    on.clock = &frozen_clock;
     const RunOutput a = runWithEngine(on, trace);
     const RunOutput b = runWithEngine(on, trace);
     EXPECT_FALSE(a.events.empty());
@@ -276,6 +286,7 @@ injectedConfig(std::vector<SweeperInjection> plan)
     cfg.backgroundSweeper = true;
     cfg.sweeperRetries = 2;
     cfg.sweeperPlan = std::move(plan);
+    cfg.clock = &frozen_clock;
     return cfg;
 }
 
@@ -388,6 +399,7 @@ TEST(SweeperContainment, ThirdStrikeRetiresOnlyTheVictim)
     tenant::TenantManagerConfig mgr_cfg;
     mgr_cfg.engine.backgroundSweeper = true;
     mgr_cfg.engine.sweeperRetries = 2;
+    mgr_cfg.engine.clock = &frozen_clock;
     mgr_cfg.faultPlan.sweeper = {
         {SweeperFaultKind::Stall, 1, 1, 1},
         {SweeperFaultKind::Stall, 1, 2, 1},

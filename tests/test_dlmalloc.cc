@@ -147,7 +147,7 @@ TEST_F(DlAllocatorTest, TopGrowsOnDemand)
     for (int i = 0; i < 40; ++i)
         caps.push_back(alloc.malloc(256 * KiB));
     EXPECT_GT(alloc.footprintBytes(), before);
-    EXPECT_GT(alloc.counters().value("alloc.extends"), 0u);
+    EXPECT_GT(alloc.counters().extends, 0u);
     alloc.validateHeap();
 }
 

@@ -130,8 +130,7 @@ TEST(LoadBarrier, InactiveBarrierCostsNothing)
     const Capability c = heap.malloc(64);
     memory.writeCap(mem::kGlobalsBase, c);
     EXPECT_TRUE(memory.readCap(mem::kGlobalsBase).tag());
-    EXPECT_EQ(memory.counters().value("mem.load_barrier_strips"),
-              0u);
+    EXPECT_EQ(memory.counters().loadBarrierStrips, 0u);
     EXPECT_FALSE(memory.loadBarrierActive());
 }
 

@@ -115,8 +115,7 @@ TEST_F(IncrementalTest, LoadBarrierStripsMidEpochCopies)
     // ...the load barrier already stripped it.
     EXPECT_FALSE(loaded.tag())
         << "barrier must strip dangling caps at the load";
-    EXPECT_GT(memory.counters().value("mem.load_barrier_strips"),
-              0u);
+    EXPECT_GT(memory.counters().loadBarrierStrips, 0u);
     // Storing the (now untagged) value anywhere is harmless.
     memory.writeCap(mem::kGlobalsBase, loaded);
     while (inc.step(4) > 0) {

@@ -391,7 +391,7 @@ TEST(Differential, RegistrySchemePaysPerStoreCherivokeDoesNot)
     EXPECT_GE(dangsan.stats().registryBytes, 4096u);
     // CHERIvoke: the tags *are* the metadata — nothing extra beyond
     // the 256 capability stores themselves.
-    EXPECT_EQ(s2.memory().counters().value("mem.cap_writes"), 256u);
+    EXPECT_EQ(s2.memory().counters().capWrites, 256u);
 }
 
 } // namespace

@@ -1,71 +1,26 @@
 /**
  * @file
- * Unit tests for counters, running summaries, and table rendering.
+ * Unit tests for running summaries and table rendering, and the
+ * exact value of every allocator and tagged-memory counter on one
+ * fixed run.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "stats/counters.hh"
+#include "alloc/cherivoke_alloc.hh"
+#include "revoke/revocation_engine.hh"
 #include "stats/summary.hh"
 #include "stats/table.hh"
 #include "support/logging.hh"
+#include "workload/driver.hh"
+#include "workload/spec_profiles.hh"
+#include "workload/synth.hh"
 
 namespace cherivoke {
 namespace stats {
 namespace {
-
-TEST(Counter, StartsAtZeroAndIncrements)
-{
-    Counter c;
-    EXPECT_EQ(c.value(), 0u);
-    c.increment();
-    c.increment(10);
-    ++c;
-    EXPECT_EQ(c.value(), 12u);
-    c.reset();
-    EXPECT_EQ(c.value(), 0u);
-}
-
-TEST(CounterGroup, LazyCreationAndLookup)
-{
-    CounterGroup g;
-    EXPECT_FALSE(g.has("a.b"));
-    EXPECT_EQ(g.value("a.b"), 0u);
-    g.counter("a.b").increment(3);
-    EXPECT_TRUE(g.has("a.b"));
-    EXPECT_EQ(g.value("a.b"), 3u);
-}
-
-TEST(CounterGroup, InsertionOrderPreserved)
-{
-    CounterGroup g;
-    g.counter("z");
-    g.counter("a");
-    g.counter("m");
-    ASSERT_EQ(g.names().size(), 3u);
-    EXPECT_EQ(g.names()[0], "z");
-    EXPECT_EQ(g.names()[1], "a");
-    EXPECT_EQ(g.names()[2], "m");
-}
-
-TEST(CounterGroup, ResetAllKeepsRegistration)
-{
-    CounterGroup g;
-    g.counter("x").increment(5);
-    g.resetAll();
-    EXPECT_TRUE(g.has("x"));
-    EXPECT_EQ(g.value("x"), 0u);
-}
-
-TEST(CounterGroup, ReportContainsEachCounter)
-{
-    CounterGroup g;
-    g.counter("dram.reads").increment(7);
-    const std::string rep = g.report();
-    EXPECT_NE(rep.find("dram.reads 7"), std::string::npos);
-}
 
 TEST(Summary, EmptyIsZero)
 {
@@ -168,6 +123,65 @@ TEST(TextTable, ColumnsAligned)
         prev = len;
         start = nl + 1;
     }
+}
+
+/**
+ * Every counter the allocator and the tagged memory keep, pinned to
+ * its exact value on one fixed run: a dealII trace replayed under
+ * incremental revocation from a small heap (so the wilderness
+ * grows), then one dangling capability loaded while an epoch is
+ * open. A trace replay makes no capability loads, so that load is
+ * the one the barrier strips. Every counter is non-zero here, so
+ * one that drifts or stops counting fails, not just a ratio.
+ */
+TEST(Counters, FixedRunPinsEveryCounter)
+{
+    workload::SynthConfig synth;
+    synth.scale = 1.0 / 512;
+    synth.durationSec = 10.0;
+    synth.seed = 7;
+    const workload::Trace trace =
+        workload::synthesize(workload::profileFor("dealII"), synth);
+
+    mem::AddressSpace space;
+    alloc::CherivokeConfig acfg;
+    acfg.quarantineFraction = 0.05;
+    acfg.minQuarantineBytes = 16 * KiB;
+    acfg.dl.initialHeapBytes = 256 * KiB;
+    acfg.dl.growthChunkBytes = 128 * KiB;
+    alloc::CherivokeAllocator heap(space, acfg);
+    revoke::EngineConfig ecfg;
+    ecfg.policy = revoke::PolicyKind::Incremental;
+    ecfg.pagesPerSlice = 8;
+    revoke::RevocationEngine engine(heap, space, ecfg);
+    workload::TraceDriver(space, heap, &engine).run(trace);
+
+    mem::TaggedMemory &memory = space.memory();
+    const cap::Capability holder = heap.malloc(64);
+    const cap::Capability victim = heap.malloc(64);
+    memory.storeCap(holder, holder.base(), victim);
+    heap.free(victim);
+    engine.beginEpoch();
+    EXPECT_FALSE(memory.loadCap(holder, holder.base()).tag());
+    while (engine.step(8) > 0) {
+    }
+    engine.finishEpoch();
+
+    const mem::MemoryCounters &m = memory.counters();
+    EXPECT_EQ(m.tagsClearedByOverwrite, 477u);
+    EXPECT_EQ(m.capWrites, 22123u);
+    EXPECT_EQ(m.capDirtyTraps, 571u);
+    EXPECT_EQ(m.loadBarrierStrips, 1u);
+
+    const MutatorPathSummary &a = heap.dl().counters();
+    EXPECT_EQ(a.mallocCalls, 29822u);
+    EXPECT_EQ(a.quarantineFrees, 9737u);
+    EXPECT_EQ(a.binSearches, 29822u);
+    EXPECT_EQ(a.binScanSteps, 8821u);
+    EXPECT_EQ(a.rawHeaderAccesses, 455418u);
+    EXPECT_EQ(a.slowHeaderAccesses, 4973u);
+    EXPECT_EQ(a.quarantineMerges, 8090u);
+    EXPECT_EQ(a.extends, 15u);
 }
 
 } // namespace

@@ -95,7 +95,7 @@ TEST_F(TaggedMemoryTest, DataOverwriteClearsTag)
     // The data itself is untouched apart from the written word.
     const Capability r = mem.readCap(kBase + 0x100);
     EXPECT_FALSE(r.tag());
-    EXPECT_EQ(mem.counters().value("mem.tags_cleared_by_overwrite"), 1u);
+    EXPECT_EQ(mem.counters().tagsClearedByOverwrite, 1u);
 }
 
 TEST_F(TaggedMemoryTest, FillClearsTagsAcrossRange)
@@ -121,9 +121,9 @@ TEST_F(TaggedMemoryTest, CapDirtyTrapCountedOncePerPage)
     const Capability c = capTo(kBase, 64);
     mem.writeCap(kBase, c);
     mem.writeCap(kBase + 16, c);
-    EXPECT_EQ(mem.counters().value("mem.capdirty_traps"), 1u);
+    EXPECT_EQ(mem.counters().capDirtyTraps, 1u);
     mem.writeCap(kBase + kPageBytes, c);
-    EXPECT_EQ(mem.counters().value("mem.capdirty_traps"), 2u);
+    EXPECT_EQ(mem.counters().capDirtyTraps, 2u);
     EXPECT_EQ(mem.pageTable().capDirtyCount(), 2u);
 }
 

@@ -332,6 +332,27 @@ TEST(EnvParsing, StrictIntegerAndFloat)
     setenv("CHERIVOKE_TEST_KNOB", "12", 1);
     EXPECT_EQ(envI64("CHERIVOKE_TEST_KNOB", 7), 12);
 
+    // Unsigned knobs reject what does not fit instead of truncating:
+    // 2^32 would otherwise become 0, and 2^32 + 1 would become 1.
+    EXPECT_EQ(envUnsigned("CHERIVOKE_TEST_KNOB", 7), 12u);
+    setenv("CHERIVOKE_TEST_KNOB", "4294967295", 1);
+    EXPECT_EQ(envUnsigned("CHERIVOKE_TEST_KNOB", 7), 4294967295u);
+    for (const char *text : {"4294967296", "4294967297"}) {
+        setenv("CHERIVOKE_TEST_KNOB", text, 1);
+        try {
+            envUnsigned("CHERIVOKE_TEST_KNOB", 7);
+            ADD_FAILURE() << text << " was accepted";
+        } catch (const FatalError &err) {
+            EXPECT_NE(std::string(err.what()).find(
+                          "CHERIVOKE_TEST_KNOB"),
+                      std::string::npos)
+                << err.what();
+        }
+    }
+    setenv("CHERIVOKE_TEST_KNOB", "0", 1);
+    EXPECT_THROW(envUnsigned("CHERIVOKE_TEST_KNOB", 7), FatalError);
+    EXPECT_EQ(envUnsigned("CHERIVOKE_TEST_KNOB", 7, 0), 0u);
+
     setenv("CHERIVOKE_TEST_KNOB", "2,1,1", 1);
     const std::vector<double> w =
         envF64List("CHERIVOKE_TEST_KNOB");
