@@ -116,11 +116,11 @@ planMutatorRace(const workload::Trace &trace, size_t opsLimit,
         item.kind = RaceItem::Kind::Op;
         item.op = op.kind;
         item.index = i;
-        item.id = op.id;
         const unsigned executor =
             mutatorExecutorOf(op, i, m);
         switch (op.kind) {
           case workload::OpKind::Malloc: {
+            item.id = op.id;
             item.owner = mutatorOwnerOf(op.id, m);
             item.bytes = op.size;
             // The replayer's emplace keeps the first mapping: a
@@ -131,6 +131,7 @@ planMutatorRace(const workload::Trace &trace, size_t opsLimit,
             break;
           }
           case workload::OpKind::Free: {
+            item.id = op.id;
             item.owner = mutatorOwnerOf(op.id, m);
             auto it = live.find(op.id);
             item.effective = it != live.end();

@@ -96,7 +96,7 @@ struct RaceItem
     Kind kind = Kind::Op;
     workload::OpKind op = workload::OpKind::Malloc;
     uint64_t index = 0; //!< global trace op index (or boundary)
-    uint64_t id = 0;
+    uint64_t id = 0;     //!< allocation id (Malloc/Free)
     uint64_t bytes = 0;  //!< malloc size / effective-free bytes
     unsigned owner = 0;  //!< owning thread of `id` (Malloc/Free)
     bool effective = false; //!< op changes modelled allocator state

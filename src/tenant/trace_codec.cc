@@ -2,7 +2,6 @@
 
 #include <cstring>
 #include <fstream>
-#include <limits>
 #include <sstream>
 
 #include "support/fault.hh"
@@ -55,16 +54,6 @@ getF64(const uint8_t *src)
     return v;
 }
 
-uint32_t
-auxOrDie(uint64_t offset, size_t index)
-{
-    if (offset > std::numeric_limits<uint32_t>::max())
-        fatal("trace op %zu: offset %llu overflows the binary "
-              "format's 32-bit aux field",
-              index, static_cast<unsigned long long>(offset));
-    return static_cast<uint32_t>(offset);
-}
-
 } // namespace
 
 size_t
@@ -85,9 +74,7 @@ encodeTrace(const workload::Trace &trace)
     putU64(&out[16], trace.ops.size());
 
     uint8_t *rec = out.data() + kTraceHeaderBytes;
-    for (size_t i = 0; i < trace.ops.size(); ++i,
-                rec += kTraceRecordBytes) {
-        const workload::TraceOp &op = trace.ops[i];
+    for (const workload::TraceOp &op : trace.ops) {
         rec[0] = static_cast<uint8_t>(op.kind);
         switch (op.kind) {
           case OpKind::Malloc:
@@ -98,16 +85,16 @@ encodeTrace(const workload::Trace &trace)
             putU64(&rec[8], op.id);
             break;
           case OpKind::StorePtr:
-            putU32(&rec[4], auxOrDie(op.offset, i));
+            putU32(&rec[4], op.offset);
             putU64(&rec[8], op.src);
             putU64(&rec[16], op.dst);
             break;
           case OpKind::StoreData:
-            putU32(&rec[4], auxOrDie(op.offset, i));
+            putU32(&rec[4], op.offset);
             putU64(&rec[8], op.dst);
             break;
           case OpKind::RootPtr:
-            putU32(&rec[4], auxOrDie(op.offset, i));
+            putU32(&rec[4], op.offset);
             putU64(&rec[8], op.src);
             break;
           case OpKind::SpawnTenant:
@@ -116,6 +103,7 @@ encodeTrace(const workload::Trace &trace)
             break;
         }
         putF64(&rec[24], op.dt);
+        rec += kTraceRecordBytes;
     }
     return out;
 }

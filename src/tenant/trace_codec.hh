@@ -69,8 +69,8 @@ size_t encodedTraceBytes(const workload::Trace &trace);
 
 /** Serialise @p trace to the binary format — version 1 when it
  *  contains no lifecycle ops (so pre-lifecycle traces keep their
- *  exact v1 byte image), version 2 otherwise. Throws FatalError when
- *  a field overflows its encoding (offset or root slot >= 2^32). */
+ *  exact v1 byte image), version 2 otherwise. Every op encodes: the
+ *  record's 32-bit aux field is as wide as TraceOp::offset. */
 std::vector<uint8_t> encodeTrace(const workload::Trace &trace);
 
 /** Decode a binary trace from an in-memory image (for example an

@@ -171,10 +171,10 @@ synthesize(const BenchmarkProfile &profile, const SynthConfig &config)
                 st.kind = OpKind::StorePtr;
                 st.src = src.id;
                 st.dst = id;
-                st.offset =
+                st.offset = static_cast<uint32_t>(
                     size >= 32
                         ? (rng.nextBounded((size - 16) / 16)) * 16
-                        : 0;
+                        : 0);
                 trace.ops.push_back(st);
             }
         }
@@ -184,7 +184,7 @@ synthesize(const BenchmarkProfile &profile, const SynthConfig &config)
             TraceOp rt;
             rt.kind = OpKind::RootPtr;
             rt.src = id;
-            rt.offset = rng.nextBounded(4096);
+            rt.offset = static_cast<uint32_t>(rng.nextBounded(4096));
             trace.ops.push_back(rt);
         }
     };
@@ -226,10 +226,10 @@ synthesize(const BenchmarkProfile &profile, const SynthConfig &config)
                 TraceOp st;
                 st.kind = OpKind::StoreData;
                 st.dst = dst.id;
-                st.offset =
+                st.offset = static_cast<uint32_t>(
                     dst.size >= 16
                         ? (rng.nextBounded(dst.size / 8)) * 8
-                        : 0;
+                        : 0);
                 trace.ops.push_back(st);
             }
         }

@@ -1,6 +1,7 @@
 #include "workload/trace.hh"
 
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <string>
@@ -47,6 +48,34 @@ opFromName(const std::string &name)
     fatal("unknown trace op '%s'", name.c_str());
 }
 
+/** The text format's numeric columns, in line order after the op
+ *  name (dt, which every kind defines, follows them). */
+enum Column : unsigned
+{
+    kId = 1,
+    kSize = 2,
+    kSrc = 4,
+    kDst = 8,
+    kOffset = 16,
+};
+
+/** The columns @p kind defines. `save` writes 0 in the others and
+ *  `load` ignores them. */
+unsigned
+columnsOf(OpKind kind)
+{
+    switch (kind) {
+      case OpKind::Malloc: return kId | kSize;
+      case OpKind::Free:
+      case OpKind::SpawnTenant:
+      case OpKind::RetireTenant: return kId;
+      case OpKind::StorePtr: return kSrc | kDst | kOffset;
+      case OpKind::StoreData: return kDst | kOffset;
+      case OpKind::RootPtr: return kSrc | kOffset;
+    }
+    return 0;
+}
+
 } // namespace
 
 double
@@ -71,12 +100,21 @@ Trace::hasLifecycleOps() const
 void
 Trace::save(std::ostream &os) const
 {
+    // Enough digits that load() reads back the same double.
+    const std::streamsize precision =
+        os.precision(std::numeric_limits<double>::max_digits10);
     os << "# cherivoke-trace v1\n";
     for (const auto &op : ops) {
-        os << opName(op.kind) << ' ' << op.id << ' ' << op.size << ' '
-           << op.src << ' ' << op.dst << ' ' << op.offset << ' '
-           << op.dt << '\n';
+        const unsigned cols = columnsOf(op.kind);
+        const auto col = [cols](unsigned c, uint64_t v) {
+            return (cols & c) ? v : 0;
+        };
+        os << opName(op.kind) << ' ' << col(kId, op.id) << ' '
+           << col(kSize, op.size) << ' ' << col(kSrc, op.src) << ' '
+           << col(kDst, op.dst) << ' ' << col(kOffset, op.offset)
+           << ' ' << op.dt << '\n';
     }
+    os.precision(precision);
 }
 
 Trace
@@ -89,12 +127,30 @@ Trace::load(std::istream &is)
             continue;
         std::istringstream ls(line);
         std::string name;
+        uint64_t id = 0, size = 0, src = 0, dst = 0, offset = 0;
         TraceOp op;
-        ls >> name >> op.id >> op.size >> op.src >> op.dst >>
-            op.offset >> op.dt;
+        ls >> name >> id >> size >> src >> dst >> offset >> op.dt;
         if (ls.fail())
             fatal("malformed trace line: %s", line.c_str());
         op.kind = opFromName(name);
+        const unsigned cols = columnsOf(op.kind);
+        if ((cols & kOffset) &&
+            offset > std::numeric_limits<uint32_t>::max())
+            fatal("trace offset %llu overflows 32 bits: %s",
+                  static_cast<unsigned long long>(offset),
+                  line.c_str());
+        // No kind defines both members of a TraceOp union pair, so
+        // these assignments never overwrite one another.
+        if (cols & kId)
+            op.id = id;
+        if (cols & kSize)
+            op.size = size;
+        if (cols & kSrc)
+            op.src = src;
+        if (cols & kDst)
+            op.dst = dst;
+        if (cols & kOffset)
+            op.offset = static_cast<uint32_t>(offset);
         trace.ops.push_back(op);
     }
     return trace;

@@ -48,17 +48,31 @@ isLifecycleOp(OpKind kind)
     return kind == OpKind::SpawnTenant || kind == OpKind::RetireTenant;
 }
 
-/** One trace operation. */
+/**
+ * One trace operation. No op kind defines both members of a union
+ * pair, so each pair shares one slot, as in the binary codec's
+ * record (tenant/trace_codec.hh). Read only the fields @c kind
+ * defines: the other member of a pair aliases a defined field.
+ */
 struct TraceOp
 {
     OpKind kind = OpKind::Malloc;
-    uint64_t id = 0;     //!< Malloc/Free: allocation id
-    uint64_t size = 0;   //!< Malloc: requested bytes
-    uint64_t src = 0;    //!< StorePtr/RootPtr: source allocation id
-    uint64_t dst = 0;    //!< StorePtr/StoreData: dest allocation id
-    uint64_t offset = 0; //!< byte offset within dest / root slot no.
-    double dt = 0;       //!< virtual seconds since the previous op
+    uint32_t offset = 0; //!< StorePtr/StoreData: byte offset within
+                         //!< dest; RootPtr: root slot no.
+    union
+    {
+        uint64_t id = 0; //!< Malloc/Free: allocation id;
+                         //!< Spawn/RetireTenant: tenant id
+        uint64_t src;    //!< StorePtr/RootPtr: source allocation id
+    };
+    union
+    {
+        uint64_t size = 0; //!< Malloc: requested bytes
+        uint64_t dst;      //!< StorePtr/StoreData: dest allocation id
+    };
+    double dt = 0; //!< virtual seconds since the previous op
 };
+static_assert(sizeof(TraceOp) == 32);
 
 /** A full trace plus its metadata. */
 struct Trace
@@ -72,7 +86,12 @@ struct Trace
      *  trace needs the v2 binary encoding and a TenantManager). */
     bool hasLifecycleOps() const;
 
-    /** Plain-text serialisation (one op per line). */
+    /** Plain-text serialisation, one op per line: kind, then the
+     *  columns id, size, src, dst, offset and dt. `save` writes the
+     *  kind's own fields, 0 in the other columns, and dt exactly
+     *  (17 significant digits). `load` reads only the columns the
+     *  kind defines, and throws FatalError on a malformed line or
+     *  an offset of 2^32 or more. */
     void save(std::ostream &os) const;
     static Trace load(std::istream &is);
 };

@@ -197,19 +197,117 @@ TEST(TraceCodec, RejectsMalformedInput)
         bad[tenant::kTraceHeaderBytes] = 0x7f;
         EXPECT_THROW(tenant::decodeTrace(bad), FatalError);
     }
-    // Unencodable offset.
+    // An offset wider than the 32-bit field is rejected where it can
+    // still arrive: a text line. 2^32 - 1 is the widest that loads.
+    for (const char *line : {"storedata 0 0 0 1 1099511627776 0\n",
+                             "rootptr 0 0 1 0 4294967296 0\n"}) {
+        std::istringstream is(line);
+        EXPECT_THROW(Trace::load(is), FatalError) << line;
+    }
     {
-        Trace wide = trace;
-        TraceOp op;
-        op.kind = OpKind::StoreData;
-        op.dst = 1;
-        op.offset = uint64_t{1} << 40;
-        wide.ops.push_back(op);
-        EXPECT_THROW(tenant::encodeTrace(wide), FatalError);
+        std::istringstream is("storeptr 0 0 1 2 4294967295 0\n");
+        EXPECT_EQ(Trace::load(is).ops[0].offset, 4294967295u);
     }
     // Missing file.
     EXPECT_THROW(tenant::loadTraceFile("/nonexistent/x.cvt"),
                  FatalError);
+}
+
+// ---- In-memory layout and the text format ----------------------
+
+TEST(TraceLayout, TextColumnsAKindDoesNotDefineAreIgnored)
+{
+    // TraceOp shares slots between fields no kind defines together,
+    // so load must assign only the kind's own columns: junk in the
+    // others would overwrite a defined field.
+    struct Case
+    {
+        const char *canonical, *noisy;
+    };
+    const Case cases[] = {
+        {"malloc 1 64 0 0 0 0.5", "malloc 1 64 9 9 9 0.5"},
+        {"free 1 0 0 0 0 0", "free 1 9 9 9 9 0"},
+        {"storeptr 0 0 1 2 16 0", "storeptr 9 9 1 2 16 0"},
+        {"storedata 0 0 0 1 64 0", "storedata 9 9 9 1 64 0"},
+        {"rootptr 0 0 2 0 7 0", "rootptr 9 9 2 9 7 0"},
+        {"spawn 5 0 0 0 0 0", "spawn 5 9 9 9 9 0"},
+        {"retire 5 0 0 0 0 0", "retire 5 9 9 9 9 0"},
+    };
+    for (const Case &c : cases) {
+        std::istringstream canonical(c.canonical), noisy(c.noisy);
+        const Trace want = Trace::load(canonical);
+        const Trace got = Trace::load(noisy);
+        EXPECT_TRUE(opsIdentical(want, got)) << c.noisy;
+        std::ostringstream os;
+        got.save(os);
+        EXPECT_EQ(os.str(),
+                  std::string("# cherivoke-trace v1\n") + c.canonical +
+                      "\n");
+    }
+    // The fields land where the kinds put them.
+    std::istringstream is("storedata 9 9 9 1 64 0\n"
+                          "rootptr 9 9 2 9 7 0\n");
+    const Trace t = Trace::load(is);
+    EXPECT_EQ(t.ops[0].dst, 1u);
+    EXPECT_EQ(t.ops[0].offset, 64u);
+    EXPECT_EQ(t.ops[1].src, 2u);
+    EXPECT_EQ(t.ops[1].offset, 7u);
+}
+
+TEST(TraceLayout, SaveKeepsTheTextImage)
+{
+    // One op of every kind, each with only its own fields set, and
+    // dt values that print exactly: the text image is the one the
+    // six-column format has always written.
+    auto make = [](OpKind kind, uint64_t a, uint64_t b,
+                   uint32_t offset, double dt) {
+        TraceOp op;
+        op.kind = kind;
+        op.offset = offset;
+        op.dt = dt;
+        switch (kind) {
+          case OpKind::Malloc:
+            op.id = a;
+            op.size = b;
+            break;
+          case OpKind::StorePtr:
+            op.src = a;
+            op.dst = b;
+            break;
+          case OpKind::StoreData:
+            op.dst = b;
+            break;
+          case OpKind::RootPtr:
+            op.src = a;
+            break;
+          default:
+            op.id = a;
+            break;
+        }
+        return op;
+    };
+    Trace trace;
+    trace.ops = {
+        make(OpKind::Malloc, 1, 4096, 0, 0),
+        make(OpKind::Malloc, 2, 128, 0, 0.001),
+        make(OpKind::StorePtr, 1, 2, 16, 0),
+        make(OpKind::RootPtr, 2, 0, 7, 0.25),
+        make(OpKind::StoreData, 0, 1, 64, 0.001),
+        make(OpKind::SpawnTenant, 7, 0, 0, 0.5),
+        make(OpKind::RetireTenant, 7, 0, 0, 0),
+        make(OpKind::Free, 1, 0, 0, 1.5),
+    };
+    std::ostringstream os;
+    trace.save(os);
+    EXPECT_EQ(os.str(), "# cherivoke-trace v1\n"
+                        "malloc 1 4096 0 0 0 0\n"
+                        "malloc 2 128 0 0 0 0.001\n"
+                        "storeptr 0 0 1 2 16 0\n"
+                        "rootptr 0 0 2 0 7 0.25\n"
+                        "storedata 0 0 0 1 64 0.001\n"
+                        "spawn 7 0 0 0 0 0.5\n"
+                        "retire 7 0 0 0 0 0\n"
+                        "free 1 0 0 0 0 1.5\n");
 }
 
 // ---- v2 (tenant lifecycle) records -----------------------------

@@ -215,6 +215,27 @@ TEST(Synth, TracesPinnedForEveryProfileAndSeed)
     }
 }
 
+TEST(Trace, TextRoundTripIsExactForEveryProfile)
+{
+    // The text format is an interchange format only if a saved trace
+    // replays like its source: every dt must survive to the bit.
+    std::vector<BenchmarkProfile> profiles = specProfiles();
+    profiles.push_back(tenantSliceProfile());
+    SynthConfig cfg;
+    cfg.scale = 1.0 / 256;
+    cfg.durationSec = 0.25;
+    cfg.seed = 42;
+    for (const BenchmarkProfile &profile : profiles) {
+        const Trace trace = synthesize(profile, cfg);
+        std::stringstream ss;
+        trace.save(ss);
+        // Not EXPECT_EQ: a mismatch would print both images.
+        EXPECT_TRUE(tenant::encodeTrace(Trace::load(ss)) ==
+                    tenant::encodeTrace(trace))
+            << profile.name;
+    }
+}
+
 TEST(Synth, PresizedTraceFitsItsOps)
 {
     // The synthesiser reserves its ops once from an estimate; growth
