@@ -286,7 +286,8 @@ runCell(HeapFaultKind kind,
     // simply ending at the fault op, no injection. Survivors must
     // not be able to tell the difference.
     std::vector<workload::Trace> control = traces;
-    control[kFaultyTenant].ops.resize(cell.faultOp);
+    control[kFaultyTenant].ops =
+        control[kFaultyTenant].ops.prefix(cell.faultOp);
     const sim::MultiTenantBenchResult ctrl =
         sim::runMultiTenantBenchmark(profile, base,
                                      sim::MachineProfile::x86(),
@@ -452,7 +453,8 @@ runSupervisionCell(SupervisionCell cell,
         // control whose victim trace simply ends at the fault op.
         if (cell.ok) {
             std::vector<workload::Trace> cut = traces;
-            cut[kFaultyTenant].ops.resize(m.faults[0].opIndex);
+            cut[kFaultyTenant].ops =
+                cut[kFaultyTenant].ops.prefix(m.faults[0].opIndex);
             const sim::MultiTenantBenchResult ctrl =
                 sim::runMultiTenantBenchmark(
                     profile, base, sim::MachineProfile::x86(), &cut);

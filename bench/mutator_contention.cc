@@ -124,19 +124,19 @@ runMsgpass(unsigned producers, uint64_t entries_each,
 workload::Trace
 pingPongTrace(size_t pairs)
 {
-    workload::Trace trace;
+    std::vector<workload::TraceOp> ops;
     for (size_t i = 0; i < pairs; ++i) {
         workload::TraceOp m;
         m.kind = workload::OpKind::Malloc;
         m.id = 2 * i; // even: owner 0 under M=2; op index 2i: exec 0
         m.size = 64;
-        trace.ops.push_back(m);
+        ops.push_back(m);
         workload::TraceOp f;
         f.kind = workload::OpKind::Free;
         f.id = 2 * i; // op index 2i+1: executor 1 != owner 0
-        trace.ops.push_back(f);
+        ops.push_back(f);
     }
-    return trace;
+    return workload::Trace{std::move(ops)};
 }
 
 /** The synthesized race workload shared by the ramp rows. */

@@ -259,7 +259,7 @@ makeTenantChurnPlan(const workload::BenchmarkProfile &profile,
               config.tenantChurn, windows, host_ops);
     const size_t ops_cap = std::max<size_t>(gap / 8, 16);
     if (plan.trace.ops.size() > ops_cap)
-        plan.trace.ops.resize(ops_cap);
+        plan.trace.ops = plan.trace.ops.prefix(ops_cap);
 
     plan.cycles.reserve(config.tenantChurn);
     for (unsigned k = 0; k < config.tenantChurn; ++k) {

@@ -21,7 +21,9 @@
  *             ├── alloc::CherivokeAllocator (+ its quarantine and
  *             │                           shadow map over the shared
  *             │                           shadow region)
- *             └── workload::Trace        (the tenant's op stream)
+ *             └── workload::Trace        (the tenant's op stream: a
+ *                                         handle sharing the caller's
+ *                                         immutable op buffer)
  *
  * run() interleaves the tenants' traces op-by-op under a smooth
  * weighted round-robin TenantScheduler and pumps the shared engine
@@ -364,7 +366,8 @@ class TenantManager
     /**
      * Add a tenant before run(): occupies the lowest free slot and
      * registers it as a domain of the shared engine (created on
-     * first add). Its tenant id equals the returned slot.
+     * first add). Its tenant id equals the returned slot. The
+     * tenant shares @p trace's ops with the caller; none are copied.
      * @return the tenant's slot
      */
     size_t addTenant(const TenantConfig &config,

@@ -1,10 +1,14 @@
 #include "tenant/trace_codec.hh"
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <sstream>
+#include <type_traits>
 
 #include "support/fault.hh"
+#include "support/fork_join.hh"
 #include "support/logging.hh"
 
 namespace cherivoke {
@@ -54,6 +58,112 @@ getF64(const uint8_t *src)
     return v;
 }
 
+/** Records per codec task: a trace of fewer than two of these
+ *  encodes and decodes on the calling thread. */
+constexpr size_t kTaskRecords = size_t{64} << 10;
+/** Most tasks one trace is split into, so a ten-million-op trace
+ *  does not start a thread per 64 Ki records. */
+constexpr size_t kMaxTasks = 16;
+
+/** Contiguous record ranges, one per forkJoin task, in record
+ *  order: task t's records all precede task t + 1's. */
+struct TaskRanges
+{
+    explicit TaskRanges(size_t n)
+        : records(n),
+          tasks(std::clamp<size_t>(n / kTaskRecords, 1, kMaxTasks))
+    {}
+
+    size_t begin(size_t t) const
+    {
+        return t * (records / tasks) + std::min(t, records % tasks);
+    }
+    size_t end(size_t t) const { return begin(t + 1); }
+
+    size_t records;
+    size_t tasks;
+};
+
+void
+encodeRecord(const workload::TraceOp &op, uint8_t *rec)
+{
+    using workload::OpKind;
+    rec[0] = static_cast<uint8_t>(op.kind);
+    switch (op.kind) {
+      case OpKind::Malloc:
+        putU64(&rec[8], op.id);
+        putU64(&rec[16], op.size);
+        break;
+      case OpKind::Free:
+        putU64(&rec[8], op.id);
+        break;
+      case OpKind::StorePtr:
+        putU32(&rec[4], op.offset);
+        putU64(&rec[8], op.src);
+        putU64(&rec[16], op.dst);
+        break;
+      case OpKind::StoreData:
+        putU32(&rec[4], op.offset);
+        putU64(&rec[8], op.dst);
+        break;
+      case OpKind::RootPtr:
+        putU32(&rec[4], op.offset);
+        putU64(&rec[8], op.src);
+        break;
+      case OpKind::SpawnTenant:
+      case OpKind::RetireTenant:
+        putU64(&rec[8], op.id);
+        break;
+    }
+    putF64(&rec[24], op.dt);
+}
+
+/** Decode record @p index at @p rec; its kind must not exceed
+ *  @p kind_limit, the largest kind stream @p version defines. */
+workload::TraceOp
+decodeRecord(const uint8_t *rec, size_t index, uint32_t version,
+             uint8_t kind_limit)
+{
+    using workload::OpKind;
+    const uint8_t kind = rec[0];
+    if (kind > kind_limit)
+        heapFault(HeapFaultKind::CodecCorruption,
+                  "binary trace record %llu: unknown op kind %u "
+                  "for version %u",
+                  static_cast<unsigned long long>(index), kind,
+                  version);
+    workload::TraceOp op;
+    op.kind = static_cast<OpKind>(kind);
+    switch (op.kind) {
+      case OpKind::Malloc:
+        op.id = getU64(&rec[8]);
+        op.size = getU64(&rec[16]);
+        break;
+      case OpKind::Free:
+        op.id = getU64(&rec[8]);
+        break;
+      case OpKind::StorePtr:
+        op.offset = getU32(&rec[4]);
+        op.src = getU64(&rec[8]);
+        op.dst = getU64(&rec[16]);
+        break;
+      case OpKind::StoreData:
+        op.offset = getU32(&rec[4]);
+        op.dst = getU64(&rec[8]);
+        break;
+      case OpKind::RootPtr:
+        op.offset = getU32(&rec[4]);
+        op.src = getU64(&rec[8]);
+        break;
+      case OpKind::SpawnTenant:
+      case OpKind::RetireTenant:
+        op.id = getU64(&rec[8]);
+        break;
+    }
+    op.dt = getF64(&rec[24]);
+    return op;
+}
+
 } // namespace
 
 size_t
@@ -65,46 +175,33 @@ encodedTraceBytes(const workload::Trace &trace)
 std::vector<uint8_t>
 encodeTrace(const workload::Trace &trace)
 {
-    using workload::OpKind;
-    std::vector<uint8_t> out(encodedTraceBytes(trace), 0);
-    putU64(&out[0], kTraceMagic);
-    putU32(&out[8], trace.hasLifecycleOps() ? kTraceVersionLifecycle
-                                            : kTraceVersionClassic);
-    putU32(&out[12], static_cast<uint32_t>(kTraceRecordBytes));
-    putU64(&out[16], trace.ops.size());
-
-    uint8_t *rec = out.data() + kTraceHeaderBytes;
-    for (const workload::TraceOp &op : trace.ops) {
-        rec[0] = static_cast<uint8_t>(op.kind);
-        switch (op.kind) {
-          case OpKind::Malloc:
-            putU64(&rec[8], op.id);
-            putU64(&rec[16], op.size);
-            break;
-          case OpKind::Free:
-            putU64(&rec[8], op.id);
-            break;
-          case OpKind::StorePtr:
-            putU32(&rec[4], op.offset);
-            putU64(&rec[8], op.src);
-            putU64(&rec[16], op.dst);
-            break;
-          case OpKind::StoreData:
-            putU32(&rec[4], op.offset);
-            putU64(&rec[8], op.dst);
-            break;
-          case OpKind::RootPtr:
-            putU32(&rec[4], op.offset);
-            putU64(&rec[8], op.src);
-            break;
-          case OpKind::SpawnTenant:
-          case OpKind::RetireTenant:
-            putU64(&rec[8], op.id);
-            break;
+    const workload::TraceOps &ops = trace.ops;
+    // The one serial pass: a std::vector cannot hand out
+    // uninitialised bytes, and the zeros are the fields a record's
+    // kind leaves undefined.
+    std::vector<uint8_t> out(encodedTraceBytes(trace));
+    uint8_t *records = out.data() + kTraceHeaderBytes;
+    const TaskRanges ranges(ops.size());
+    // One flag per task (char, not vector<bool>, so each task
+    // writes its own byte): did its range hold a lifecycle op?
+    std::vector<char> lifecycle(ranges.tasks, 0);
+    forkJoin(ranges.tasks, [&](size_t t) {
+        const size_t end = ranges.end(t);
+        bool any = false;
+        for (size_t i = ranges.begin(t); i < end; ++i) {
+            encodeRecord(ops[i], records + i * kTraceRecordBytes);
+            any |= workload::isLifecycleOp(ops[i].kind);
         }
-        putF64(&rec[24], op.dt);
-        rec += kTraceRecordBytes;
-    }
+        lifecycle[t] = any;
+    });
+    const bool v2 =
+        std::find(lifecycle.begin(), lifecycle.end(), 1) !=
+        lifecycle.end();
+    putU64(&out[0], kTraceMagic);
+    putU32(&out[8],
+           v2 ? kTraceVersionLifecycle : kTraceVersionClassic);
+    putU32(&out[12], static_cast<uint32_t>(kTraceRecordBytes));
+    putU64(&out[16], ops.size());
     return out;
 }
 
@@ -112,6 +209,7 @@ workload::Trace
 decodeTrace(const uint8_t *data, size_t size)
 {
     using workload::OpKind;
+    using workload::TraceOp;
     if (size < kTraceHeaderBytes)
         fatal("binary trace truncated: %zu bytes, need a %zu-byte "
               "header",
@@ -142,52 +240,35 @@ decodeTrace(const uint8_t *data, size_t size)
                   static_cast<unsigned long long>(count),
                   size - kTraceHeaderBytes);
 
-    workload::Trace trace;
-    trace.ops.resize(count);
     const uint8_t kind_limit =
         version >= kTraceVersionLifecycle
             ? workload::kMaxOpKind
             : static_cast<uint8_t>(OpKind::RootPtr);
-    const uint8_t *rec = data + kTraceHeaderBytes;
-    for (uint64_t i = 0; i < count; ++i, rec += kTraceRecordBytes) {
-        workload::TraceOp &op = trace.ops[i];
-        const uint8_t kind = rec[0];
-        if (kind > kind_limit)
-            heapFault(HeapFaultKind::CodecCorruption,
-                      "binary trace record %llu: unknown op kind %u "
-                      "for version %u",
-                      static_cast<unsigned long long>(i), kind,
-                      version);
-        op.kind = static_cast<OpKind>(kind);
-        switch (op.kind) {
-          case OpKind::Malloc:
-            op.id = getU64(&rec[8]);
-            op.size = getU64(&rec[16]);
-            break;
-          case OpKind::Free:
-            op.id = getU64(&rec[8]);
-            break;
-          case OpKind::StorePtr:
-            op.offset = getU32(&rec[4]);
-            op.src = getU64(&rec[8]);
-            op.dst = getU64(&rec[16]);
-            break;
-          case OpKind::StoreData:
-            op.offset = getU32(&rec[4]);
-            op.dst = getU64(&rec[8]);
-            break;
-          case OpKind::RootPtr:
-            op.offset = getU32(&rec[4]);
-            op.src = getU64(&rec[8]);
-            break;
-          case OpKind::SpawnTenant:
-          case OpKind::RetireTenant:
-            op.id = getU64(&rec[8]);
-            break;
-        }
-        op.dt = getF64(&rec[24]);
-    }
-    return trace;
+    // Uninitialised storage, owned before any task starts, so a
+    // task's throw unwinds through the owner and frees it. Each op
+    // is constructed once, by the task that decodes its record;
+    // TraceOp is trivially destructible, so a partly written buffer
+    // needs no destruction.
+    static_assert(std::is_trivially_destructible_v<TraceOp>);
+    const size_t n = count;
+    std::shared_ptr<TraceOp> ops(
+        std::allocator<TraceOp>().allocate(n), [n](TraceOp *p) {
+            std::allocator<TraceOp>().deallocate(p, n);
+        });
+    const uint8_t *records = data + kTraceHeaderBytes;
+    const TaskRanges ranges(n);
+    // Each task stops at its first bad record, and forkJoin rethrows
+    // the lowest failing task's fault: the lowest bad record, as a
+    // serial decode reports it.
+    forkJoin(ranges.tasks, [&](size_t t) {
+        const size_t end = ranges.end(t);
+        for (size_t i = ranges.begin(t); i < end; ++i)
+            std::construct_at(
+                ops.get() + i,
+                decodeRecord(records + i * kTraceRecordBytes, i,
+                             version, kind_limit));
+    });
+    return workload::Trace{workload::TraceOps(std::move(ops), n)};
 }
 
 workload::Trace

@@ -70,13 +70,18 @@ size_t encodedTraceBytes(const workload::Trace &trace);
 /** Serialise @p trace to the binary format — version 1 when it
  *  contains no lifecycle ops (so pre-lifecycle traces keep their
  *  exact v1 byte image), version 2 otherwise. Every op encodes: the
- *  record's 32-bit aux field is as wide as TraceOp::offset. */
+ *  record's 32-bit aux field is as wide as TraceOp::offset. The
+ *  image is zero-filled once, serially, then a trace of 128 Ki
+ *  records or more writes its records in forkJoin tasks. */
 std::vector<uint8_t> encodeTrace(const workload::Trace &trace);
 
 /** Decode a binary trace from an in-memory image (for example an
- *  mmap'ed file). Accepts versions 1 and 2. Throws FatalError on bad
- *  magic, version, stride, truncation, an unknown op kind, or a
- *  lifecycle record inside a v1 stream. */
+ *  mmap'ed file) into a fresh op buffer, writing each op once; a
+ *  trace of 128 Ki records or more decodes in forkJoin tasks.
+ *  Accepts versions 1 and 2. Throws FatalError on bad magic,
+ *  version, stride, truncation, an unknown op kind, or a lifecycle
+ *  record inside a v1 stream; a bad record's fault names the lowest
+ *  bad record, as a serial decode would. */
 workload::Trace decodeTrace(const uint8_t *data, size_t size);
 workload::Trace decodeTrace(const std::vector<uint8_t> &bytes);
 

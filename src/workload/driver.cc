@@ -49,11 +49,11 @@ TraceReplayer::TraceReplayer(mem::AddressSpace &space,
                              revoke::RevocationEngine *engine,
                              const Trace &trace)
     : space_(&space), alloc_(&allocator), engine_(engine),
-      trace_(&trace)
+      ops_(trace.ops)
 {
     // Size the live-object table for the trace's churn up front so
     // the mutator loop never pays a rehash.
-    objects_.reserve(trace.ops.size() / 4 + 16);
+    objects_.reserve(ops_.size() / 4 + 16);
     pump_ = [this](cache::Hierarchy *hierarchy) {
         engine_->maybeRevoke(hierarchy);
     };
@@ -104,7 +104,7 @@ TraceReplayer::step(cache::Hierarchy *hierarchy)
 {
     CHERIVOKE_ASSERT(!done(), "(step past the end of the trace)");
     auto &memory = space_->memory();
-    const TraceOp &op = trace_->ops[next_++];
+    const TraceOp &op = ops_[next_++];
     result_.virtualSeconds += op.dt;
     // Model time advances in lock-step with the trace, so adaptive
     // scheduling sees only deterministic, replayable inputs.

@@ -84,6 +84,8 @@ class TraceReplayer
     /**
      * @param engine nullable: without it, frees quarantine but no
      *        sweeps run (the fig. 6 "quarantine only" configuration)
+     * @param trace shared, not borrowed: the replayer keeps its own
+     *        handle to the ops, so @p trace may be a temporary
      */
     TraceReplayer(mem::AddressSpace &space,
                   alloc::CherivokeAllocator &allocator,
@@ -120,9 +122,9 @@ class TraceReplayer
     void setLifecycle(LifecycleFn fn) { lifecycle_ = std::move(fn); }
 
     /** All ops applied (finish() may still be outstanding). */
-    bool done() const { return next_ >= trace_->ops.size(); }
+    bool done() const { return next_ >= ops_.size(); }
     size_t opsApplied() const { return next_; }
-    size_t opsTotal() const { return trace_->ops.size(); }
+    size_t opsTotal() const { return ops_.size(); }
 
     /** Currently live (not yet freed) trace allocations. */
     uint64_t liveObjects() const { return objects_.size(); }
@@ -174,7 +176,7 @@ class TraceReplayer
     mem::AddressSpace *space_;
     alloc::CherivokeAllocator *alloc_;
     revoke::RevocationEngine *engine_;
-    const Trace *trace_;
+    TraceOps ops_;
     PumpFn pump_;
     DrainFn drain_;
     LifecycleFn lifecycle_;

@@ -66,7 +66,7 @@ sizeLawMeans(uint64_t lo, uint64_t hi, double line_density)
 Trace
 synthesize(const BenchmarkProfile &profile, const SynthConfig &config)
 {
-    Trace trace;
+    std::vector<TraceOp> ops;
     Rng rng(config.seed);
 
     const double s = config.scale;
@@ -133,7 +133,7 @@ synthesize(const BenchmarkProfile &profile, const SynthConfig &config)
              ? (1.0 + kDataWriteChance) * static_cast<double>(steps)
              : kQuietTicks);
     constexpr double kMargin = 1.25;
-    trace.ops.reserve(static_cast<size_t>(kMargin * expected_ops));
+    ops.reserve(static_cast<size_t>(kMargin * expected_ops));
 
     uint64_t live_bytes = 0;
     LiveSet live;
@@ -147,7 +147,7 @@ synthesize(const BenchmarkProfile &profile, const SynthConfig &config)
         op.id = id;
         op.size = size;
         op.dt = dt;
-        trace.ops.push_back(op);
+        ops.push_back(op);
         live_bytes += size;
 
         // Phase bookkeeping: switch phases every few pages' worth
@@ -175,7 +175,7 @@ synthesize(const BenchmarkProfile &profile, const SynthConfig &config)
                     size >= 32
                         ? (rng.nextBounded((size - 16) / 16)) * 16
                         : 0);
-                trace.ops.push_back(st);
+                ops.push_back(st);
             }
         }
         // Occasionally root the object in globals (stack/global
@@ -185,7 +185,7 @@ synthesize(const BenchmarkProfile &profile, const SynthConfig &config)
             rt.kind = OpKind::RootPtr;
             rt.src = id;
             rt.offset = static_cast<uint32_t>(rng.nextBounded(4096));
-            trace.ops.push_back(rt);
+            ops.push_back(rt);
         }
     };
 
@@ -204,7 +204,7 @@ synthesize(const BenchmarkProfile &profile, const SynthConfig &config)
         TraceOp op;
         op.kind = OpKind::Free;
         op.id = obj.id;
-        trace.ops.push_back(op);
+        ops.push_back(op);
     };
 
     // Ramp: fill the live set (no virtual time elapses; SPEC-style
@@ -230,7 +230,7 @@ synthesize(const BenchmarkProfile &profile, const SynthConfig &config)
                     dst.size >= 16
                         ? (rng.nextBounded(dst.size / 8)) * 8
                         : 0);
-                trace.ops.push_back(st);
+                ops.push_back(st);
             }
         }
     } else {
@@ -242,10 +242,10 @@ synthesize(const BenchmarkProfile &profile, const SynthConfig &config)
             st.dst = live.empty() ? 0 : live.front().id;
             st.offset = 0;
             st.dt = config.durationSec / kQuietTicks;
-            trace.ops.push_back(st);
+            ops.push_back(st);
         }
     }
-    return trace;
+    return Trace{std::move(ops)};
 }
 
 } // namespace workload

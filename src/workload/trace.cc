@@ -78,6 +78,23 @@ columnsOf(OpKind kind)
 
 } // namespace
 
+TraceOps::TraceOps(std::vector<TraceOp> &&ops)
+{
+    auto owner = std::make_shared<std::vector<TraceOp>>(std::move(ops));
+    data_ = std::shared_ptr<const TraceOp>(owner, owner->data());
+    size_ = owner->size();
+    capacity_ = owner->capacity();
+}
+
+TraceOps
+TraceOps::prefix(size_t n) const
+{
+    CHERIVOKE_ASSERT(n <= size_, "(prefix longer than the trace)");
+    TraceOps out = *this;
+    out.size_ = n;
+    return out;
+}
+
 double
 Trace::virtualSeconds() const
 {
@@ -120,7 +137,7 @@ Trace::save(std::ostream &os) const
 Trace
 Trace::load(std::istream &is)
 {
-    Trace trace;
+    std::vector<TraceOp> ops;
     std::string line;
     while (std::getline(is, line)) {
         if (line.empty() || line[0] == '#')
@@ -151,9 +168,9 @@ Trace::load(std::istream &is)
             op.dst = dst;
         if (cols & kOffset)
             op.offset = static_cast<uint32_t>(offset);
-        trace.ops.push_back(op);
+        ops.push_back(op);
     }
-    return trace;
+    return Trace{std::move(ops)};
 }
 
 } // namespace workload

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <memory>
 #include <vector>
 
 namespace cherivoke {
@@ -74,10 +75,52 @@ struct TraceOp
 };
 static_assert(sizeof(TraceOp) == 32);
 
+/**
+ * An immutable op sequence: a cheap-copy handle to one
+ * reference-counted buffer, held as an aliasing pointer plus a
+ * size. Copying it, and so copying a Trace into a TenantManager, a
+ * tenant definition or a TraceReplayer, bumps a reference count and
+ * never copies an op; prefix() shares the buffer too. A buffer is
+ * written once, before any handle to it exists, either as a
+ * std::vector<TraceOp> (synthesis, Trace::load, churn injection) or
+ * as raw storage (the binary decoder), and never changes after.
+ */
+class TraceOps
+{
+  public:
+    TraceOps() = default;
+
+    /** Adopt @p ops's buffer; implicit, so `trace.ops =
+     *  std::move(vec)` adopts without copying. */
+    TraceOps(std::vector<TraceOp> &&ops);
+
+    /** Adopt @p size ops already written at @p data. */
+    TraceOps(std::shared_ptr<const TraceOp> data, size_t size)
+        : data_(std::move(data)), size_(size), capacity_(size)
+    {}
+
+    size_t size() const { return size_; }
+    const TraceOp &operator[](size_t i) const { return data_.get()[i]; }
+    const TraceOp *begin() const { return data_.get(); }
+    const TraceOp *end() const { return data_.get() + size_; }
+
+    /** Ops the shared buffer has room for from begin(): what this
+     *  handle keeps allocated (a prefix keeps its source's). */
+    size_t capacity() const { return capacity_; }
+
+    /** The first @p n ops (n <= size()), sharing this buffer. */
+    TraceOps prefix(size_t n) const;
+
+  private:
+    std::shared_ptr<const TraceOp> data_;
+    size_t size_ = 0;
+    size_t capacity_ = 0;
+};
+
 /** A full trace plus its metadata. */
 struct Trace
 {
-    std::vector<TraceOp> ops;
+    TraceOps ops;
 
     /** Sum of all dt fields: the virtual duration. */
     double virtualSeconds() const;

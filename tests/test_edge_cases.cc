@@ -308,13 +308,14 @@ TEST(ModelEdges, DegenerateDenominatorsSaturateFinite)
 
 TEST(TraceEdges, VirtualSecondsSumsAllOps)
 {
-    workload::Trace t;
+    std::vector<workload::TraceOp> ops;
     for (int i = 0; i < 10; ++i) {
         workload::TraceOp op;
         op.kind = workload::OpKind::StoreData;
         op.dt = 0.1;
-        t.ops.push_back(op);
+        ops.push_back(op);
     }
+    const workload::Trace t{std::move(ops)};
     EXPECT_NEAR(t.virtualSeconds(), 1.0, 1e-12);
 }
 

@@ -183,14 +183,15 @@ TEST(HeapFaults, QuarantinePathRaisesDoubleFree)
 
 TEST(HeapFaults, CodecRecordDamageIsTyped)
 {
-    workload::Trace trace;
+    std::vector<workload::TraceOp> ops;
     for (int i = 0; i < 4; ++i) {
         workload::TraceOp op;
         op.kind = workload::OpKind::Malloc;
         op.id = static_cast<uint64_t>(i);
         op.size = 64;
-        trace.ops.push_back(op);
+        ops.push_back(op);
     }
+    const workload::Trace trace{std::move(ops)};
     const std::vector<uint8_t> good = tenant::encodeTrace(trace);
 
     // Mid-stream truncation: the header promises more records than
@@ -363,7 +364,7 @@ TEST(FaultContainment, DoubleFreeLeavesSurvivorBitIdentical)
 
     // Control: no plan, tenant A's trace truncated at the fault op.
     workload::Trace truncated = smallTrace(1);
-    truncated.ops.resize(m.faults[0].opIndex);
+    truncated.ops = truncated.ops.prefix(m.faults[0].opIndex);
     tenant::TenantManager control{tenant::TenantManagerConfig{}};
     control.addTenant(smallTenant("A"), std::move(truncated));
     control.addTenant(smallTenant("B"), smallTrace(2));

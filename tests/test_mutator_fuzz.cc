@@ -32,7 +32,7 @@ workload::Trace
 fuzzTrace(uint64_t seed, size_t ops)
 {
     Rng rng(seed);
-    workload::Trace trace;
+    std::vector<workload::TraceOp> out;
     std::vector<uint64_t> live;
     uint64_t next_id = 0;
     for (size_t i = 0; i < ops; ++i) {
@@ -63,9 +63,9 @@ fuzzTrace(uint64_t seed, size_t ops)
             op.kind = workload::OpKind::StoreData;
             op.dst = rng.nextBounded(next_id + 1);
         }
-        trace.ops.push_back(op);
+        out.push_back(op);
     }
-    return trace;
+    return workload::Trace{std::move(out)};
 }
 
 /** Random sorted epoch boundaries over [0, ops]. */

@@ -283,14 +283,14 @@ TEST(QuarantineBatch, AddBatchMatchesSequentialAdds)
 
 TEST(MutatorPlan, DeterministicPartitionAndEffectiveness)
 {
-    workload::Trace trace;
-    auto push = [&trace](workload::OpKind kind, uint64_t id,
-                         uint64_t size = 0) {
+    std::vector<workload::TraceOp> ops;
+    auto push = [&ops](workload::OpKind kind, uint64_t id,
+                       uint64_t size = 0) {
         workload::TraceOp op;
         op.kind = kind;
         op.id = id;
         op.size = size;
-        trace.ops.push_back(op);
+        ops.push_back(op);
     };
     using workload::OpKind;
     push(OpKind::Malloc, 0, 32); // owner 0
@@ -300,6 +300,7 @@ TEST(MutatorPlan, DeterministicPartitionAndEffectiveness)
     push(OpKind::Free, 1);       // op 4: dead id — ineffective
     push(OpKind::Malloc, 0, 16); // op 5: id 0 live — ineffective
     push(OpKind::Free, 0);       // op 6: executor 0 == owner: local
+    const workload::Trace trace{std::move(ops)};
 
     tenant::MutatorConfig cfg;
     cfg.threads = 3;

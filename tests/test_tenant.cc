@@ -286,6 +286,37 @@ TEST(TenantManager, SingleTenantMatchesTraceDriver)
     EXPECT_EQ(multi.peakAggLiveAllocs, a.peakLiveAllocs);
 }
 
+TEST(TenantManager, TenantsShareTheCallersOps)
+{
+    // A hosted trace is a handle to the caller's op buffer, never a
+    // copy: addTenant, a definition, and every spawn of it (a
+    // respawn into the retired slot included) point at the same ops.
+    const workload::Trace host = smallTrace(51);
+    const workload::Trace churn = smallTrace(52);
+    tenant::TenantManager manager{tenant::TenantManagerConfig{}};
+    const size_t slot = manager.addTenant(smallTenant("host"), host);
+    EXPECT_EQ(manager.tenant(slot).trace().ops.begin(),
+              host.ops.begin());
+
+    manager.defineTenant(7, smallTenant("churn"), churn);
+    for (int spawn = 0; spawn < 2; ++spawn) {
+        const workload::TraceOps &ops =
+            manager.tenant(manager.spawnTenant(7)).trace().ops;
+        EXPECT_EQ(ops.begin(), churn.ops.begin()) << "spawn " << spawn;
+        EXPECT_EQ(ops.size(), churn.ops.size()) << "spawn " << spawn;
+        manager.retireTenant(7);
+    }
+
+    // A prefix shares its source and leaves it whole.
+    const size_t n = host.ops.size() / 3;
+    const workload::TraceOps head = host.ops.prefix(n);
+    EXPECT_EQ(head.begin(), host.ops.begin());
+    EXPECT_EQ(head.size(), n);
+    EXPECT_EQ(head.end(), host.ops.begin() + n);
+    EXPECT_EQ(manager.tenant(slot).trace().ops.size(),
+              host.ops.size());
+}
+
 TEST(TenantManager, SharedEngineAggregatesAcrossTenants)
 {
     tenant::TenantManager manager{tenant::TenantManagerConfig{}};

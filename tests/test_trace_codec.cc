@@ -4,16 +4,19 @@
  * round-tripping (record → serialize → deserialize → replay), error
  * paths, and the end-to-end guarantee the multi-tenant benches rely
  * on — a decoded trace replays to *identical* allocator and
- * revocation statistics.
+ * revocation statistics. TraceCodecTasks covers traces long enough
+ * that the codec splits them into several threaded tasks.
  */
 
 #include <cstdio>
 #include <cstring>
 #include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "revoke/revocation_engine.hh"
+#include "support/fault.hh"
 #include "support/logging.hh"
 #include "tenant/trace_codec.hh"
 #include "workload/driver.hh"
@@ -287,7 +290,7 @@ TEST(TraceLayout, SaveKeepsTheTextImage)
         return op;
     };
     Trace trace;
-    trace.ops = {
+    trace.ops = std::vector<TraceOp>{
         make(OpKind::Malloc, 1, 4096, 0, 0),
         make(OpKind::Malloc, 2, 128, 0, 0.001),
         make(OpKind::StorePtr, 1, 2, 16, 0),
@@ -317,7 +320,7 @@ namespace {
 Trace
 lifecycleTrace()
 {
-    Trace trace = sampleTrace();
+    const Trace sample = sampleTrace();
     TraceOp spawn;
     spawn.kind = OpKind::SpawnTenant;
     spawn.id = 1000;
@@ -325,9 +328,12 @@ lifecycleTrace()
     TraceOp retire;
     retire.kind = OpKind::RetireTenant;
     retire.id = 1000;
-    trace.ops.insert(trace.ops.begin() + 2, spawn);
-    trace.ops.push_back(retire);
-    return trace;
+    const TraceOp *split = sample.ops.begin() + 2;
+    std::vector<TraceOp> ops(sample.ops.begin(), split);
+    ops.push_back(spawn);
+    ops.insert(ops.end(), split, sample.ops.end());
+    ops.push_back(retire);
+    return Trace{std::move(ops)};
 }
 
 uint32_t
@@ -413,4 +419,139 @@ TEST(TraceCodecV2, LifecycleOpsOutsideATenantManagerAreFatal)
     const Trace decoded =
         tenant::decodeTrace(tenant::encodeTrace(lifecycleTrace()));
     EXPECT_THROW(replay(decoded), FatalError);
+}
+
+// ---- Traces long enough to split into codec tasks --------------
+
+namespace {
+
+/** Records per codec task: the codec splits a trace into one task
+ *  per full 64 Ki records, in record order. */
+constexpr size_t kTaskRecords = 64 * 1024;
+/** Four tasks of about 65.6k records each. */
+constexpr size_t kLongOps = 4 * kTaskRecords + 123;
+/** Records in the second and the fourth task. */
+constexpr size_t kInTask1 = 100000;
+constexpr size_t kInTask3 = 250000;
+
+/** @p n ops cycling through the classic kinds (and the lifecycle
+ *  kinds too when @p lifecycle), every field distinct per op. */
+Trace
+longTrace(size_t n, bool lifecycle)
+{
+    const size_t kinds =
+        1 + (lifecycle ? workload::kMaxOpKind
+                       : static_cast<size_t>(OpKind::RootPtr));
+    std::vector<TraceOp> ops;
+    ops.reserve(n);
+    for (size_t i = 0; i < n; ++i) {
+        TraceOp op;
+        op.kind = static_cast<OpKind>(i % kinds);
+        op.dt = 1e-6 * static_cast<double>(i % 997);
+        const auto offset = static_cast<uint32_t>(i * 16 % 4096);
+        switch (op.kind) {
+          case OpKind::Malloc:
+            op.id = i;
+            op.size = 16 + i % 4000;
+            break;
+          case OpKind::StorePtr:
+            op.src = i;
+            op.dst = i / 2;
+            op.offset = offset;
+            break;
+          case OpKind::StoreData:
+            op.dst = i;
+            op.offset = offset;
+            break;
+          case OpKind::RootPtr:
+            op.src = i;
+            op.offset = offset;
+            break;
+          default:
+            op.id = i;
+            break;
+        }
+        ops.push_back(op);
+    }
+    return Trace{std::move(ops)};
+}
+
+/** The message of the HeapFault decoding @p bytes raises, or "". */
+std::string
+decodeFault(const std::vector<uint8_t> &bytes)
+{
+    try {
+        tenant::decodeTrace(bytes);
+    } catch (const HeapFault &fault) {
+        EXPECT_EQ(fault.kind(), HeapFaultKind::CodecCorruption);
+        return fault.what();
+    }
+    return "";
+}
+
+} // namespace
+
+TEST(TraceCodecTasks, EveryKindRoundTripsAcrossTaskBoundaries)
+{
+    const Trace trace = longTrace(kLongOps, true);
+    const std::vector<uint8_t> bytes = tenant::encodeTrace(trace);
+    EXPECT_EQ(headerVersion(bytes), tenant::kTraceVersionLifecycle);
+    const Trace decoded = tenant::decodeTrace(bytes);
+    EXPECT_TRUE(opsIdentical(trace, decoded));
+    EXPECT_TRUE(tenant::encodeTrace(decoded) == bytes);
+}
+
+TEST(TraceCodecTasks, LifecycleOpInTheLastTaskSelectsV2)
+{
+    const Trace classic = longTrace(kLongOps, false);
+    EXPECT_EQ(headerVersion(tenant::encodeTrace(classic)),
+              tenant::kTraceVersionClassic);
+
+    std::vector<TraceOp> ops(classic.ops.begin(), classic.ops.end());
+    ops.back() = TraceOp{};
+    ops.back().kind = OpKind::RetireTenant;
+    ops.back().id = 9;
+    const Trace late{std::move(ops)};
+    const std::vector<uint8_t> bytes = tenant::encodeTrace(late);
+    EXPECT_EQ(headerVersion(bytes), tenant::kTraceVersionLifecycle);
+    const Trace decoded = tenant::decodeTrace(bytes);
+    EXPECT_TRUE(opsIdentical(late, decoded));
+    EXPECT_TRUE(tenant::encodeTrace(decoded) == bytes);
+}
+
+TEST(TraceCodecTasks, LowestBadRecordIsReported)
+{
+    const std::vector<uint8_t> good =
+        tenant::encodeTrace(longTrace(kLongOps, false));
+    auto record = [](size_t i) {
+        return tenant::kTraceHeaderBytes + i * tenant::kTraceRecordBytes;
+    };
+
+    // Bad kinds in two tasks: the lower record is reported, as a
+    // serial decode reports it, whichever task fails first.
+    std::vector<uint8_t> bad = good;
+    bad[record(kInTask1)] = 0x7f;
+    bad[record(kInTask3)] = 0x7f;
+    EXPECT_NE(decodeFault(bad).find("record 100000:"),
+              std::string::npos)
+        << decodeFault(bad);
+    // A lifecycle kind inside this v1 stream is as bad.
+    bad[record(kInTask1)] =
+        static_cast<uint8_t>(OpKind::SpawnTenant);
+    EXPECT_NE(decodeFault(bad).find("record 100000:"),
+              std::string::npos)
+        << decodeFault(bad);
+    bad[record(kInTask1)] = good[record(kInTask1)];
+    EXPECT_NE(decodeFault(bad).find("record 250000:"),
+              std::string::npos)
+        << decodeFault(bad);
+
+    // A truncated record block is rejected before any task decodes
+    // a record: the truncation is reported, not the bad kind in the
+    // first task.
+    std::vector<uint8_t> cut = good;
+    cut[record(0)] = 0x7f;
+    cut.resize(cut.size() - tenant::kTraceRecordBytes);
+    EXPECT_NE(decodeFault(cut).find("truncated"), std::string::npos)
+        << decodeFault(cut);
 }

@@ -60,24 +60,21 @@ TEST(Profiles, MeanAllocSizeImpliedByTable2)
 
 TEST(Trace, SaveLoadRoundTrip)
 {
-    Trace trace;
     TraceOp a;
     a.kind = OpKind::Malloc;
     a.id = 1;
     a.size = 128;
     a.dt = 0.25;
-    trace.ops.push_back(a);
     TraceOp b;
     b.kind = OpKind::StorePtr;
     b.src = 1;
     b.dst = 1;
     b.offset = 32;
-    trace.ops.push_back(b);
     TraceOp c;
     c.kind = OpKind::Free;
     c.id = 1;
     c.dt = 0.5;
-    trace.ops.push_back(c);
+    const Trace trace{std::vector<TraceOp>{a, b, c}};
 
     std::stringstream ss;
     trace.save(ss);
@@ -88,6 +85,48 @@ TEST(Trace, SaveLoadRoundTrip)
     EXPECT_EQ(loaded.ops[1].kind, OpKind::StorePtr);
     EXPECT_EQ(loaded.ops[1].offset, 32u);
     EXPECT_NEAR(loaded.virtualSeconds(), 0.75, 1e-9);
+}
+
+TEST(TraceReplayer, ReplaysATemporaryTrace)
+{
+    // The replayer keeps its own handle to the ops, so one built
+    // from a temporary Trace replays it after the temporary is gone,
+    // exactly as a driver replays the same trace held by name.
+    SynthConfig cfg;
+    cfg.scale = 1.0 / 512;
+    cfg.durationSec = 2.0;
+    cfg.seed = 3;
+    const BenchmarkProfile &profile = profileFor("dealII");
+    // A small quarantine budget, so the replay runs several epochs.
+    alloc::CherivokeConfig acfg;
+    acfg.quarantineFraction = 0.05;
+    acfg.minQuarantineBytes = 16 * KiB;
+    acfg.dl.initialHeapBytes = 256 * KiB;
+    acfg.dl.growthChunkBytes = 128 * KiB;
+
+    const Trace named = synthesize(profile, cfg);
+    mem::AddressSpace space_a;
+    alloc::CherivokeAllocator alloc_a(space_a, acfg);
+    revoke::RevocationEngine engine_a(alloc_a, space_a);
+    const DriverResult want =
+        TraceDriver(space_a, alloc_a, &engine_a).run(named);
+
+    mem::AddressSpace space_b;
+    alloc::CherivokeAllocator alloc_b(space_b, acfg);
+    revoke::RevocationEngine engine_b(alloc_b, space_b);
+    TraceReplayer replayer(space_b, alloc_b, &engine_b,
+                           synthesize(profile, cfg));
+    ASSERT_EQ(replayer.opsTotal(), named.ops.size());
+    while (!replayer.done())
+        replayer.step();
+    const DriverResult got = replayer.finish();
+    EXPECT_EQ(got.allocCalls, want.allocCalls);
+    EXPECT_EQ(got.freeCalls, want.freeCalls);
+    EXPECT_EQ(got.freedBytes, want.freedBytes);
+    EXPECT_EQ(got.ptrStores, want.ptrStores);
+    EXPECT_EQ(got.peakLiveAllocs, want.peakLiveAllocs);
+    EXPECT_GT(got.revoker.epochs, 0u);
+    EXPECT_EQ(got.revoker, want.revoker);
 }
 
 TEST(Trace, LoadRejectsGarbage)
