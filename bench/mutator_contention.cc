@@ -87,7 +87,7 @@ runMsgpass(unsigned producers, uint64_t entries_each,
                               batch_capacity] {
             tenant::RemoteSender sender(p, queue, batch_capacity);
             for (uint64_t i = 0; i < entries_each; ++i)
-                sender.send(tenant::RemoteFree{i, 64});
+                sender.send(tenant::RemoteFree{i});
             sender.flush();
         });
     }

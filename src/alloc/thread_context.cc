@@ -43,7 +43,7 @@ ThreadAllocContext::noteLocalFree(uint64_t id)
 }
 
 void
-ThreadAllocContext::noteRemoteFree(uint64_t id, uint64_t bytes)
+ThreadAllocContext::noteRemoteFree(uint64_t id)
 {
     ++remote_applied_;
     auto it = live_.find(id);
@@ -58,7 +58,6 @@ ThreadAllocContext::noteRemoteFree(uint64_t id, uint64_t bytes)
     }
     live_bytes_ -= it->second;
     quarantineTally(it->second);
-    (void)bytes;
     live_.erase(it);
 }
 

@@ -10,12 +10,14 @@
  * chunk for its whole lifetime. A local free (the owner freeing its
  * own chunk) applies immediately; a remote free arrives later as a
  * message and is applied by the owner when it drains its inbox. The
- * context absorbs the one genuine reordering this allows — a remote
- * free *message* overtaking the owner's own malloc of that id in
- * wall-clock time — by parking such early frees until the malloc
- * lands, so the context's end state (and its state at any epoch
- * barrier, where the message-flush contract forbids early frees) is
- * a deterministic function of the op stream, not of thread timing.
+ * message carries only the id: the owner recorded the chunk's size
+ * at its malloc. The context absorbs the one genuine reordering this
+ * allows — a remote free *message* overtaking the owner's own malloc
+ * of that id in wall-clock time — by parking such early frees until
+ * the malloc lands and sizes them, so the context's end state (and
+ * its state at any epoch barrier, where the message-flush contract
+ * forbids early frees) is a deterministic function of the op
+ * stream, not of thread timing.
  *
  * The context is single-threaded by construction (only the owner
  * touches it); cross-thread traffic happens in the remote-free
@@ -55,9 +57,9 @@ class ThreadAllocContext
     /**
      * Apply one drained remote-free message. The id is normally
      * live; when the message overtook our malloc it is parked as an
-     * early free (@p bytes, carried by the message, sizes it).
+     * early free, which noteMalloc sizes when the malloc lands.
      */
-    void noteRemoteFree(uint64_t id, uint64_t bytes);
+    void noteRemoteFree(uint64_t id);
 
     /** @name Owned-allocation state */
     /// @{

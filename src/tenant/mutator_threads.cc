@@ -6,7 +6,7 @@
 #include <exception>
 #include <mutex>
 #include <thread>
-#include <unordered_map>
+#include <unordered_set>
 
 #include "alloc/thread_context.hh"
 #include "support/logging.hh"
@@ -64,15 +64,21 @@ mutatorExecutorOf(const workload::TraceOp &op, uint64_t index,
     return 0;
 }
 
-RacePlan
-planMutatorRace(const workload::Trace &trace, size_t opsLimit,
-                const MutatorConfig &config,
-                const std::vector<uint64_t> &epoch_ops)
+void
+checkMutatorConfig(const MutatorConfig &config)
 {
     if (config.threads == 0)
         fatal("mutator front-end needs at least one thread");
     if (config.remoteBatch == 0)
         fatal("remote-free batch capacity must be positive");
+}
+
+RacePlan
+planMutatorRace(const workload::Trace &trace, size_t opsLimit,
+                const MutatorConfig &config,
+                const std::vector<uint64_t> &epoch_ops)
+{
+    checkMutatorConfig(config);
     CHERIVOKE_ASSERT(
         std::is_sorted(epoch_ops.begin(), epoch_ops.end()),
         "(epoch boundaries must be in op order)");
@@ -80,79 +86,45 @@ planMutatorRace(const workload::Trace &trace, size_t opsLimit,
     const unsigned m = config.threads;
     RacePlan plan;
     plan.config = config;
-    plan.perThread.resize(m);
+    plan.ops =
+        trace.ops.prefix(std::min(opsLimit, trace.ops.size()));
+    plan.opsPlanned = plan.ops.size();
+    // Back-to-back epochs at one op need only one flush.
+    std::vector<uint64_t> &bounds = plan.epochBoundaries;
+    bounds = epoch_ops;
+    bounds.erase(std::unique(bounds.begin(), bounds.end()),
+                 bounds.end());
+    plan.epochMarks = bounds.size();
+    plan.effective.resize(plan.ops.size());
 
-    const size_t limit = std::min(opsLimit, trace.ops.size());
     // Mirror the serial replay's liveness semantics so effectiveness
     // — hence ownership transfer — is a pure function of the trace.
-    std::unordered_map<uint64_t, uint64_t> live;
-    live.reserve(limit / 4 + 16);
-
-    size_t next_epoch = 0;
-    auto emit_marks_through = [&](uint64_t index) {
-        uint64_t last_mark = UINT64_MAX;
-        while (next_epoch < epoch_ops.size() &&
-               epoch_ops[next_epoch] <= index) {
-            const uint64_t at = epoch_ops[next_epoch++];
-            if (at == last_mark)
-                continue; // back-to-back epochs at one op: one flush
-            last_mark = at;
-            ++plan.epochMarks;
-            for (unsigned t = 0; t < m; ++t) {
-                RaceItem mark;
-                mark.kind = RaceItem::Kind::EpochMark;
-                mark.index = at;
-                plan.perThread[t].push_back(mark);
-            }
-        }
-    };
-
-    for (size_t i = 0; i < limit; ++i) {
-        const workload::TraceOp &op = trace.ops[i];
-        // A boundary value b means "the epoch opened after ops
-        // [0, b) were applied", so its mark precedes op b.
-        emit_marks_through(i);
-        RaceItem item;
-        item.kind = RaceItem::Kind::Op;
-        item.op = op.kind;
-        item.index = i;
-        const unsigned executor =
-            mutatorExecutorOf(op, i, m);
+    std::unordered_set<uint64_t> live;
+    live.reserve(plan.ops.size() / 4 + 16);
+    for (size_t i = 0; i < plan.ops.size(); ++i) {
+        const workload::TraceOp &op = plan.ops[i];
         switch (op.kind) {
-          case workload::OpKind::Malloc: {
-            item.id = op.id;
-            item.owner = mutatorOwnerOf(op.id, m);
-            item.bytes = op.size;
+          case workload::OpKind::Malloc:
             // The replayer's emplace keeps the first mapping: a
             // second malloc of a live id leaks (never freed by id).
-            item.effective = live.emplace(op.id, op.size).second;
-            if (item.effective)
+            if (live.insert(op.id).second) {
+                plan.effective[i] = true;
                 ++plan.effectiveMallocs;
+            }
             break;
-          }
-          case workload::OpKind::Free: {
-            item.id = op.id;
-            item.owner = mutatorOwnerOf(op.id, m);
-            auto it = live.find(op.id);
-            item.effective = it != live.end();
-            if (item.effective) {
-                item.bytes = it->second;
-                live.erase(it);
+          case workload::OpKind::Free:
+            if (live.erase(op.id) != 0) {
+                plan.effective[i] = true;
                 ++plan.effectiveFrees;
-                if (executor != item.owner)
+                if (mutatorExecutorOf(op, i, m) !=
+                    mutatorOwnerOf(op.id, m))
                     ++plan.remoteFrees;
             }
             break;
-          }
           default:
             break; // stores/roots/lifecycle: no allocator effect
         }
-        plan.perThread[executor].push_back(item);
-        ++plan.opsPlanned;
     }
-    // Boundaries at or past the end of the prefix (an epoch opened
-    // by the very last op) still rendezvous once.
-    emit_marks_through(UINT64_MAX);
     return plan;
 }
 
@@ -201,7 +173,7 @@ struct Race
             ++got;
             ++st.batchesDrained;
             for (const RemoteFree &f : batch->entries) {
-                ctx.noteRemoteFree(f.id, f.bytes);
+                ctx.noteRemoteFree(f.id);
                 ++st.remoteApplied;
             }
         }
@@ -232,54 +204,68 @@ struct Race
             }
         };
 
-        for (const RaceItem &item : plan.perThread[t]) {
-            if (item.kind == RaceItem::Kind::EpochMark) {
-                // Epoch/drain contract: nothing may be in flight
-                // while the revocation set freezes. Flush, meet
-                // every thread, drain to provably empty, and only
-                // then let anyone produce again.
-                flush_all();
-                barrier.arrive_and_wait();
-                drainInbox(t, ctx, st, /*to_empty=*/true);
-                CHERIVOKE_ASSERT(queues[t]->drained(),
-                                 "(remote frees in flight at an "
-                                 "epoch boundary)");
-                CHERIVOKE_ASSERT(ctx.earlyFreeCount() == 0,
-                                 "(early free past its epoch "
-                                 "barrier)");
-                st.ownedLiveBytesAtEpoch.push_back(
-                    ctx.ownedLiveBytes());
-                ++st.epochFlushes;
-                barrier.arrive_and_wait();
-                continue;
-            }
-            ++st.ops;
-            switch (item.op) {
-              case workload::OpKind::Malloc:
-                // The malloc slow path is the owner's natural drain
-                // point (snmalloc: allocation looks at the remote
-                // queue before refilling).
-                drainInbox(t, ctx, st, /*to_empty=*/false);
-                ++st.mallocs;
-                if (item.effective)
-                    ctx.noteMalloc(item.id, item.bytes);
-                break;
-              case workload::OpKind::Free:
-                if (!item.effective)
+        // Epoch/drain contract: nothing may be in flight while the
+        // revocation set freezes. Flush, meet every thread, drain to
+        // provably empty, and only then let anyone produce again.
+        auto epoch_mark = [&]() {
+            flush_all();
+            barrier.arrive_and_wait();
+            drainInbox(t, ctx, st, /*to_empty=*/true);
+            CHERIVOKE_ASSERT(queues[t]->drained(),
+                             "(remote frees in flight at an epoch "
+                             "boundary)");
+            CHERIVOKE_ASSERT(ctx.earlyFreeCount() == 0,
+                             "(early free past its epoch barrier)");
+            st.ownedLiveBytesAtEpoch.push_back(ctx.ownedLiveBytes());
+            ++st.epochFlushes;
+            barrier.arrive_and_wait();
+        };
+
+        // Every thread walks the whole prefix and executes its share.
+        const workload::TraceOps &ops = plan.ops;
+        size_t i = 0;
+        auto run_until = [&](size_t end) {
+            for (; i < end; ++i) {
+                const workload::TraceOp &op = ops[i];
+                if (mutatorExecutorOf(op, i, m) != t)
+                    continue;
+                ++st.ops;
+                switch (op.kind) {
+                  case workload::OpKind::Malloc:
+                    // The malloc slow path is the owner's natural
+                    // drain point (snmalloc: allocation looks at the
+                    // remote queue before refilling).
+                    drainInbox(t, ctx, st, /*to_empty=*/false);
+                    ++st.mallocs;
+                    if (plan.effective[i])
+                        ctx.noteMalloc(op.id, op.size);
                     break;
-                if (item.owner == t) {
-                    ctx.noteLocalFree(item.id);
-                    ++st.localFrees;
-                } else {
-                    senders[item.owner]->send(
-                        RemoteFree{item.id, item.bytes});
-                    ++st.remoteSent;
+                  case workload::OpKind::Free: {
+                    if (!plan.effective[i])
+                        break;
+                    const unsigned owner = mutatorOwnerOf(op.id, m);
+                    if (owner == t) {
+                        ctx.noteLocalFree(op.id);
+                        ++st.localFrees;
+                    } else {
+                        senders[owner]->send(RemoteFree{op.id});
+                        ++st.remoteSent;
+                    }
+                    break;
+                  }
+                  default:
+                    break; // modelled elsewhere; the race only times it
                 }
-                break;
-              default:
-                break; // modelled elsewhere; the race only times it
             }
+        };
+        for (uint64_t boundary : plan.epochBoundaries) {
+            // Boundary b meets after ops [0, b) were applied; one at
+            // or past the end (an epoch opened by the very last op)
+            // still meets once.
+            run_until(std::min<uint64_t>(boundary, ops.size()));
+            epoch_mark();
         }
+        run_until(ops.size());
 
         // Teardown: flush stragglers, meet every thread, then drain
         // what is addressed to us — nobody produces after the

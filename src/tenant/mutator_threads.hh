@@ -15,8 +15,15 @@
  * into its quarantine tallies on its malloc slow path, at epoch
  * boundaries, and at teardown.
  *
- * Determinism model (the same record/replay discipline PR 1 used
- * for threaded sweep traffic): the threads genuinely race — real
+ * The plan shares the trace's read-only op buffer and adds one
+ * effectiveness bit per op. Every thread walks the whole prefix in
+ * order and executes only the ops whose executor it is, reading
+ * kind, id and size from the op itself, so an M-thread race reads
+ * M·n ops from one buffer and holds n/8 bytes of plan beyond the
+ * trace.
+ *
+ * Determinism model (the record/replay discipline the threaded
+ * sweep uses for its traffic): the threads genuinely race — real
  * std::threads, real lock-free queues, real barriers — but the race
  * only decides *interleaving*, never modelled allocator state. Each
  * thread records its own stat log during the race; the logs are
@@ -41,7 +48,9 @@
  * drains its inbox to empty (asserted exactly, via the queue's
  * enqueue/dequeue counters), and only then does any thread proceed —
  * so no remote free can be in flight while a revocation set is
- * frozen, the invariant a background sweeper will rely on.
+ * frozen, the invariant a background sweeper will rely on. Repeated
+ * boundaries at one op rendezvous once; boundaries at or past the
+ * end of the prefix rendezvous once each, after its last op.
  *
  * The allocator itself is driven by the serial replay in trace
  * order, which is why the modelled statistics of an M-thread run are
@@ -73,6 +82,10 @@ struct MutatorConfig
     unsigned remoteBatch = 32;
 };
 
+/** Reject a config no race can run: zero threads or a zero batch
+ *  capacity (FatalError). */
+void checkMutatorConfig(const MutatorConfig &config);
+
 /** Owning thread of allocation @p id under @p threads mutators. */
 constexpr unsigned
 mutatorOwnerOf(uint64_t id, unsigned threads)
@@ -84,28 +97,11 @@ mutatorOwnerOf(uint64_t id, unsigned threads)
 unsigned mutatorExecutorOf(const workload::TraceOp &op,
                            uint64_t index, unsigned threads);
 
-/** One work item of a thread's race schedule. */
-struct RaceItem
-{
-    enum class Kind : uint8_t
-    {
-        Op,        //!< execute trace op `index`
-        EpochMark, //!< epoch boundary: flush + barrier + full drain
-    };
-
-    Kind kind = Kind::Op;
-    workload::OpKind op = workload::OpKind::Malloc;
-    uint64_t index = 0; //!< global trace op index (or boundary)
-    uint64_t id = 0;     //!< allocation id (Malloc/Free)
-    uint64_t bytes = 0;  //!< malloc size / effective-free bytes
-    unsigned owner = 0;  //!< owning thread of `id` (Malloc/Free)
-    bool effective = false; //!< op changes modelled allocator state
-};
-
 /**
- * The deterministic fan-out of one trace prefix: per-thread work
- * lists in trace-index order, every thread's list carrying the same
- * epoch marks. Built serially; a pure function of its inputs.
+ * The deterministic fan-out of one trace prefix: the prefix itself
+ * (shared with the trace, never copied), the epoch boundaries every
+ * thread meets, and which ops change modelled allocator state.
+ * Built serially; a pure function of its inputs.
  */
 struct RacePlan
 {
@@ -115,15 +111,21 @@ struct RacePlan
     uint64_t effectiveFrees = 0;   //!< frees of a live chunk
     uint64_t remoteFrees = 0;      //!< effective frees, executor != owner
     uint64_t epochMarks = 0;       //!< deduplicated epoch boundaries
-    std::vector<std::vector<RaceItem>> perThread;
+    /** The applied prefix, sharing the trace's buffer. */
+    workload::TraceOps ops;
+    /** Distinct epoch boundaries in op order: boundary b meets after
+     *  ops [0, b) (after the last op when b >= ops.size()). */
+    std::vector<uint64_t> epochBoundaries;
+    /** effective[i]: op i is a Malloc of a dead id or a Free of a
+     *  live one. */
+    std::vector<bool> effective;
 };
 
 /**
- * Partition @p trace ops [0, opsLimit) across config.threads mutator
+ * Plan @p trace ops [0, opsLimit) for config.threads mutator
  * threads, mirroring the serial replay's liveness semantics (a Free
  * of a dead id and a Malloc of a live id are executed but
- * ineffective) and interleaving @p epoch_ops boundaries into every
- * thread's schedule.
+ * ineffective), with @p epoch_ops (sorted) as the boundaries.
  */
 RacePlan planMutatorRace(
     const workload::Trace &trace, size_t opsLimit,

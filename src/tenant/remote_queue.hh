@@ -4,7 +4,7 @@
  * (snmalloc msgpass-style). Every mutator thread owns the chunks it
  * allocated; a free() executed by a *different* thread must not touch
  * the owner's quarantine directly. Instead the freeing thread batches
- * the free into a FreeBatch destined for the owner and, when the
+ * the freed id into a FreeBatch destined for the owner and, when the
  * batch fills (or at a flush boundary: epoch open, thread teardown),
  * pushes it onto the owner's RemoteFreeQueue — a lock-free
  * multi-producer single-consumer queue of batch nodes. The owner
@@ -38,11 +38,12 @@
 namespace cherivoke {
 namespace tenant {
 
-/** One deferred free in flight between threads. */
+/** One deferred free in flight between threads. The owner knows
+ *  the allocation's size (noteMalloc recorded it), so the message
+ *  carries only the id. */
 struct RemoteFree
 {
-    uint64_t id = 0;    //!< trace allocation id being freed
-    uint64_t bytes = 0; //!< the allocation's modelled size
+    uint64_t id = 0; //!< trace allocation id being freed
 };
 
 /** A batch of remote frees from one producer: the message unit. */

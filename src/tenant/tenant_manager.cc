@@ -88,6 +88,9 @@ Tenant::Tenant(size_t index, const TenantConfig &config,
 TenantManager::TenantManager(TenantManagerConfig config)
     : config_(std::move(config))
 {
+    // Fail before any replay, not when the first tenant's result is
+    // captured and its race planned.
+    checkMutatorConfig(config_.mutator);
     memory_.setSoftPageBudget(config_.pageBudgetPages);
 }
 

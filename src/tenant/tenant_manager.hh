@@ -360,6 +360,8 @@ constexpr uint64_t kAggregateSampleOps = 32;
 class TenantManager
 {
   public:
+    /** Throws FatalError when config.mutator has zero threads or a
+     *  zero remote-free batch (checkMutatorConfig). */
     explicit TenantManager(
         TenantManagerConfig config = TenantManagerConfig{});
 

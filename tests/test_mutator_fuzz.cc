@@ -145,8 +145,7 @@ TEST(MutatorFuzz, QueueHammerRandomizedProducers)
                     auto b =
                         std::make_unique<tenant::FreeBatch>(p, 1);
                     b->seq = s;
-                    b->entries.push_back(
-                        tenant::RemoteFree{s, jitter});
+                    b->entries.push_back(tenant::RemoteFree{s});
                     q.enqueue(std::move(b));
                     if ((s & 0xff) == jitter)
                         std::this_thread::yield();

@@ -6,14 +6,16 @@
  * batching sender, the thread-local allocation context (early remote
  * frees), the batched quarantine handoff, and the race engine's
  * determinism — an M-thread run's merged statistics replay
- * bit-identically, and the modelled multi-tenant statistics are
- * bit-identical between 1-thread and M-thread front-ends.
+ * bit-identically and match pinned fingerprints, and the modelled
+ * multi-tenant statistics are bit-identical between 1-thread and
+ * M-thread front-ends.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "alloc/thread_context.hh"
@@ -33,7 +35,7 @@ makeBatch(unsigned producer, std::initializer_list<uint64_t> ids)
     auto b = std::make_unique<tenant::FreeBatch>(producer,
                                                  ids.size());
     for (uint64_t id : ids)
-        b->entries.push_back(tenant::RemoteFree{id, 64});
+        b->entries.push_back(tenant::RemoteFree{id});
     return b;
 }
 
@@ -122,7 +124,7 @@ TEST(RemoteFreeQueue, MultiProducerStressConservesEverything)
                 auto b = std::make_unique<tenant::FreeBatch>(p, 2);
                 b->seq = s;
                 b->entries.push_back(
-                    tenant::RemoteFree{p * kBatchesEach + s, 16});
+                    tenant::RemoteFree{p * kBatchesEach + s});
                 q.enqueue(std::move(b));
             }
         });
@@ -168,7 +170,7 @@ TEST(RemoteSender, FlushesExactlyAtBatchCapacity)
     tenant::RemoteFreeQueue q;
     tenant::RemoteSender sender(2, q, 4);
     for (uint64_t i = 0; i < 10; ++i)
-        sender.send(tenant::RemoteFree{i, 32});
+        sender.send(tenant::RemoteFree{i});
 
     // 10 sends at capacity 4: two full batches published, 2 pending.
     EXPECT_EQ(sender.sentBatches(), 2u);
@@ -213,10 +215,10 @@ TEST(ThreadAllocContext, EarlyRemoteFreeParksUntilMalloc)
 {
     alloc::ThreadAllocContext ctx(1);
     // The message overtook the malloc in wall-clock time.
-    ctx.noteRemoteFree(9, 64);
+    ctx.noteRemoteFree(9);
     EXPECT_EQ(ctx.earlyFreeCount(), 1u);
     EXPECT_EQ(ctx.quarantinedChunks(), 0u);
-    EXPECT_THROW(ctx.noteRemoteFree(9, 64), PanicError);
+    EXPECT_THROW(ctx.noteRemoteFree(9), PanicError);
 
     ctx.noteMalloc(9, 64);
     // The allocation died at birth: quarantined, never live.
@@ -230,7 +232,7 @@ TEST(ThreadAllocContext, RemoteFreeOfLiveChunkApplies)
 {
     alloc::ThreadAllocContext ctx(0);
     ctx.noteMalloc(3, 256);
-    ctx.noteRemoteFree(3, 256);
+    ctx.noteRemoteFree(3);
     EXPECT_EQ(ctx.ownedLiveBytes(), 0u);
     EXPECT_EQ(ctx.remoteFreesApplied(), 1u);
     EXPECT_EQ(ctx.quarantinedBytes(), 256u);
@@ -313,19 +315,24 @@ TEST(MutatorPlan, DeterministicPartitionAndEffectiveness)
     EXPECT_EQ(plan.remoteFrees, 1u);
     // The duplicate boundary at op 3 collapses to one mark.
     EXPECT_EQ(plan.epochMarks, 2u);
-    for (unsigned t = 0; t < 3; ++t) {
-        uint64_t marks = 0;
-        for (const tenant::RaceItem &item : plan.perThread[t])
-            if (item.kind == tenant::RaceItem::Kind::EpochMark)
-                ++marks;
-        EXPECT_EQ(marks, 2u) << "thread " << t;
-    }
-    // Plans are pure functions of their inputs.
+    EXPECT_EQ(plan.epochBoundaries, (std::vector<uint64_t>{3, 7}));
+    EXPECT_EQ(plan.effective,
+              (std::vector<bool>{true, true, true, true, false,
+                                 false, true}));
+    // The plan shares the trace's ops instead of copying them.
+    EXPECT_EQ(plan.ops.begin(), trace.ops.begin());
+    EXPECT_EQ(plan.ops.size(), 7u);
+
+    // Plans are pure functions of their inputs, and every thread
+    // meets both boundaries.
     const tenant::RacePlan again =
         tenant::planMutatorRace(trace, SIZE_MAX, cfg, {3, 3, 7});
-    EXPECT_EQ(again.perThread[0].size(), plan.perThread[0].size());
-    EXPECT_EQ(tenant::runMutatorRace(plan).fingerprint(),
+    EXPECT_EQ(again.effective, plan.effective);
+    const tenant::MutatorRaceResult r = tenant::runMutatorRace(plan);
+    EXPECT_EQ(r.fingerprint(),
               tenant::runMutatorRace(again).fingerprint());
+    for (unsigned t = 0; t < 3; ++t)
+        EXPECT_EQ(r.perThread[t].epochFlushes, 2u) << "thread " << t;
 }
 
 // ---- The race ---------------------------------------------------
@@ -353,6 +360,44 @@ TEST(MutatorRace, FourThreadRunReplaysBitIdentically)
         EXPECT_EQ(first.perThread[t].ownedLiveBytesAtEpoch,
                   second.perThread[t].ownedLiveBytesAtEpoch);
     }
+}
+
+TEST(MutatorRace, FingerprintsMatchPinnedValues)
+{
+    // Literal values, so a change that shifts every fingerprint
+    // consistently still fails, not only one that makes two runs
+    // disagree.
+    const workload::Trace trace = smallTrace(7);
+    const std::vector<uint64_t> epochs = {1000, 5000, 12000};
+    const std::pair<unsigned, uint64_t> pinned[] = {
+        {1, 0xd60c90acf843bbb9ULL},
+        {2, 0x409a37d107dd467cULL},
+        {4, 0x1362fd8d152afa99ULL},
+        {8, 0x1314b78b3a04a3a0ULL},
+    };
+    for (const auto &[threads, fingerprint] : pinned) {
+        tenant::MutatorConfig cfg;
+        cfg.threads = threads;
+        cfg.remoteBatch = 8;
+        EXPECT_EQ(
+            tenant::runMutatorRace(trace, SIZE_MAX, cfg, epochs)
+                .fingerprint(),
+            fingerprint)
+            << threads << " threads";
+    }
+
+    // A prefix whose boundaries fall at (twice) and past its end:
+    // those meet once each after the last op.
+    tenant::MutatorConfig cfg;
+    cfg.threads = 3;
+    cfg.remoteBatch = 8;
+    const auto prefix = tenant::runMutatorRace(
+        trace, 38000, cfg, {1000, 5000, 12000, 36000, 38000, 38000,
+                            40000});
+    EXPECT_EQ(prefix.opsExecuted, 38000u);
+    EXPECT_EQ(prefix.epochBarriers, 6u);
+    EXPECT_GT(prefix.remoteFrees, 0u);
+    EXPECT_EQ(prefix.fingerprint(), 0x793c0282681d01f7ULL);
 }
 
 TEST(MutatorRace, ThreadCountPreservesEffectiveTotals)

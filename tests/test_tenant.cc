@@ -317,6 +317,17 @@ TEST(TenantManager, TenantsShareTheCallersOps)
               host.ops.size());
 }
 
+TEST(TenantManager, RejectsZeroMutatorConfigAtConstruction)
+{
+    // A config no mutator race can run fails before any replay.
+    tenant::TenantManagerConfig cfg;
+    cfg.mutator.threads = 0;
+    EXPECT_THROW(tenant::TenantManager{cfg}, FatalError);
+    cfg.mutator.threads = 1;
+    cfg.mutator.remoteBatch = 0;
+    EXPECT_THROW(tenant::TenantManager{cfg}, FatalError);
+}
+
 TEST(TenantManager, SharedEngineAggregatesAcrossTenants)
 {
     tenant::TenantManager manager{tenant::TenantManagerConfig{}};
