@@ -15,7 +15,9 @@ PageTable::map(uint64_t base, uint64_t size, uint8_t prot,
                      "(map must be page aligned)");
     for (uint64_t vpn = base >> kPageShift;
          vpn < (base + size) >> kPageShift; ++vpn) {
-        Pte &pte = ptes_[vpn];
+        Pte &pte = ptes_.materialise(vpn);
+        mapped_ += !pte.valid;
+        pte.valid = true;
         pte.prot = prot;
         pte.capStoreInhibit = cap_store_inhibit;
     }
@@ -27,24 +29,16 @@ PageTable::unmap(uint64_t base, uint64_t size)
     CHERIVOKE_ASSERT(isAligned(base, kPageBytes) &&
                      isAligned(size, kPageBytes),
                      "(unmap must be page aligned)");
-    for (uint64_t vpn = base >> kPageShift;
-         vpn < (base + size) >> kPageShift; ++vpn) {
-        ptes_.erase(vpn);
-    }
-}
-
-const Pte *
-PageTable::lookup(uint64_t addr) const
-{
-    auto it = ptes_.find(addr >> kPageShift);
-    return it == ptes_.end() ? nullptr : &it->second;
-}
-
-Pte *
-PageTable::lookup(uint64_t addr)
-{
-    auto it = ptes_.find(addr >> kPageShift);
-    return it == ptes_.end() ? nullptr : &it->second;
+    // Only valid PTEs are written, so unmapping a sparse range makes
+    // no untouched part of a leaf resident.
+    ptes_.forEach(
+        [this](uint64_t, Pte &pte) {
+            if (pte.valid) {
+                pte = Pte{};
+                --mapped_;
+            }
+        },
+        base >> kPageShift, (base + size) >> kPageShift);
 }
 
 bool
@@ -70,10 +64,10 @@ std::vector<uint64_t>
 PageTable::capDirtyPages() const
 {
     std::vector<uint64_t> pages;
-    for (const auto &[vpn, pte] : ptes_) {
-        if (pte.capDirty)
+    ptes_.forEach([&](uint64_t vpn, const Pte &pte) {
+        if (pte.valid && pte.capDirty)
             pages.push_back(vpn << kPageShift);
-    }
+    });
     return pages;
 }
 
@@ -81,9 +75,11 @@ std::vector<uint64_t>
 PageTable::mappedPages() const
 {
     std::vector<uint64_t> pages;
-    pages.reserve(ptes_.size());
-    for (const auto &[vpn, pte] : ptes_)
-        pages.push_back(vpn << kPageShift);
+    pages.reserve(mapped_);
+    ptes_.forEach([&](uint64_t vpn, const Pte &pte) {
+        if (pte.valid)
+            pages.push_back(vpn << kPageShift);
+    });
     return pages;
 }
 
@@ -91,10 +87,9 @@ size_t
 PageTable::capDirtyCount() const
 {
     size_t n = 0;
-    for (const auto &[vpn, pte] : ptes_) {
-        if (pte.capDirty)
-            ++n;
-    }
+    ptes_.forEach([&](uint64_t, const Pte &pte) {
+        n += pte.valid && pte.capDirty;
+    });
     return n;
 }
 

@@ -13,9 +13,9 @@
 #define CHERIVOKE_MEM_PAGE_TABLE_HH
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
+#include "mem/radix_table.hh"
 #include "support/units.hh"
 
 namespace cherivoke {
@@ -29,7 +29,7 @@ enum PageProt : uint8_t
     ProtExec  = 1u << 2,
 };
 
-/** A page-table entry. */
+/** A page-table entry. All zero bytes is an unmapped page. */
 struct Pte
 {
     uint8_t prot = 0;
@@ -40,11 +40,16 @@ struct Pte
      * tagged stores to this page fault. Used for shared/file pages.
      */
     bool capStoreInhibit = false;
+    /** Set while the page is mapped (a hardware PTE's valid bit). */
+    bool valid = false;
 };
 
 /**
- * A single-level page table over the simulated virtual address space.
- * Ordered by virtual page number so sweeps are deterministic.
+ * The page table over the simulated virtual address space: a
+ * RadixTable of PTEs, split 18/18 like the page directory. A lookup
+ * is two loads and lock-free, so sweep threads may read PTEs while
+ * the owner maps more heap; map and unmap take a single writer.
+ * Enumerations run in virtual page order, so sweeps are deterministic.
  */
 class PageTable
 {
@@ -57,13 +62,13 @@ class PageTable
     void unmap(uint64_t base, uint64_t size);
 
     /** PTE pointer, or nullptr if unmapped. */
-    const Pte *lookup(uint64_t addr) const;
-    Pte *lookup(uint64_t addr);
+    const Pte *lookup(uint64_t addr) const { return validPte(addr); }
+    Pte *lookup(uint64_t addr) { return validPte(addr); }
 
     bool isMapped(uint64_t addr) const { return lookup(addr) != nullptr; }
 
     /** Number of mapped pages. */
-    size_t pageCount() const { return ptes_.size(); }
+    size_t pageCount() const { return mapped_; }
 
     /**
      * Mark the page containing @p addr CapDirty.
@@ -87,7 +92,15 @@ class PageTable
     size_t capDirtyCount() const;
 
   private:
-    std::map<uint64_t, Pte> ptes_; //!< keyed by virtual page number
+    Pte *
+    validPte(uint64_t addr) const
+    {
+        Pte *pte = ptes_.find(addr >> kPageShift);
+        return pte && pte->valid ? pte : nullptr;
+    }
+
+    RadixTable<Pte> ptes_; //!< indexed by virtual page number
+    size_t mapped_ = 0;    //!< valid PTEs
 };
 
 } // namespace mem

@@ -34,43 +34,15 @@ Page::clearGranuleTag(unsigned g)
     }
 }
 
-PageDirectory::PageDirectory()
-    : root_(new std::atomic<Leaf *>[kRootEntries]())
-{}
-
 PageDirectory::~PageDirectory()
 {
-    for (Leaf *leaf : leaves_) {
-        for (auto &slot : leaf->slots)
-            delete slot.load(std::memory_order_relaxed);
-        delete leaf;
-    }
+    slots_.forEach([](uint64_t, Page *page) { delete page; });
 }
 
 Page &
 PageDirectory::getOrCreate(uint64_t vpn)
 {
-    if (vpn >= kMaxVpn) {
-        fatal("address 0x%llx beyond the %u-bit simulated VA space",
-              static_cast<unsigned long long>(vpn << kPageShift),
-              kVaBits);
-    }
-    std::atomic<Leaf *> &rslot = root_[vpn >> kLeafBits];
-    Leaf *leaf = rslot.load(std::memory_order_acquire);
-    if (!leaf) {
-        std::lock_guard<std::mutex> lock(
-            stripes_[(vpn >> kLeafBits) % kStripes]);
-        leaf = rslot.load(std::memory_order_acquire);
-        if (!leaf) {
-            leaf = new Leaf();
-            {
-                std::lock_guard<std::mutex> reg(leaves_mu_);
-                leaves_.push_back(leaf);
-            }
-            rslot.store(leaf, std::memory_order_release);
-        }
-    }
-    std::atomic<Page *> &slot = leaf->slots[vpn & (kLeafEntries - 1)];
+    std::atomic_ref<Page *> slot(slots_.materialise(vpn));
     Page *page = slot.load(std::memory_order_acquire);
     if (!page) {
         std::lock_guard<std::mutex> lock(stripes_[vpn % kStripes]);
@@ -87,31 +59,18 @@ PageDirectory::getOrCreate(uint64_t vpn)
 size_t
 PageDirectory::releaseRange(uint64_t vpn_lo, uint64_t vpn_hi)
 {
-    vpn_hi = std::min(vpn_hi, kMaxVpn);
     size_t released = 0;
-    uint64_t vpn = vpn_lo;
-    while (vpn < vpn_hi) {
-        Leaf *leaf =
-            root_[vpn >> kLeafBits].load(std::memory_order_acquire);
-        // Whole-leaf skip: an unmaterialised leaf spans 1 GiB.
-        const uint64_t leaf_end =
-            ((vpn >> kLeafBits) + 1) << kLeafBits;
-        const uint64_t end = std::min<uint64_t>(vpn_hi, leaf_end);
-        if (!leaf) {
-            vpn = end;
-            continue;
-        }
-        for (; vpn < end; ++vpn) {
-            std::atomic<Page *> &slot =
-                leaf->slots[vpn & (kLeafEntries - 1)];
+    slots_.forEach(
+        [&released](uint64_t, Page *&entry) {
+            std::atomic_ref<Page *> slot(entry);
             Page *page = slot.load(std::memory_order_acquire);
             if (!page)
-                continue;
+                return;
             slot.store(nullptr, std::memory_order_release);
             delete page;
             ++released;
-        }
-    }
+        },
+        vpn_lo, vpn_hi);
     resident_.fetch_sub(released, std::memory_order_relaxed);
     return released;
 }
@@ -132,23 +91,23 @@ TaggedMemory::pageForWrite(uint64_t addr)
     return dir_.getOrCreate(addr >> kPageShift);
 }
 
+const Pte &
+TaggedMemory::mappedPte(uint64_t addr, bool write) const
+{
+    const Pte *pte = pt_.lookup(addr);
+    if (!pte)
+        throw CapFault(FaultKind::Bounds, "access to unmapped address");
+    if (!(pte->prot & (write ? ProtWrite : ProtRead)))
+        throw CapFault(FaultKind::Permission, "page protection violation");
+    return *pte;
+}
+
 void
 TaggedMemory::checkMapped(uint64_t addr, uint64_t size, bool write) const
 {
-    const uint64_t first = addr >> kPageShift;
     const uint64_t last = (addr + size - 1) >> kPageShift;
-    for (uint64_t vpn = first; vpn <= last; ++vpn) {
-        const Pte *pte = pt_.lookup(vpn << kPageShift);
-        if (!pte) {
-            throw CapFault(FaultKind::Bounds,
-                           "access to unmapped address");
-        }
-        const uint8_t need = write ? ProtWrite : ProtRead;
-        if (!(pte->prot & need)) {
-            throw CapFault(FaultKind::Permission,
-                           "page protection violation");
-        }
-    }
+    for (uint64_t vpn = addr >> kPageShift; vpn <= last; ++vpn)
+        mappedPte(vpn << kPageShift, write);
 }
 
 void
@@ -279,9 +238,10 @@ TaggedMemory::writeCap(uint64_t addr, const cap::Capability &capability)
         throw CapFault(FaultKind::Alignment,
                        "capability store must be 16-byte aligned");
     }
-    checkMapped(addr, kCapBytes, true);
-    const Pte *pte = pt_.lookup(addr);
-    if (capability.tag() && pte->capStoreInhibit) {
+    // An aligned capability lies in one page, so one PTE authorises
+    // the store.
+    const Pte &pte = mappedPte(addr, true);
+    if (capability.tag() && pte.capStoreInhibit) {
         throw CapFault(FaultKind::CapStoreInhibit,
                        "tagged store to capability-store-inhibited page");
     }

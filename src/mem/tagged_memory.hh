@@ -22,12 +22,12 @@
 #include <cstdint>
 #include <cstring>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <vector>
 
 #include "cap/capability.hh"
 #include "mem/page_table.hh"
+#include "mem/radix_table.hh"
 #include "support/bitops.hh"
 #include "support/logging.hh"
 #include "support/units.hh"
@@ -123,11 +123,9 @@ class HostSpan
 
 /**
  * Two-level direct-map page directory: the sweep/paint hot paths'
- * O(1) replacement for the former std::map page store.
- *
- * The 36-bit VPN (48-bit virtual addresses) splits into an 18-bit
- * root index and an 18-bit leaf index; each leaf table spans 1 GiB
- * of address space. Both levels hold atomic pointers:
+ * O(1) page store. It is a RadixTable of page pointers (18/18 split,
+ * each leaf spanning 1 GiB), plain pointer arrays on lazily zeroed
+ * memory that are accessed through std::atomic_ref:
  *
  *  - lookups are lock-free (two acquire loads), so sweep workers and
  *    the §3.3 shadow lookup never contend;
@@ -142,17 +140,9 @@ class HostSpan
 class PageDirectory
 {
   public:
-    static constexpr unsigned kVaBits = 48;
-    static constexpr unsigned kLeafBits = 18;
-    static constexpr unsigned kRootBits =
-        kVaBits - kPageShift - kLeafBits;
-    static constexpr size_t kLeafEntries = size_t{1} << kLeafBits;
-    static constexpr size_t kRootEntries = size_t{1} << kRootBits;
-    static constexpr uint64_t kMaxVpn = uint64_t{1}
-                                        << (kRootBits + kLeafBits);
     static constexpr size_t kStripes = 64;
 
-    PageDirectory();
+    PageDirectory() = default;
     ~PageDirectory();
 
     PageDirectory(const PageDirectory &) = delete;
@@ -163,14 +153,10 @@ class PageDirectory
     Page *
     lookup(uint64_t vpn) const
     {
-        if (vpn >= kMaxVpn)
-            return nullptr;
-        const Leaf *leaf =
-            root_[vpn >> kLeafBits].load(std::memory_order_acquire);
-        if (!leaf)
-            return nullptr;
-        return leaf->slots[vpn & (kLeafEntries - 1)].load(
-            std::memory_order_acquire);
+        Page **slot = slots_.find(vpn);
+        return slot ? std::atomic_ref<Page *>(*slot).load(
+                          std::memory_order_acquire)
+                    : nullptr;
     }
 
     /** Materialise-on-demand; striped-lock slow path, lock-free when
@@ -197,15 +183,8 @@ class PageDirectory
     }
 
   private:
-    struct Leaf
-    {
-        std::array<std::atomic<Page *>, kLeafEntries> slots{};
-    };
-
-    std::unique_ptr<std::atomic<Leaf *>[]> root_;
+    RadixTable<Page *> slots_;
     std::array<std::mutex, kStripes> stripes_;
-    std::mutex leaves_mu_;
-    std::vector<Leaf *> leaves_; //!< for O(resident) destruction
     std::atomic<size_t> resident_{0};
 };
 
@@ -484,6 +463,9 @@ class TaggedMemory
 
   private:
     Page &pageForWrite(uint64_t addr);
+    /** The PTE of the page holding @p addr; CapFault unless it is
+     *  mapped with read (or, for @p write, write) permission. */
+    const Pte &mappedPte(uint64_t addr, bool write) const;
     void checkMapped(uint64_t addr, uint64_t size, bool write) const;
     void checkAccess(const cap::Capability &auth, uint64_t addr,
                      uint64_t size, uint16_t perm_needed) const;

@@ -1,0 +1,70 @@
+/**
+ * @file
+ * Zero-filled arrays on anonymous mmap. The kernel backs such memory
+ * with a page only when that page is first written, so a large table
+ * that is touched sparsely (the page directory's and page table's
+ * radix levels, the replayer's id index) is resident only where it
+ * is used. Value-initialising new[] writes every byte, and glibc
+ * serves and clears multi-MiB calloc blocks from its own heap, so
+ * neither gives that.
+ */
+
+#ifndef CHERIVOKE_SUPPORT_ZERO_PAGES_HH
+#define CHERIVOKE_SUPPORT_ZERO_PAGES_HH
+
+#include <cstddef>
+#include <type_traits>
+#include <utility>
+
+namespace cherivoke {
+
+/** Map @p bytes of zero pages; throws std::bad_alloc on failure. */
+void *mapZeroPages(size_t bytes);
+
+/** Unmap what mapZeroPages(@p bytes) returned. */
+void unmapZeroPages(void *addr, size_t bytes);
+
+/**
+ * An owned array of @p count Ts whose every byte starts zero. T must
+ * be a type whose all-zero bytes are its default state (pointers,
+ * integers, flag structs), since no constructor runs.
+ */
+template <typename T>
+class ZeroPages
+{
+    static_assert(std::is_trivially_copyable_v<T> &&
+                      std::is_trivially_destructible_v<T>,
+                  "zero pages hold T's all-zero bytes, no constructor");
+
+  public:
+    explicit ZeroPages(size_t count)
+        : data_(static_cast<T *>(mapZeroPages(count * sizeof(T)))),
+          count_(count)
+    {}
+    ~ZeroPages() { unmapZeroPages(data_, count_ * sizeof(T)); }
+
+    ZeroPages(ZeroPages &&other) noexcept
+        : data_(std::exchange(other.data_, nullptr)),
+          count_(std::exchange(other.count_, 0))
+    {}
+    ZeroPages &
+    operator=(ZeroPages &&other) noexcept
+    {
+        std::swap(data_, other.data_);
+        std::swap(count_, other.count_);
+        return *this;
+    }
+
+    /** Like unique_ptr<T[]>: constness is the owner's, not the
+     *  elements'. */
+    T &operator[](size_t i) const { return data_[i]; }
+    T *get() const { return data_; }
+
+  private:
+    T *data_ = nullptr;
+    size_t count_ = 0;
+};
+
+} // namespace cherivoke
+
+#endif // CHERIVOKE_SUPPORT_ZERO_PAGES_HH

@@ -1,11 +1,39 @@
 #include "workload/driver.hh"
 
 #include <algorithm>
+#include <unordered_map>
 
 #include "support/logging.hh"
 
 namespace cherivoke {
 namespace workload {
+
+namespace {
+
+/** Ids up to this many per op index the object table directly. */
+constexpr uint64_t kDenseIdsPerOp = 2;
+
+/** Call @p fn on each allocation-id field @p op reads; lifecycle
+ *  ops carry tenant ids and have none. */
+template <typename Op, typename Fn>
+void
+forEachObjectId(Op &op, Fn &&fn)
+{
+    switch (op.kind) {
+      case OpKind::Malloc:
+      case OpKind::Free: fn(op.id); break;
+      case OpKind::StorePtr:
+        fn(op.src);
+        fn(op.dst);
+        break;
+      case OpKind::StoreData: fn(op.dst); break;
+      case OpKind::RootPtr: fn(op.src); break;
+      case OpKind::SpawnTenant:
+      case OpKind::RetireTenant: break;
+    }
+}
+
+} // namespace
 
 DensitySample
 measureDensities(const mem::AddressSpace &space)
@@ -51,9 +79,6 @@ TraceReplayer::TraceReplayer(mem::AddressSpace &space,
     : space_(&space), alloc_(&allocator), engine_(engine),
       ops_(trace.ops)
 {
-    // Size the live-object table for the trace's churn up front so
-    // the mutator loop never pays a rehash.
-    objects_.reserve(ops_.size() / 4 + 16);
     pump_ = [this](cache::Hierarchy *hierarchy) {
         engine_->maybeRevoke(hierarchy);
     };
@@ -65,6 +90,42 @@ TraceReplayer::TraceReplayer(mem::AddressSpace &space,
         if (engine_)
             engine_->notePointerUse(n);
     };
+}
+
+// One pass over every id the replay reads, at the first step rather
+// than at construction, so building a pipeline stays cheap. Ids below
+// a bound proportional to the op count index the table as they are;
+// otherwise they are renumbered densely, once, into a private copy of
+// the ops, so the replay loop has one path and any u64 id replays.
+void
+TraceReplayer::indexObjects()
+{
+    uint64_t max_id = 0;
+    bool root_ptrs = false;
+    for (const TraceOp &op : ops_) {
+        forEachObjectId(op, [&](uint64_t id) {
+            max_id = std::max(max_id, id);
+        });
+        root_ptrs |= op.kind == OpKind::RootPtr;
+    }
+    if (root_ptrs && space_->globals().size < kCapBytes) {
+        fatal("the trace stores root pointers, but its %llu-byte "
+              "globals segment holds no capability slot",
+              static_cast<unsigned long long>(space_->globals().size));
+    }
+    if (max_id < kDenseIdsPerOp * ops_.size()) {
+        objects_ = ObjectTable(max_id + 1);
+        return;
+    }
+    std::unordered_map<uint64_t, uint64_t> dense;
+    std::vector<TraceOp> ops(ops_.begin(), ops_.end());
+    for (TraceOp &op : ops) {
+        forEachObjectId(op, [&](uint64_t &id) {
+            id = dense.try_emplace(id, dense.size()).first->second;
+        });
+    }
+    ops_ = std::move(ops);
+    objects_ = ObjectTable(dense.size());
 }
 
 void
@@ -103,6 +164,8 @@ void
 TraceReplayer::step(cache::Hierarchy *hierarchy)
 {
     CHERIVOKE_ASSERT(!done(), "(step past the end of the trace)");
+    if (next_ == 0)
+        indexObjects();
     auto &memory = space_->memory();
     const TraceOp &op = ops_[next_++];
     result_.virtualSeconds += op.dt;
@@ -117,62 +180,60 @@ TraceReplayer::step(cache::Hierarchy *hierarchy)
         // writes clear any stale tags left by a previous
         // occupant of recycled memory.
         memory.fill(c.base(), 0, alloc_->usableSize(c.base()));
-        objects_.emplace(op.id, c);
+        objects_.insert(op.id, c);
         ++result_.allocCalls;
         pumpEngine(hierarchy);
         break;
       }
       case OpKind::Free: {
-        auto it = objects_.find(op.id);
-        if (it == objects_.end())
+        const cap::Capability *c = objects_.find(op.id);
+        if (!c)
             break;
-        result_.freedBytes += alloc_->usableSize(it->second.base());
-        alloc_->free(it->second);
-        objects_.erase(it);
+        result_.freedBytes += alloc_->usableSize(c->base());
+        alloc_->free(*c);
+        objects_.erase(op.id);
         ++result_.freeCalls;
         pumpEngine(hierarchy);
         break;
       }
       case OpKind::StorePtr: {
-        auto dst = objects_.find(op.dst);
-        auto src = objects_.find(op.src);
-        if (dst == objects_.end() || src == objects_.end())
+        const cap::Capability *dst = objects_.find(op.dst);
+        const cap::Capability *src = objects_.find(op.src);
+        if (!dst || !src)
             break;
-        const uint64_t usable =
-            alloc_->usableSize(dst->second.base());
+        const uint64_t usable = alloc_->usableSize(dst->base());
         if (usable < kCapBytes)
             break;
         const uint64_t offset =
             std::min<uint64_t>(op.offset, usable - kCapBytes) &
             ~(kCapBytes - 1);
-        memory.writeCap(dst->second.base() + offset, src->second);
+        memory.writeCap(dst->base() + offset, *src);
         ++result_.ptrStores;
         deref_(1);
         break;
       }
       case OpKind::StoreData: {
-        auto dst = objects_.find(op.dst);
-        if (dst == objects_.end())
+        const cap::Capability *dst = objects_.find(op.dst);
+        if (!dst)
             break;
-        const uint64_t usable =
-            alloc_->usableSize(dst->second.base());
+        const uint64_t usable = alloc_->usableSize(dst->base());
         if (usable < 8)
             break;
         const uint64_t offset =
             std::min<uint64_t>(op.offset, usable - 8) & ~7ULL;
-        memory.storeU64(dst->second, dst->second.base() + offset,
+        memory.storeU64(*dst, dst->base() + offset,
                         0x5a5a5a5a5a5a5a5aULL);
         deref_(1);
         break;
       }
       case OpKind::RootPtr: {
-        auto src = objects_.find(op.src);
-        if (src == objects_.end())
+        const cap::Capability *src = objects_.find(op.src);
+        if (!src)
             break;
         const uint64_t slots = space_->globals().size / kCapBytes;
         const uint64_t slot = op.offset % slots;
         memory.writeCap(space_->globals().base + slot * kCapBytes,
-                        src->second);
+                        *src);
         deref_(1);
         break;
       }

@@ -12,13 +12,13 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "alloc/cherivoke_alloc.hh"
 #include "cache/hierarchy.hh"
 #include "revoke/revocation_engine.hh"
 #include "support/fault.hh"
+#include "workload/object_table.hh"
 #include "workload/trace.hh"
 
 namespace cherivoke {
@@ -129,7 +129,12 @@ class TraceReplayer
     /** Currently live (not yet freed) trace allocations. */
     uint64_t liveObjects() const { return objects_.size(); }
 
-    /** Apply the next op; must not be called once done(). */
+    /**
+     * Apply the next op; must not be called once done(). The first
+     * step indexes the trace's allocation ids first (and throws
+     * FatalError, before any op applies, if the trace stores root
+     * pointers but the globals segment holds no capability slot).
+     */
     void step(cache::Hierarchy *hierarchy = nullptr);
 
     /**
@@ -170,6 +175,7 @@ class TraceReplayer
     [[noreturn]] void injectFault(HeapFaultKind kind);
 
   private:
+    void indexObjects();
     void pumpEngine(cache::Hierarchy *hierarchy);
     void trackPeaks();
 
@@ -182,11 +188,8 @@ class TraceReplayer
     LifecycleFn lifecycle_;
     DerefFn deref_;
 
-    /** trace id -> cap. Hash map, never iterated: the mutator pays
-     *  O(1) per op where the former ordered map paid O(log n) at
-     *  millions of live objects, and no statistic can depend on
-     *  iteration order. */
-    std::unordered_map<uint64_t, cap::Capability> objects_;
+    /** Live trace allocations; built by the first step. */
+    ObjectTable objects_;
     DriverResult result_;
     double page_density_acc_ = 0;
     double line_density_acc_ = 0;

@@ -1,12 +1,18 @@
 /**
  * @file
- * Unit tests for the page table and PTE CapDirty semantics (§3.4.2).
+ * Unit tests for the page table and PTE CapDirty semantics (§3.4.2),
+ * including the edges of its two-level radix layout: 1 GiB leaf
+ * boundaries, tenant slots, remaps and the 48-bit VA limit.
  */
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "mem/addr_space.hh"
 #include "mem/page_table.hh"
 #include "support/logging.hh"
+#include "tenant/tenant_manager.hh"
 
 namespace cherivoke {
 namespace mem {
@@ -99,6 +105,99 @@ TEST(PageTable, RemapUpdatesProtection)
     pt.map(0x60000, kPageBytes, ProtRead);
     pt.map(0x60000, kPageBytes, ProtRead | ProtWrite);
     EXPECT_EQ(pt.lookup(0x60000)->prot, ProtRead | ProtWrite);
+}
+
+TEST(PageTable, EnumerationsInAddressOrderAcrossLeavesAndSlots)
+{
+    // Two tenant slots, mapped the later slot first. Each slot's
+    // heap starts on a 1 GiB leaf boundary, so every range below
+    // straddles two leaves.
+    PageTable pt;
+    std::vector<uint64_t> mapped, dirty;
+    for (const uint64_t slot : {1u, 0u}) {
+        const uint64_t edge = slot * tenant::kTenantStride + kHeapBase;
+        ASSERT_EQ(edge % GiB, 0u);
+        pt.map(edge - 2 * kPageBytes, 4 * kPageBytes,
+               ProtRead | ProtWrite);
+        pt.setCapDirty(edge - kPageBytes);
+        pt.setCapDirty(edge + kPageBytes);
+    }
+    for (const uint64_t slot : {0u, 1u}) {
+        const uint64_t edge = slot * tenant::kTenantStride + kHeapBase;
+        for (uint64_t p = edge - 2 * kPageBytes;
+             p < edge + 2 * kPageBytes; p += kPageBytes)
+            mapped.push_back(p);
+        dirty.push_back(edge - kPageBytes);
+        dirty.push_back(edge + kPageBytes);
+    }
+    EXPECT_EQ(pt.mappedPages(), mapped);
+    EXPECT_EQ(pt.capDirtyPages(), dirty);
+    EXPECT_EQ(pt.capDirtyCount(), 4u);
+    EXPECT_EQ(pt.pageCount(), 8u);
+}
+
+TEST(PageTable, UnmapThenRemapResetsCapDirtyAndProtection)
+{
+    PageTable pt;
+    pt.map(0x70000, 2 * kPageBytes, ProtRead | ProtWrite,
+           /*cap_store_inhibit=*/true);
+    pt.setCapDirty(0x70000);
+    pt.unmap(0x70000, 2 * kPageBytes);
+    EXPECT_EQ(pt.lookup(0x70000), nullptr);
+    EXPECT_EQ(pt.pageCount(), 0u);
+    EXPECT_TRUE(pt.capDirtyPages().empty());
+
+    pt.map(0x70000, kPageBytes, ProtRead);
+    const Pte *pte = pt.lookup(0x70000);
+    ASSERT_NE(pte, nullptr);
+    EXPECT_EQ(pte->prot, ProtRead);
+    EXPECT_FALSE(pte->capStoreInhibit);
+    EXPECT_FALSE(pte->capDirty);
+    EXPECT_TRUE(pt.setCapDirty(0x70000)) << "the trap fires again";
+}
+
+TEST(PageTable, OverlappingMapsCountEachPageOnce)
+{
+    PageTable pt;
+    pt.map(0x100000, 4 * kPageBytes, ProtRead);
+    pt.setCapDirty(0x100000 + 3 * kPageBytes);
+    pt.map(0x100000 + 2 * kPageBytes, 4 * kPageBytes,
+           ProtRead | ProtWrite);
+    EXPECT_EQ(pt.pageCount(), 6u);
+    EXPECT_EQ(pt.mappedPages().size(), 6u);
+    // Remapping a mapped page keeps its CapDirty flag: the page
+    // still holds whatever was stored in it.
+    EXPECT_TRUE(pt.lookup(0x100000 + 3 * kPageBytes)->capDirty);
+    EXPECT_EQ(pt.lookup(0x100000 + 3 * kPageBytes)->prot,
+              ProtRead | ProtWrite);
+
+    pt.unmap(0x100000 + kPageBytes, 2 * kPageBytes);
+    EXPECT_EQ(pt.pageCount(), 4u);
+    // Unmapping pages that are not mapped changes nothing.
+    pt.unmap(0x100000 + kPageBytes, 2 * kPageBytes);
+    EXPECT_EQ(pt.pageCount(), 4u);
+    pt.unmap(0x100000, 8 * kPageBytes);
+    EXPECT_EQ(pt.pageCount(), 0u);
+    EXPECT_TRUE(pt.mappedPages().empty());
+}
+
+TEST(PageTable, BeyondVaWidthIsAbsentOrFatal)
+{
+    PageTable pt;
+    const uint64_t limit = uint64_t{1} << 48;
+    // Lookups past the 48-bit VA are well-defined misses...
+    EXPECT_EQ(pt.lookup(limit), nullptr);
+    EXPECT_FALSE(pt.isMapped(uint64_t{1} << 50));
+    // ...but mapping there is a configuration error, as
+    // materialising a page there is.
+    EXPECT_THROW(pt.map(limit, kPageBytes, ProtRead), FatalError);
+    EXPECT_EQ(pt.pageCount(), 0u);
+    pt.unmap(limit, kPageBytes);
+
+    pt.map(limit - kPageBytes, kPageBytes, ProtRead);
+    EXPECT_TRUE(pt.isMapped(limit - 1));
+    EXPECT_EQ(pt.mappedPages(),
+              std::vector<uint64_t>{limit - kPageBytes});
 }
 
 } // namespace

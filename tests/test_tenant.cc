@@ -328,6 +328,24 @@ TEST(TenantManager, RejectsZeroMutatorConfigAtConstruction)
     EXPECT_THROW(tenant::TenantManager{cfg}, FatalError);
 }
 
+TEST(TenantManager, EmptyGlobalsSegmentFailsBeforeAnyOp)
+{
+    // smallTrace stores root pointers, and a 0-byte globals segment
+    // has no slot for one.
+    tenant::TenantConfig cfg = smallTenant("a");
+    cfg.globalsBytes = 0;
+    tenant::TenantManager manager{tenant::TenantManagerConfig{}};
+    manager.addTenant(cfg, smallTrace(43));
+    try {
+        manager.run();
+        FAIL() << "expected FatalError";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("0-byte globals segment"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
 TEST(TenantManager, SharedEngineAggregatesAcrossTenants)
 {
     tenant::TenantManager manager{tenant::TenantManagerConfig{}};

@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <iterator>
 #include <sstream>
+#include <tuple>
 
 #include "support/logging.hh"
 #include "support/units.hh"
@@ -127,6 +129,268 @@ TEST(TraceReplayer, ReplaysATemporaryTrace)
     EXPECT_EQ(got.peakLiveAllocs, want.peakLiveAllocs);
     EXPECT_GT(got.revoker.epochs, 0u);
     EXPECT_EQ(got.revoker, want.revoker);
+}
+
+/** The ops of a hand-built trace, each with whether the replay must
+ *  skip it. */
+struct IdRuleOp
+{
+    TraceOp op;
+    bool skipped;
+};
+
+TraceOp
+opOf(OpKind kind)
+{
+    TraceOp op;
+    op.kind = kind;
+    op.dt = 1e-3;
+    return op;
+}
+
+TraceOp
+mallocOp(uint64_t id, uint64_t size)
+{
+    TraceOp op = opOf(OpKind::Malloc);
+    op.id = id;
+    op.size = size;
+    return op;
+}
+
+TraceOp
+freeOp(uint64_t id)
+{
+    TraceOp op = opOf(OpKind::Free);
+    op.id = id;
+    return op;
+}
+
+TraceOp
+storePtrOp(uint64_t dst, uint64_t src, uint32_t offset)
+{
+    TraceOp op = opOf(OpKind::StorePtr);
+    op.src = src;
+    op.dst = dst;
+    op.offset = offset;
+    return op;
+}
+
+TraceOp
+storeDataOp(uint64_t dst, uint32_t offset)
+{
+    TraceOp op = opOf(OpKind::StoreData);
+    op.dst = dst;
+    op.offset = offset;
+    return op;
+}
+
+TraceOp
+rootPtrOp(uint64_t src, uint32_t slot)
+{
+    TraceOp op = opOf(OpKind::RootPtr);
+    op.src = src;
+    op.offset = slot;
+    return op;
+}
+
+/**
+ * Every rule the replay applies to allocation ids, over allocations
+ * @p a, @p b and @p c and an id @p ghost that is never allocated: a
+ * Malloc of a live id keeps the first capability; a Free of an
+ * unknown or already freed id is skipped; a pointer op that names a
+ * dead or never-allocated id is skipped; a freed id may be allocated
+ * again.
+ */
+std::vector<IdRuleOp>
+idRulesOps(uint64_t a, uint64_t b, uint64_t c, uint64_t ghost)
+{
+    return {
+        {mallocOp(a, 64), false},
+        {mallocOp(b, 128), false},
+        {mallocOp(a, 512), false}, // a stays the 64-byte allocation
+        {storePtrOp(a, b, 4000), false},
+        {storeDataOp(a, 8), false},
+        {rootPtrOp(a, 3), false},
+        {freeOp(ghost), true},
+        {mallocOp(c, 48), false},
+        {freeOp(b), false},
+        {freeOp(b), true}, // double free
+        {storePtrOp(b, a, 0), true},     // dead dst
+        {storePtrOp(a, b, 0), true},     // dead src
+        {storePtrOp(a, ghost, 0), true}, // never-allocated src
+        {storePtrOp(ghost, a, 0), true}, // never-allocated dst
+        {storeDataOp(b, 0), true},
+        {storeDataOp(ghost, 0), true},
+        {rootPtrOp(b, 1), true},
+        {rootPtrOp(ghost, 1), true},
+        {storePtrOp(c, a, 16), false},
+        {freeOp(a), false},
+        {mallocOp(b, 32), false}, // a freed id is allocated again
+        {storePtrOp(b, c, 0), false},
+        {freeOp(c), false},
+    };
+}
+
+Trace
+traceOf(const std::vector<IdRuleOp> &rules)
+{
+    std::vector<TraceOp> ops;
+    for (const IdRuleOp &r : rules)
+        ops.push_back(r.op);
+    return Trace{std::move(ops)};
+}
+
+/** A machine whose quarantine budget is small enough that the id
+ *  rules trace opens a revocation epoch, which revokes capabilities
+ *  the trace stored. */
+struct IdRulesMachine
+{
+    static alloc::CherivokeConfig
+    config()
+    {
+        alloc::CherivokeConfig acfg;
+        acfg.minQuarantineBytes = 128;
+        acfg.dl.initialHeapBytes = 64 * KiB;
+        return acfg;
+    }
+
+    mem::AddressSpace space;
+    alloc::CherivokeAllocator allocator{space, config()};
+    revoke::RevocationEngine engine{allocator, space};
+};
+
+TEST(TraceReplayer, AppliesTheIdRules)
+{
+    // a = 0: id 0 is an ordinary id.
+    const std::vector<IdRuleOp> rules = idRulesOps(0, 7, 3, 12);
+    IdRulesMachine m;
+    TraceReplayer replayer(m.space, m.allocator, &m.engine,
+                           traceOf(rules));
+    uint64_t derefs = 0;
+    replayer.setDeref([&](uint64_t n) {
+        derefs += n;
+        m.engine.notePointerUse(n);
+    });
+    for (size_t i = 0; i < rules.size(); ++i) {
+        const DriverResult before = replayer.partial();
+        const uint64_t live = replayer.liveObjects();
+        const uint64_t derefs_before = derefs;
+        replayer.step();
+        const DriverResult &after = replayer.partial();
+        if (!rules[i].skipped) {
+            if (i == 2) {
+                // Op 2, the Malloc of live a, allocated, but a kept
+                // its first capability and nothing became live.
+                EXPECT_EQ(after.allocCalls, 3u);
+                EXPECT_EQ(replayer.liveObjects(), 2u);
+            }
+            if (i == 19) {
+                // Op 19, Free a, frees the 64-byte allocation, not
+                // the 512-byte one the duplicate Malloc made.
+                EXPECT_LT(after.freedBytes - before.freedBytes, 512u);
+            }
+            continue;
+        }
+        EXPECT_EQ(after.allocCalls, before.allocCalls) << "op " << i;
+        EXPECT_EQ(after.freeCalls, before.freeCalls) << "op " << i;
+        EXPECT_EQ(after.freedBytes, before.freedBytes) << "op " << i;
+        EXPECT_EQ(after.ptrStores, before.ptrStores) << "op " << i;
+        EXPECT_EQ(replayer.liveObjects(), live) << "op " << i;
+        EXPECT_EQ(derefs, derefs_before) << "op " << i;
+    }
+    EXPECT_EQ(replayer.liveObjects(), 1u);
+    EXPECT_EQ(derefs, 5u);
+
+    // Literal values, so the replay's id semantics cannot drift.
+    const DriverResult r = replayer.finish();
+    EXPECT_EQ(r.allocCalls, 5u);
+    EXPECT_EQ(r.freeCalls, 3u);
+    EXPECT_EQ(r.ptrStores, 3u);
+    EXPECT_EQ(r.peakLiveAllocs, 3u);
+    EXPECT_EQ(r.freedBytes, 240u);
+    EXPECT_EQ(r.peakLiveBytes, 752u);
+    EXPECT_EQ(r.peakQuarantineBytes, 144u);
+    EXPECT_EQ(r.peakFootprintBytes, 65536u);
+    EXPECT_EQ(r.densitySamples, 1u);
+    EXPECT_EQ(r.revoker.epochs, 1u);
+    EXPECT_EQ(r.revoker.sweep.capsRevoked, 3u);
+}
+
+/** Replay @p trace on a fresh IdRulesMachine: its result, its tagged
+ *  memory's counters and the ids left live. */
+std::tuple<DriverResult, mem::MemoryCounters, uint64_t>
+replayIdRules(const Trace &trace)
+{
+    IdRulesMachine m;
+    TraceReplayer replayer(m.space, m.allocator, &m.engine, trace);
+    while (!replayer.done())
+        replayer.step();
+    const uint64_t live = replayer.liveObjects();
+    EXPECT_EQ(replayer.opsTotal(), trace.ops.size());
+    return {replayer.finish(), m.space.memory().counters(), live};
+}
+
+TEST(TraceReplayer, SparseAndRenumberedIdsReplayIdentically)
+{
+    // The same trace with its ids as they are, with sparse ids (the
+    // replayer renumbers them into a private copy of the ops) and
+    // with ids renumbered densely by hand.
+    const uint64_t sparse = uint64_t{1} << 40;
+    const auto [want, want_mem, want_live] =
+        replayIdRules(traceOf(idRulesOps(0, 7, 3, 12)));
+    for (const Trace &trace :
+         {traceOf(idRulesOps(sparse, sparse + 7, UINT64_MAX,
+                             sparse + 12)),
+          traceOf(idRulesOps(0, 1, 2, 3))}) {
+        const auto [got, got_mem, got_live] = replayIdRules(trace);
+        EXPECT_EQ(got.allocCalls, want.allocCalls);
+        EXPECT_EQ(got.freeCalls, want.freeCalls);
+        EXPECT_EQ(got.freedBytes, want.freedBytes);
+        EXPECT_EQ(got.ptrStores, want.ptrStores);
+        EXPECT_EQ(got.peakLiveBytes, want.peakLiveBytes);
+        EXPECT_EQ(got.peakQuarantineBytes, want.peakQuarantineBytes);
+        EXPECT_EQ(got.peakFootprintBytes, want.peakFootprintBytes);
+        EXPECT_EQ(got.peakLiveAllocs, want.peakLiveAllocs);
+        EXPECT_EQ(got.virtualSeconds, want.virtualSeconds);
+        EXPECT_EQ(got.pageDensity, want.pageDensity);
+        EXPECT_EQ(got.lineDensity, want.lineDensity);
+        EXPECT_EQ(got.densitySamples, want.densitySamples);
+        EXPECT_EQ(got.revoker, want.revoker);
+        EXPECT_EQ(got_mem.capWrites, want_mem.capWrites);
+        EXPECT_EQ(got_mem.capDirtyTraps, want_mem.capDirtyTraps);
+        EXPECT_EQ(got_mem.tagsClearedByOverwrite,
+                  want_mem.tagsClearedByOverwrite);
+        EXPECT_EQ(got_live, want_live);
+    }
+}
+
+TEST(TraceReplayer, EmptyGlobalsSegmentFailsBeforeAnyOp)
+{
+    // A RootPtr op picks a slot modulo the globals segment's
+    // capability slots; with none, the first step refuses the trace
+    // and names the segment size.
+    const Trace trace{
+        std::vector<TraceOp>{mallocOp(1, 64), rootPtrOp(1, 5)}};
+    mem::AddressSpace space(0, 8 * MiB);
+    alloc::CherivokeAllocator allocator(space);
+    TraceReplayer replayer(space, allocator, nullptr, trace);
+    try {
+        replayer.step();
+        FAIL() << "expected FatalError";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("0-byte globals segment"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_EQ(replayer.opsApplied(), 0u);
+    EXPECT_EQ(replayer.partial().allocCalls, 0u);
+
+    // Without a RootPtr op the same machine replays.
+    const Trace no_roots{
+        std::vector<TraceOp>{mallocOp(1, 64), freeOp(1)}};
+    const DriverResult r =
+        TraceDriver(space, allocator, nullptr).run(no_roots);
+    EXPECT_EQ(r.freeCalls, 1u);
 }
 
 TEST(Trace, LoadRejectsGarbage)
