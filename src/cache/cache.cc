@@ -17,19 +17,28 @@ Cache::Cache(const CacheGeometry &geom)
     const uint64_t num_sets = geom_.numSets();
     CHERIVOKE_ASSERT(isPowerOf2(num_sets),
                      "(set count must be a power of two)");
-    sets_.assign(num_sets, std::vector<Way>(geom_.ways));
+    lineShift_ = log2Floor(geom_.lineBytes);
+    setMask_ = num_sets - 1;
+    tagShift_ = lineShift_ + log2Floor(num_sets);
+    ways_.assign(num_sets * geom_.ways, Way{});
 }
 
 uint64_t
 Cache::setIndex(uint64_t line_addr) const
 {
-    return (line_addr / geom_.lineBytes) & (geom_.numSets() - 1);
+    return (line_addr >> lineShift_) & setMask_;
 }
 
 uint64_t
 Cache::tagOf(uint64_t line_addr) const
 {
-    return line_addr / geom_.lineBytes / geom_.numSets();
+    return line_addr >> tagShift_;
+}
+
+size_t
+Cache::firstWay(uint64_t line_addr) const
+{
+    return setIndex(line_addr) * geom_.ways;
 }
 
 LineAccess
@@ -37,14 +46,15 @@ Cache::access(uint64_t line_addr, bool write)
 {
     CHERIVOKE_ASSERT(isAligned(line_addr, geom_.lineBytes),
                      "(access must be line aligned)");
-    auto &set = sets_[setIndex(line_addr)];
+    Way *const set = &ways_[firstWay(line_addr)];
+    Way *const end = set + geom_.ways;
     const uint64_t tag = tagOf(line_addr);
     LineAccess result;
 
-    for (auto &way : set) {
-        if (way.valid && way.tag == tag) {
-            way.lru = ++lruClock_;
-            way.dirty |= write;
+    for (Way *way = set; way != end; ++way) {
+        if (way->valid && way->tag == tag) {
+            way->lru = ++lruClock_;
+            way->dirty |= write;
             ++hits_;
             result.hit = true;
             return result;
@@ -53,20 +63,19 @@ Cache::access(uint64_t line_addr, bool write)
 
     // Miss: pick the LRU victim (or any invalid way).
     ++misses_;
-    Way *victim = &set[0];
-    for (auto &way : set) {
-        if (!way.valid) {
-            victim = &way;
+    Way *victim = set;
+    for (Way *way = set; way != end; ++way) {
+        if (!way->valid) {
+            victim = way;
             break;
         }
-        if (way.lru < victim->lru)
-            victim = &way;
+        if (way->lru < victim->lru)
+            victim = way;
     }
     if (victim->valid) {
         result.evictedValid = true;
-        result.victimLine =
-            (victim->tag * geom_.numSets() + setIndex(line_addr)) *
-            geom_.lineBytes;
+        result.victimLine = (victim->tag << tagShift_) |
+                            (setIndex(line_addr) << lineShift_);
         if (victim->dirty) {
             result.evictedDirty = true;
             ++writebacks_;
@@ -82,10 +91,10 @@ Cache::access(uint64_t line_addr, bool write)
 bool
 Cache::probe(uint64_t line_addr) const
 {
-    const auto &set = sets_[setIndex(line_addr)];
+    const Way *const set = &ways_[firstWay(line_addr)];
     const uint64_t tag = tagOf(line_addr);
-    for (const auto &way : set) {
-        if (way.valid && way.tag == tag)
+    for (const Way *way = set; way != set + geom_.ways; ++way) {
+        if (way->valid && way->tag == tag)
             return true;
     }
     return false;
@@ -94,13 +103,13 @@ Cache::probe(uint64_t line_addr) const
 bool
 Cache::invalidate(uint64_t line_addr)
 {
-    auto &set = sets_[setIndex(line_addr)];
+    Way *const set = &ways_[firstWay(line_addr)];
     const uint64_t tag = tagOf(line_addr);
-    for (auto &way : set) {
-        if (way.valid && way.tag == tag) {
-            const bool was_dirty = way.dirty;
-            way.valid = false;
-            way.dirty = false;
+    for (Way *way = set; way != set + geom_.ways; ++way) {
+        if (way->valid && way->tag == tag) {
+            const bool was_dirty = way->dirty;
+            way->valid = false;
+            way->dirty = false;
             return was_dirty;
         }
     }
@@ -110,10 +119,8 @@ Cache::invalidate(uint64_t line_addr)
 void
 Cache::reset()
 {
-    for (auto &set : sets_) {
-        for (auto &way : set)
-            way = Way{};
-    }
+    for (Way &way : ways_)
+        way = Way{};
     lruClock_ = 0;
     hits_ = misses_ = writebacks_ = 0;
 }
@@ -122,10 +129,8 @@ uint64_t
 Cache::validLines() const
 {
     uint64_t n = 0;
-    for (const auto &set : sets_) {
-        for (const auto &way : set)
-            n += way.valid ? 1 : 0;
-    }
+    for (const Way &way : ways_)
+        n += way.valid ? 1 : 0;
     return n;
 }
 

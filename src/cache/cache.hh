@@ -87,9 +87,15 @@ class Cache
 
     uint64_t setIndex(uint64_t line_addr) const;
     uint64_t tagOf(uint64_t line_addr) const;
+    /** Index in ways_ of the first way of @p line_addr's set. */
+    size_t firstWay(uint64_t line_addr) const;
 
     CacheGeometry geom_;
-    std::vector<std::vector<Way>> sets_;
+    unsigned lineShift_ = 0; //!< log2(lineBytes)
+    uint64_t setMask_ = 0;   //!< numSets() - 1
+    unsigned tagShift_ = 0;  //!< log2(lineBytes * numSets())
+    /** Every set's ways, set-major: set s is ways_[s * ways, ...). */
+    std::vector<Way> ways_;
     uint64_t lruClock_ = 0;
     uint64_t hits_ = 0;
     uint64_t misses_ = 0;

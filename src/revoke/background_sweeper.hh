@@ -2,8 +2,7 @@
  * @file
  * The background revocation sweeper: one worker thread per
  * RevocationEngine that races the mutator over each epoch's frozen
- * worklist. The handoff keeps the PR 1/PR 6 record/replay
- * discipline intact:
+ * worklist. The handoff keeps modelled output deterministic:
  *
  *  - At dispatch (epoch open, mutator quiescent at the pump point)
  *    the engine snapshots the frozen worklist — page bases plus the

@@ -376,7 +376,8 @@ class RevocationEngine
 
     /**
      * Sweep up to @p max_pages pages of the worklist (one bounded
-     * pause, parallelised across config().sweep.threads workers).
+     * pause, parallelised across config().sweep.threads workers
+     * unless @p hierarchy models its traffic).
      * @return pages still remaining in the worklist
      */
     size_t step(size_t max_pages,

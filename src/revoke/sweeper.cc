@@ -132,62 +132,32 @@ Sweeper::sweepPages(mem::AddressSpace &space,
     CHERIVOKE_ASSERT(lo <= hi && hi <= pages.size());
     const size_t count = hi - lo;
 
-    if (options_.threads <= 1 || count < 2) {
-        if (hierarchy) {
-            cache::HierarchySink sink(*hierarchy);
-            return sweepPageRange(space, shadow, pages, lo, hi,
-                                  &sink);
-        }
-        return sweepPageRange(space, shadow, pages, lo, hi, nullptr);
-    }
+    // The hierarchy is one stateful model whose totals depend on the
+    // order of its events, so a modelled sweep feeds it inline, in
+    // worklist order, on this thread.
+    if (hierarchy || options_.threads <= 1 || count < 2)
+        return sweepPageRange(space, shadow, pages, lo, hi, hierarchy);
 
-    // Partition [lo, hi) into contiguous index ranges (§3.5). Snap
-    // each boundary forward so the two pages of an 8 KiB
-    // leaf-tag-line region are never split across workers: the
-    // CLoadTags root query reads the region's page tag counts, and
-    // co-locating a region keeps every such read deterministic
-    // (either the worker's own sequential progress or a page no
-    // worker mutates).
-    const unsigned n = static_cast<unsigned>(
-        std::min<size_t>(options_.threads, count));
-    std::vector<size_t> bounds;
-    bounds.push_back(lo);
-    const size_t per = (count + n - 1) / n;
-    for (unsigned t = 1; t < n; ++t) {
-        size_t b = std::min(hi, lo + t * per);
-        while (b > bounds.back() && b < hi &&
-               alignDown(pages[b], kTagRegionBytes) ==
-                   alignDown(pages[b - 1], kTagRegionBytes)) {
-            ++b;
-        }
-        b = std::max(b, bounds.back());
-        bounds.push_back(b);
-    }
-    bounds.push_back(hi);
-
-    const size_t workers = bounds.size() - 1;
+    // Partition [lo, hi) into contiguous index ranges (§3.5). Workers
+    // write only their own pages' tags and PTEs, and the shadow map
+    // is read-only for the whole sweep, so they share it safely. A
+    // boundary may split an 8 KiB tag region: the root query, the
+    // one read of a neighbour page, runs only for the model. A
+    // worker's fault resurfaces as the catchable exception a serial
+    // sweep would have thrown.
+    const size_t workers = std::min<size_t>(options_.threads, count);
+    const size_t per = (count + workers - 1) / workers;
     std::vector<SweepStats> partial(workers);
-    std::vector<cache::TrafficLog> logs(hierarchy ? workers : 0);
-    // The shadow map is read-only for the whole sweep, so workers
-    // share it safely; a worker's fault resurfaces as the catchable
-    // exception a serial sweep would have thrown.
     forkJoin(workers, [&](size_t t) {
-        partial[t] = sweepPageRange(space, shadow, pages, bounds[t],
-                                    bounds[t + 1],
-                                    hierarchy ? &logs[t] : nullptr);
+        partial[t] = sweepPageRange(space, shadow, pages,
+                                    lo + std::min(count, t * per),
+                                    lo + std::min(count, (t + 1) * per));
     });
 
-    // Merge in worklist order: statistics first, then the recorded
-    // traffic, replayed into the hierarchy exactly as a serial sweep
-    // would have issued it.
+    // Merge in worklist order.
     SweepStats stats;
     for (const SweepStats &p : partial)
         stats += p;
-    if (hierarchy) {
-        cache::HierarchySink live(*hierarchy);
-        for (const cache::TrafficLog &log : logs)
-            log.replayInto(live);
-    }
     return stats;
 }
 
@@ -196,7 +166,7 @@ Sweeper::sweepPageRange(mem::AddressSpace &space,
                         const alloc::ShadowMap &shadow,
                         const std::vector<uint64_t> &pages,
                         size_t lo, size_t hi,
-                        cache::TrafficSink *sink)
+                        cache::Hierarchy *hierarchy)
 {
     CHERIVOKE_ASSERT(lo <= hi && hi <= pages.size());
     SweepStats stats;
@@ -250,23 +220,22 @@ Sweeper::sweepPageRange(mem::AddressSpace &space,
                     stats.linesSkippedTags += kLinesPerWord;
                     for (unsigned l = 0; l < kLinesPerWord; ++l)
                         stats.kernelCycles += kCloadTagsCycles;
-                    if (sink) {
+                    if (hierarchy) {
                         const bool region_tags = region_has_tags();
                         for (unsigned l = 0; l < kLinesPerWord; ++l) {
-                            sink->cloadTags(sub + l * kLineBytes,
-                                            region_tags,
-                                            options_.cloadTagsPrefetch,
-                                            false);
+                            hierarchy->cloadTags(
+                                sub + l * kLineBytes, region_tags,
+                                options_.cloadTagsPrefetch, false);
                         }
                     }
                 } else {
                     stats.linesSwept += kLinesPerWord;
                     for (unsigned l = 0; l < kLinesPerWord; ++l)
                         stats.kernelCycles += zero_line_cycles;
-                    if (sink) {
+                    if (hierarchy) {
                         for (unsigned l = 0; l < kLinesPerWord; ++l) {
-                            sink->access(sub + l * kLineBytes,
-                                         kLineBytes, false);
+                            hierarchy->access(sub + l * kLineBytes,
+                                              kLineBytes, false);
                         }
                     }
                 }
@@ -281,10 +250,10 @@ Sweeper::sweepPageRange(mem::AddressSpace &space,
 
                 if (options_.useCloadTags) {
                     stats.kernelCycles += kCloadTagsCycles;
-                    if (sink) {
-                        sink->cloadTags(line, region_has_tags(),
-                                        options_.cloadTagsPrefetch,
-                                        mask != 0);
+                    if (hierarchy) {
+                        hierarchy->cloadTags(line, region_has_tags(),
+                                             options_.cloadTagsPrefetch,
+                                             mask != 0);
                     }
                     if (mask == 0) {
                         ++stats.linesSkippedTags;
@@ -295,8 +264,8 @@ Sweeper::sweepPageRange(mem::AddressSpace &space,
                 ++stats.linesSwept;
                 stats.kernelCycles +=
                     kernelCyclesForLine(costs, popCount(mask));
-                if (sink)
-                    sink->access(line, kLineBytes, false);
+                if (hierarchy)
+                    hierarchy->access(line, kLineBytes, false);
                 if (mask == 0)
                     continue;
 
@@ -315,9 +284,9 @@ Sweeper::sweepPageRange(mem::AddressSpace &space,
                                 page->data.data() + off + 8, 8);
                     const uint64_t base =
                         cap::Capability::decodeBase(lo_word, hi_word);
-                    if (sink) {
-                        sink->access(mem::shadowAddrOf(base), 1,
-                                     false);
+                    if (hierarchy) {
+                        hierarchy->access(mem::shadowAddrOf(base), 1,
+                                          false);
                     }
                     if (shadow.isRevoked(base)) {
                         page->clearGranuleTag(static_cast<unsigned>(
@@ -326,9 +295,9 @@ Sweeper::sweepPageRange(mem::AddressSpace &space,
                         revoked_in_line = true;
                     }
                 }
-                if (revoked_in_line && sink) {
-                    sink->access(line, kLineBytes, true);
-                    sink->revocationTagWrite(line);
+                if (revoked_in_line && hierarchy) {
+                    hierarchy->access(line, kLineBytes, true);
+                    hierarchy->recordRevocationTagWrite(line);
                 }
             }
         }

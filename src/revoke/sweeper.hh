@@ -11,15 +11,12 @@
  *  - CLoadTags (§3.4.1): lines whose 4-bit tag mask is zero are
  *    skipped without fetching their data from DRAM.
  *
- * The sweep is embarrassingly parallel (§3.5): the page worklist is
- * partitioned into contiguous index ranges, one per thread; the
- * shadow map is read-only for the duration, and each worker records
- * its modelled traffic into a private cache::TrafficLog.
- * After the join, the logs are replayed into the hierarchy in
- * worklist order, so a threaded sweep reports cache/DRAM traffic
- * identical to the serial sweep. Partition boundaries are snapped to
- * 8 KiB leaf-tag-line regions so that no worker ever observes another
- * worker's in-flight tag clears.
+ * The sweep is embarrassingly parallel (§3.5): without a cache model
+ * the page worklist is partitioned into contiguous index ranges, one
+ * per thread, and the shadow map is read-only for the duration. A
+ * sweep that models traffic feeds the cache::Hierarchy inline, on the
+ * calling thread, in worklist order: the hierarchy is one stateful
+ * model whose totals depend on the order of its events.
  */
 
 #ifndef CHERIVOKE_REVOKE_SWEEPER_HH
@@ -29,7 +26,7 @@
 #include <vector>
 
 #include "alloc/shadow_map.hh"
-#include "cache/traffic.hh"
+#include "cache/hierarchy.hh"
 #include "mem/addr_space.hh"
 #include "revoke/sweep_loop.hh"
 
@@ -50,7 +47,9 @@ struct SweepOptions
     bool cleanFalsePositivePages = true;
     /** Kernel cost model to account (functional result identical). */
     SweepKernel kernel = SweepKernel::Vector;
-    /** Sweep threads (1 = the paper's measured configuration). */
+    /** Sweep threads (1 = the paper's measured configuration).
+     *  Applies only to sweeps without a cache::Hierarchy; a sweep
+     *  that models traffic runs on the calling thread. */
     unsigned threads = 1;
 };
 
@@ -101,8 +100,7 @@ class Sweeper
      *              registers)
      * @param shadow the painted revocation shadow map
      * @param hierarchy optional cache/DRAM model for traffic
-     *        accounting (threaded sweeps record per worker and
-     *        replay deterministically after the join)
+     *        accounting (fed inline; see sweepPages)
      */
     SweepStats sweep(mem::AddressSpace &space,
                      const alloc::ShadowMap &shadow,
@@ -119,10 +117,10 @@ class Sweeper
                                         SweepStats &stats) const;
 
     /**
-     * Sweep the index range [lo, hi) of @p pages across
-     * options().threads workers (one increment of an epoch). Traffic
-     * is accounted into @p hierarchy with totals independent of the
-     * thread count.
+     * Sweep the index range [lo, hi) of @p pages (one increment of an
+     * epoch). Without @p hierarchy the range is split across
+     * options().threads workers; with one, the range is swept on the
+     * calling thread so the model sees the serial event order.
      */
     SweepStats sweepPages(mem::AddressSpace &space,
                           const alloc::ShadowMap &shadow,
@@ -131,15 +129,16 @@ class Sweeper
                           cache::Hierarchy *hierarchy = nullptr);
 
     /**
-     * Serially sweep the index range [lo, hi) of @p pages, reporting
-     * modelled traffic to @p sink (nullable). The single-worker
-     * kernel; thread-safe for disjoint page ranges.
+     * Serially sweep the index range [lo, hi) of @p pages, accounting
+     * modelled traffic into @p hierarchy (nullable). The single-worker
+     * kernel; thread-safe for disjoint page ranges when @p hierarchy
+     * is null.
      */
     SweepStats sweepPageRange(mem::AddressSpace &space,
                               const alloc::ShadowMap &shadow,
                               const std::vector<uint64_t> &pages,
                               size_t lo, size_t hi,
-                              cache::TrafficSink *sink = nullptr);
+                              cache::Hierarchy *hierarchy = nullptr);
 
     /** Sweep the capability register file. */
     SweepStats sweepRegisters(mem::AddressSpace &space,

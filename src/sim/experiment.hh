@@ -46,6 +46,8 @@ struct ExperimentConfig
     revoke::SweepKernel kernel = revoke::SweepKernel::Vector;
     bool usePteCapDirty = true; //!< modelled in the x86 runs (§5.3)
     bool useCloadTags = false;  //!< not modelled on x86 (§5.3)
+    /** Sweep threads; applies only to sweeps without a cache model
+     *  (a modelled sweep feeds its hierarchy on one thread). */
     unsigned threads = 1;
     /** Epoch scheduling policy the revocation engine dispatches to. */
     revoke::PolicyKind policy = revoke::PolicyKind::StopTheWorld;

@@ -22,8 +22,7 @@
  * M·n ops from one buffer and holds n/8 bytes of plan beyond the
  * trace.
  *
- * Determinism model (the record/replay discipline the threaded
- * sweep uses for its traffic): the threads genuinely race — real
+ * Determinism model: the threads genuinely race — real
  * std::threads, real lock-free queues, real barriers — but the race
  * only decides *interleaving*, never modelled allocator state. Each
  * thread records its own stat log during the race; the logs are

@@ -1,19 +1,22 @@
 /**
  * @file
  * Tests for the unified RevocationEngine: policy scheduling
- * (stop-the-world / incremental / concurrent), the satellite
- * guarantee that a threaded sweep reports statistics and cache/DRAM
- * traffic identical to the serial sweep on the same trace, and the
- * sharded paint path.
+ * (stop-the-world / incremental / concurrent), the guarantee that a
+ * threaded sweep reports statistics identical to the serial sweep on
+ * the same trace (and, with a cache model, identical cache/DRAM
+ * traffic), and the sharded paint path.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "alloc/cherivoke_alloc.hh"
 #include "revoke/revocation_engine.hh"
 #include "sim/experiment.hh"
+#include "support/bitops.hh"
 #include "support/rng.hh"
 #include "workload/driver.hh"
 #include "workload/spec_profiles.hh"
@@ -68,7 +71,8 @@ buildImage(mem::AddressSpace &space, CherivokeAllocator &heap,
     }
 }
 
-/** The same-trace driver run under one thread count / policy. */
+/** The same-trace driver run under one thread count / policy, with
+ *  or without a cache model. */
 struct TraceRun
 {
     SweepStats sweep;
@@ -81,7 +85,7 @@ struct TraceRun
 
 TraceRun
 runTrace(unsigned threads, PolicyKind policy,
-         const workload::Trace &trace)
+         const workload::Trace &trace, bool model_traffic)
 {
     mem::AddressSpace space;
     alloc::CherivokeConfig acfg;
@@ -90,11 +94,11 @@ runTrace(unsigned threads, PolicyKind policy,
     EngineConfig ecfg;
     ecfg.policy = policy;
     ecfg.sweep.threads = threads;
-    ecfg.sweep.useCloadTags = true; // exercise the CLoadTags replay
+    ecfg.sweep.useCloadTags = true; // exercise the CLoadTags path
     RevocationEngine engine(allocator, space, ecfg);
     cache::Hierarchy hierarchy;
     workload::TraceDriver driver(space, allocator, &engine);
-    driver.run(trace, &hierarchy);
+    driver.run(trace, model_traffic ? &hierarchy : nullptr);
 
     TraceRun out;
     out.sweep = engine.totals().sweep;
@@ -107,11 +111,12 @@ runTrace(unsigned threads, PolicyKind policy,
 }
 
 /**
- * The acceptance-criterion test: threads=N produces identical
- * SweepStats (pages swept, caps revoked, traffic totals) to
- * threads=1 on the same trace, for N in {2, 4, 8}.
+ * threads=N produces SweepStats identical to threads=1 on the same
+ * trace, for N in {2, 4, 8}. Without a cache model the workers really
+ * run; with one the sweep stays on the calling thread, and the
+ * traffic totals must match too.
  */
-TEST(ParallelSweepEquality, ThreadedTrafficMatchesSerial)
+TEST(ParallelSweepEquality, ThreadedSweepMatchesSerialOnOneTrace)
 {
     workload::SynthConfig synth_cfg;
     synth_cfg.scale = 1.0 / 64;
@@ -120,55 +125,100 @@ TEST(ParallelSweepEquality, ThreadedTrafficMatchesSerial)
     const workload::Trace trace = workload::synthesize(
         workload::profileFor("xalancbmk"), synth_cfg);
 
-    const TraceRun serial =
-        runTrace(1, PolicyKind::StopTheWorld, trace);
-    ASSERT_GT(serial.epochs, 0u);
-    ASSERT_GT(serial.sweep.capsRevoked, 0u);
-    ASSERT_GT(serial.dramReads, 0u);
+    for (const bool model : {false, true}) {
+        const TraceRun serial =
+            runTrace(1, PolicyKind::StopTheWorld, trace, model);
+        ASSERT_GT(serial.epochs, 0u);
+        ASSERT_GT(serial.sweep.capsRevoked, 0u);
+        ASSERT_EQ(serial.dramReads > 0, model);
 
-    for (const unsigned threads : {2u, 4u, 8u}) {
-        const TraceRun par =
-            runTrace(threads, PolicyKind::StopTheWorld, trace);
-        EXPECT_EQ(par.epochs, serial.epochs) << threads;
-        EXPECT_TRUE(par.sweep == serial.sweep)
-            << "sweep stats diverged at threads=" << threads;
-        EXPECT_EQ(par.paint.total(), serial.paint.total());
-        EXPECT_EQ(par.dramReads, serial.dramReads)
-            << "DRAM read traffic diverged at threads=" << threads;
-        EXPECT_EQ(par.dramWrites, serial.dramWrites)
-            << "DRAM write traffic diverged at threads=" << threads;
-        EXPECT_EQ(par.offCoreLines, serial.offCoreLines)
-            << "off-core traffic diverged at threads=" << threads;
+        for (const unsigned threads : {2u, 4u, 8u}) {
+            const TraceRun par =
+                runTrace(threads, PolicyKind::StopTheWorld, trace, model);
+            EXPECT_EQ(par.epochs, serial.epochs) << threads;
+            EXPECT_TRUE(par.sweep == serial.sweep)
+                << "sweep stats diverged at threads=" << threads
+                << " model=" << model;
+            EXPECT_EQ(par.paint.total(), serial.paint.total());
+            EXPECT_EQ(par.dramReads, serial.dramReads)
+                << "DRAM read traffic diverged at threads=" << threads;
+            EXPECT_EQ(par.dramWrites, serial.dramWrites)
+                << "DRAM write traffic diverged at threads=" << threads;
+            EXPECT_EQ(par.offCoreLines, serial.offCoreLines)
+                << "off-core traffic diverged at threads=" << threads;
+        }
     }
+}
+
+/** One sweep of a fresh buildImage() image. */
+struct ImageSweep
+{
+    SweepStats stats;
+    uint64_t dramBytes = 0;
+    std::vector<uint64_t> pages; //!< the image's worklist
+};
+
+/** Sweep worklist entries [lo, hi) of a fresh buildImage() image
+ *  with CLoadTags on, feeding a hierarchy when @p model_traffic. */
+ImageSweep
+sweepImage(unsigned threads, bool model_traffic, size_t lo = 0,
+           size_t hi = SIZE_MAX)
+{
+    mem::AddressSpace space;
+    CherivokeAllocator heap(space, CherivokeConfig{});
+    std::vector<uint64_t> freed;
+    buildImage(space, heap, freed);
+    heap.prepareSweep();
+    SweepOptions opts;
+    opts.threads = threads;
+    opts.useCloadTags = true;
+    Sweeper sweeper(opts);
+    cache::Hierarchy hierarchy;
+    ImageSweep out;
+    out.pages = sweeper.buildWorklist(space, out.stats);
+    out.stats += sweeper.sweepPages(
+        space, heap.shadowMap(), out.pages, lo,
+        std::min(hi, out.pages.size()),
+        model_traffic ? &hierarchy : nullptr);
+    heap.finishSweep();
+    out.dramBytes = hierarchy.dram().totalBytes();
+    return out;
 }
 
 TEST(ParallelSweepEquality, ThreadedSweepMatchesSerialOnOneImage)
 {
-    // Direct sweeper-level check with traffic modelling on.
-    auto run = [](unsigned threads) {
-        mem::AddressSpace space;
-        CherivokeAllocator heap(space, CherivokeConfig{});
-        std::vector<uint64_t> freed;
-        buildImage(space, heap, freed);
-        heap.prepareSweep();
-        SweepOptions opts;
-        opts.threads = threads;
-        opts.useCloadTags = true;
-        Sweeper sweeper(opts);
-        cache::Hierarchy hierarchy;
-        const SweepStats stats =
-            sweeper.sweep(space, heap.shadowMap(), &hierarchy);
-        heap.finishSweep();
-        return std::make_pair(stats,
-                              hierarchy.dram().totalBytes());
-    };
-    const auto [serial, serial_dram] = run(1);
-    ASSERT_GT(serial.capsRevoked, 0u);
-    for (const unsigned threads : {2u, 4u, 8u}) {
-        const auto [par, par_dram] = run(threads);
-        EXPECT_TRUE(par == serial) << "threads=" << threads;
-        EXPECT_EQ(par_dram, serial_dram) << "threads=" << threads;
+    // Direct sweeper-level check, with and without a cache model.
+    for (const bool model : {false, true}) {
+        const ImageSweep serial = sweepImage(1, model);
+        ASSERT_GT(serial.stats.capsRevoked, 0u);
+        for (const unsigned threads : {2u, 4u, 8u}) {
+            const ImageSweep par = sweepImage(threads, model);
+            EXPECT_TRUE(par.stats == serial.stats)
+                << "threads=" << threads << " model=" << model;
+            EXPECT_EQ(par.dramBytes, serial.dramBytes)
+                << "threads=" << threads << " model=" << model;
+        }
     }
+}
+
+TEST(ParallelSweepEquality, PartitionInsideTagRegionMatchesSerial)
+{
+    // A range whose two-worker split falls between the two pages of
+    // one 8 KiB leaf-tag-line region.
+    const std::vector<uint64_t> pages = sweepImage(1, false).pages;
+    size_t split = 0;
+    for (size_t i = 1; i < pages.size() && split == 0; ++i) {
+        if (pages[i] == pages[i - 1] + kPageBytes &&
+            !isAligned(pages[i], 8 * KiB))
+            split = i;
+    }
+    ASSERT_GT(split, 0u) << "no two-page tag region in the worklist";
+    const size_t half = std::min(split, pages.size() - split);
+    const size_t lo = split - half, hi = split + half;
+
+    const ImageSweep serial = sweepImage(1, false, lo, hi);
+    ASSERT_GT(serial.stats.capsExamined, 0u);
+    EXPECT_TRUE(sweepImage(2, false, lo, hi).stats == serial.stats);
 }
 
 TEST(RevocationEngineTest, AllPoliciesRevokeEveryDangler)

@@ -16,6 +16,7 @@
 #include "revoke/analytical_model.hh"
 #include "revoke/revocation_engine.hh"
 #include "revoke/sweeper.hh"
+#include "sim/machine.hh"
 #include "support/rng.hh"
 
 namespace cherivoke {
@@ -294,6 +295,142 @@ TEST_F(SweeperTest, ParallelSweepMatchesSerial)
         EXPECT_EQ(c.tag(), !dangling) << "slot " << s;
     }
     alloc.finishSweep();
+}
+
+/**
+ * A fixed seeded image for the pinned-traffic test: ~12 MiB of
+ * pointered heap (larger than the x86 LLC, so dirty lines reach
+ * DRAM), a third of it freed, plus scrubbed buffers whose pages stay
+ * CapDirty with no tags left, so CLoadTags takes the root short
+ * circuit.
+ */
+void
+buildTrafficImage(mem::AddressSpace &space, CherivokeAllocator &heap)
+{
+    auto &memory = space.memory();
+    Rng rng(2019);
+    std::vector<Capability> live;
+    for (uint64_t i = 0; i < 24000; ++i) {
+        const Capability c = heap.malloc(rng.nextLogUniform(32, 2048));
+        memory.writeCap(mem::kGlobalsBase + i * kCapBytes, c);
+        if (!live.empty() && rng.nextBool(0.5)) {
+            const Capability &other =
+                live[rng.nextBounded(live.size())];
+            memory.storeCap(other, other.base(), c);
+        }
+        live.push_back(c);
+    }
+    for (int i = 0; i < 64; ++i) {
+        const Capability buf = heap.malloc(16 * KiB);
+        for (uint64_t off = 0; off < 16 * KiB; off += kPageBytes) {
+            memory.storeCap(buf, buf.base() + off, buf);
+            memory.storeU64(buf, buf.base() + off, 0);
+        }
+    }
+    for (size_t i = 0; i < live.size(); i += 3)
+        heap.free(live[i]);
+}
+
+/** One sweep configuration of the pinned-traffic test and the
+ *  model totals it produced when the test was written. */
+struct PinnedTraffic
+{
+    const char *name;
+    bool fpga;
+    bool cloadTags;
+    bool prefetch;
+    std::vector<uint64_t> totals; //!< in trafficTotals() order
+};
+
+/** The modelled totals a sweep left in @p h, by name. */
+std::vector<std::pair<const char *, uint64_t>>
+trafficTotals(cache::Hierarchy &h, const SweepStats &stats)
+{
+    std::vector<std::pair<const char *, uint64_t>> out = {
+        {"dram read bytes", h.dram().readBytes()},
+        {"dram write bytes", h.dram().writeBytes()},
+        {"off-core lines", h.offCoreLines()},
+        {"tag lookups", h.tagController().lookups()},
+        {"root short circuits",
+         h.tagController().rootShortCircuits()},
+        {"lines swept", stats.linesSwept},
+        {"caps revoked", stats.capsRevoked},
+    };
+    auto level = [&out](const char *hits, const char *misses,
+                        const char *wbs, const cache::Cache &c) {
+        out.emplace_back(hits, c.hits());
+        out.emplace_back(misses, c.misses());
+        out.emplace_back(wbs, c.writebacks());
+    };
+    level("l1 hits", "l1 misses", "l1 writebacks", h.l1());
+    level("l2 hits", "l2 misses", "l2 writebacks", h.l2());
+    if (h.llc())
+        level("llc hits", "llc misses", "llc writebacks", *h.llc());
+    level("tag cache hits", "tag cache misses", "tag cache writebacks",
+          h.tagController().tagCache());
+    return out;
+}
+
+TEST(SweepTraffic, ModelTotalsArePinned)
+{
+    // Literal totals, so any change to the model's event order or
+    // cache state shows here, not just a threaded-vs-serial drift.
+    // Every thread count must land on the same numbers.
+    const std::vector<PinnedTraffic> cases = {
+        {"x86", false, false, false,
+         {11022208, 487744, 186186, 0, 0, 169664, 10739,
+          31495, 178934, 8739, 10226, 177447, 8739,
+          15036, 171150, 7061, 7667, 1072, 560}},
+        {"x86 cloadtags", false, true, false,
+         {1078080, 48768, 194239, 169664, 18556, 14020, 10739,
+          33375, 21410, 8630, 13086, 16954, 7621,
+          9071, 15504, 0, 328170, 1341, 762}},
+        {"x86 cloadtags+prefetch", false, true, true,
+         {1078080, 48768, 194239, 169664, 18556, 14020, 10739,
+          33375, 21410, 8630, 13086, 16954, 7621,
+          23091, 15504, 0, 328170, 1341, 762}},
+        {"fpga", true, false, false,
+         {11424448, 595136, 186174, 0, 0, 169664, 10739,
+          31369, 179060, 8739, 10364, 177435, 8739,
+          7667, 1072, 560}},
+        {"fpga cloadtags", true, true, false,
+         {1166848, 538688, 194210, 169664, 18556, 14020, 10739,
+          32427, 22358, 8688, 14155, 16891, 7655,
+          328170, 1341, 762}},
+        {"fpga cloadtags+prefetch", true, true, true,
+         {1166848, 538688, 194210, 169664, 18556, 14020, 10739,
+          32427, 22358, 8688, 14155, 16891, 7655,
+          328170, 1341, 762}},
+    };
+    for (const PinnedTraffic &pin : cases) {
+        for (const unsigned threads : {1u, 4u}) {
+            mem::AddressSpace space;
+            CherivokeAllocator heap(space, CherivokeConfig{});
+            buildTrafficImage(space, heap);
+            heap.prepareSweep();
+            SweepOptions opts;
+            opts.useCloadTags = pin.cloadTags;
+            opts.cloadTagsPrefetch = pin.prefetch;
+            opts.threads = threads;
+            Sweeper sweeper(opts);
+            cache::Hierarchy hier(
+                pin.fpga ? sim::MachineProfile::cheriFpga()
+                               .hierarchyConfig()
+                         : sim::MachineProfile::x86()
+                               .hierarchyConfig());
+            const SweepStats stats =
+                sweeper.sweep(space, heap.shadowMap(), &hier);
+            heap.finishSweep();
+
+            const auto got = trafficTotals(hier, stats);
+            ASSERT_EQ(got.size(), pin.totals.size()) << pin.name;
+            for (size_t i = 0; i < got.size(); ++i) {
+                EXPECT_EQ(got[i].second, pin.totals[i])
+                    << pin.name << ", threads=" << threads << ": "
+                    << got[i].first;
+            }
+        }
+    }
 }
 
 TEST_F(SweeperTest, EngineRunsEpochsAutomatically)
