@@ -13,7 +13,6 @@
  *     default batched revocation, on the same workload.
  */
 
-#include <chrono>
 #include <cstdio>
 
 #include "bench_common.hh"
@@ -74,13 +73,10 @@ parallelAblation()
         opts.threads = threads;
         opts.useCloadTags = false;
         revoke::Sweeper sweeper(opts);
-        const auto start = std::chrono::steady_clock::now();
+        const bench::Stopwatch watch;
         const revoke::SweepStats stats =
             sweeper.sweep(image.space, image.heap->shadowMap());
-        const auto end = std::chrono::steady_clock::now();
-        const double ms =
-            std::chrono::duration<double, std::milli>(end - start)
-                .count();
+        const double ms = watch.seconds() * 1e3;
         if (threads == 1)
             base_ms = ms;
         table.addRow({std::to_string(threads),
@@ -207,12 +203,9 @@ incrementalAblation()
         size_t steps = 0;
         double max_pause = 0, total = 0;
         for (;;) {
-            const auto t0 = std::chrono::steady_clock::now();
+            const bench::Stopwatch watch;
             const size_t left = inc.step(step_size);
-            const auto t1 = std::chrono::steady_clock::now();
-            const double ms =
-                std::chrono::duration<double, std::milli>(t1 - t0)
-                    .count();
+            const double ms = watch.seconds() * 1e3;
             max_pause = std::max(max_pause, ms);
             total += ms;
             ++steps;
@@ -236,17 +229,23 @@ incrementalAblation()
                 "steps.\n");
 }
 
-} // namespace
-
 int
-main()
+benchMain()
 {
     bench::printSystems("Ablations: parallelism, work elimination, "
                         "strict mode, incremental epochs");
-    bench::printKnobs();
+    announceEnvKnobs();
     parallelAblation();
     eliminationAblation();
     strictModeAblation();
     incrementalAblation();
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return bench::run(argc, argv, benchMain);
 }

@@ -29,39 +29,26 @@
  * Results go to stdout and BENCH_alloc.json (trajectory tracking,
  * uploaded by CI next to BENCH_sweep.json / BENCH_tenant.json).
  *
- * Environment (strict parsing):
- *   CHERIVOKE_ALLOC_LIVE        = live-allocation target (default
- *                                 1000000, the tenant_scale scale)
- *   CHERIVOKE_ALLOC_CHURN       = churn-phase op pairs (default
- *                                 LIVE/2)
- *   CHERIVOKE_TENANT_AGG_ALLOCS = tenant-phase aggregate target
- *                                 (default 1000000; 0 skips the
- *                                 tenant phase)
- *   CHERIVOKE_TENANT_MAX        = tenant count (default 8)
+ * Knobs: CHERIVOKE_ALLOC_LIVE (live-allocation target),
+ * CHERIVOKE_ALLOC_CHURN (churn-phase op pairs),
+ * CHERIVOKE_TENANT_AGG_ALLOCS and CHERIVOKE_TENANT_MAX (the tenant
+ * phase's aggregate target and tenant count).
  */
 
-#include <chrono>
 #include <cstdio>
 #include <deque>
 #include <string>
 #include <vector>
 
-#include "bench_common.hh"
+#include "report.hh"
 #include "stats/summary.hh"
 #include "stats/table.hh"
 #include "support/rng.hh"
 
 using namespace cherivoke;
+using bench::Json;
 
 namespace {
-
-double
-now()
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
 
 /** Run any due sweep to completion; returns the wall seconds it
  *  spent so mutator-phase timings can subtract it. */
@@ -70,34 +57,30 @@ sweepIfDue(alloc::CherivokeAllocator &heap, uint64_t &sweeps)
 {
     if (!heap.needsSweep())
         return 0;
-    const double t0 = now();
+    const bench::Stopwatch t0;
     heap.prepareSweep();
     heap.finishSweep();
     ++sweeps;
-    return now() - t0;
+    return t0.seconds();
 }
 
-} // namespace
-
 int
-main()
+benchMain()
 {
-    const uint64_t live_target = static_cast<uint64_t>(
-        envI64("CHERIVOKE_ALLOC_LIVE", 1000000));
-    const uint64_t churn_pairs = static_cast<uint64_t>(
-        envI64("CHERIVOKE_ALLOC_CHURN",
-               static_cast<int64_t>(live_target / 2)));
-    const uint64_t agg_allocs = static_cast<uint64_t>(
-        envI64("CHERIVOKE_TENANT_AGG_ALLOCS", 1000000));
-    const unsigned tenants = envUnsigned("CHERIVOKE_TENANT_MAX", 8);
+    const uint64_t live_target = knobInt("CHERIVOKE_ALLOC_LIVE");
+    const uint64_t churn_knob = knobInt("CHERIVOKE_ALLOC_CHURN");
+    const uint64_t churn_pairs =
+        churn_knob ? churn_knob : live_target / 2;
+    const uint64_t agg_allocs = knobInt("CHERIVOKE_TENANT_AGG_ALLOCS");
+    const unsigned tenants = knobUnsigned("CHERIVOKE_TENANT_MAX");
 
     bench::printSystems(
         "Mutator allocator/quarantine hot-path throughput "
         "(bench/alloc_hotpath)");
     // Phase D runs under the common experiment knobs: pull them into
     // the registry now so the startup printout is the complete set.
-    (void)bench::defaultConfig();
-    bench::printKnobs();
+    sim::ExperimentConfig cfg = bench::defaultConfig();
+    announceEnvKnobs();
     std::printf("live-allocation target: %llu\n\n",
                 static_cast<unsigned long long>(live_target));
 
@@ -108,10 +91,10 @@ main()
     std::deque<cap::Capability> live;
 
     // ---- Phase A: ramp — malloc ops/s on a growing heap ---------
-    const double ramp0 = now();
+    const bench::Stopwatch ramp;
     for (uint64_t i = 0; i < live_target; ++i)
         live.push_back(heap.malloc(rng.nextLogUniform(16, 512)));
-    const double ramp_sec = now() - ramp0;
+    const double ramp_sec = ramp.seconds();
     const double malloc_ops =
         static_cast<double>(live_target) / ramp_sec;
     heap.dl().validateHeap();
@@ -120,13 +103,13 @@ main()
     const uint64_t burst = live.size() / 2;
     uint64_t sweeps = 0;
     double sweep_sec = 0;
-    const double burst0 = now();
+    const bench::Stopwatch burst_watch;
     for (uint64_t i = 0; i < burst; ++i) {
         heap.free(live.front());
         live.pop_front();
         sweep_sec += sweepIfDue(heap, sweeps);
     }
-    const double burst_sec = now() - burst0 - sweep_sec;
+    const double burst_sec = burst_watch.seconds() - sweep_sec;
     const double free_ops = static_cast<double>(burst) / burst_sec;
     heap.dl().validateHeap();
     if (heap.quarantinedBytes() >
@@ -138,14 +121,14 @@ main()
     // ---- Phase C: churn — sustained malloc+free incl. sweeps ----
     uint64_t churn_sweeps = 0;
     double churn_sweep_sec = 0;
-    const double churn0 = now();
+    const bench::Stopwatch churn;
     for (uint64_t i = 0; i < churn_pairs; ++i) {
         const size_t victim = rng.nextBounded(live.size());
         heap.free(live[victim]);
         live[victim] = heap.malloc(rng.nextLogUniform(16, 512));
         churn_sweep_sec += sweepIfDue(heap, churn_sweeps);
     }
-    const double churn_sec = now() - churn0;
+    const double churn_sec = churn.seconds();
     const double churn_ops =
         static_cast<double>(2 * churn_pairs) / churn_sec;
     heap.dl().validateHeap();
@@ -158,35 +141,29 @@ main()
     const stats::MutatorPathSummary mutator = heap.dl().counters();
 
     // ---- Phase D: the tenant_scale mutator loop -----------------
-    double tenant_wall = 0, tenant_ops_per_sec = 0;
-    uint64_t tenant_ops = 0;
-    if (agg_allocs > 0) {
-        const workload::BenchmarkProfile profile =
-            bench::sliceProfile(tenants, agg_allocs);
-        sim::ExperimentConfig cfg = bench::defaultConfig();
-        cfg.tenants = tenants;
-        cfg.tenantWeights.clear();
-        cfg.tenantHeapMiB = 0;
-        cfg.scale = 1.0;
-        cfg.durationSec = 2.0;
-        const std::vector<workload::Trace> traces =
-            sim::synthesizeTenantTraces(profile, cfg);
-        const double t0 = now();
-        const sim::MultiTenantBenchResult r =
-            sim::runMultiTenantBenchmark(
-                profile, cfg, sim::MachineProfile::x86(), &traces);
-        tenant_wall = now() - t0;
-        tenant_ops = r.run.totalOps;
-        tenant_ops_per_sec =
-            static_cast<double>(tenant_ops) / tenant_wall;
-        if (r.run.peakAggLiveAllocs < agg_allocs) {
-            std::printf("FAILED: tenant phase peaked at %llu live "
-                        "allocations, below the %llu target\n",
-                        static_cast<unsigned long long>(
-                            r.run.peakAggLiveAllocs),
-                        static_cast<unsigned long long>(agg_allocs));
-            ok = false;
-        }
+    const workload::BenchmarkProfile profile =
+        bench::sliceProfile(tenants, agg_allocs);
+    cfg.tenants = tenants;
+    cfg.tenantWeights.clear();
+    cfg.tenantHeapMiB = 0;
+    cfg.scale = 1.0;
+    cfg.durationSec = 2.0;
+    const std::vector<workload::Trace> traces =
+        sim::synthesizeTenantTraces(profile, cfg);
+    const bench::Stopwatch tenant_watch;
+    const sim::MultiTenantBenchResult r = sim::runMultiTenantBenchmark(
+        profile, cfg, sim::MachineProfile::x86(), &traces);
+    const double tenant_wall = tenant_watch.seconds();
+    const uint64_t tenant_ops = r.run.totalOps;
+    const double tenant_ops_per_sec =
+        static_cast<double>(tenant_ops) / tenant_wall;
+    if (r.run.peakAggLiveAllocs < agg_allocs) {
+        std::printf("FAILED: tenant phase peaked at %llu live "
+                    "allocations, below the %llu target\n",
+                    static_cast<unsigned long long>(
+                        r.run.peakAggLiveAllocs),
+                    static_cast<unsigned long long>(agg_allocs));
+        ok = false;
     }
 
     // ---- Report -------------------------------------------------
@@ -203,13 +180,9 @@ main()
                   std::to_string(2 * churn_pairs),
                   stats::TextTable::num(churn_sec, 2),
                   stats::TextTable::num(churn_ops / 1e6, 3)});
-    if (agg_allocs > 0) {
-        table.addRow({"tenant_scale mutator",
-                      std::to_string(tenant_ops),
-                      stats::TextTable::num(tenant_wall, 2),
-                      stats::TextTable::num(
-                          tenant_ops_per_sec / 1e6, 3)});
-    }
+    table.addRow({"tenant_scale mutator", std::to_string(tenant_ops),
+                  stats::TextTable::num(tenant_wall, 2),
+                  stats::TextTable::num(tenant_ops_per_sec / 1e6, 3)});
     std::printf("%s\n", table.render().c_str());
     std::printf("%s\n", mutator.render().c_str());
     std::printf("sweeps during free burst: %llu (excluded from its "
@@ -219,40 +192,33 @@ main()
                 churn_sweep_sec);
 
     // ---- BENCH_alloc.json ---------------------------------------
-    FILE *json = std::fopen("BENCH_alloc.json", "w");
-    if (json) {
-        std::fprintf(json, "{\n");
-        std::fprintf(json, "  \"bench\": \"alloc_hotpath\",\n");
-        std::fprintf(json, "  \"live_target\": %llu,\n",
-                     static_cast<unsigned long long>(live_target));
-        std::fprintf(json, "  \"malloc_ops_per_sec\": %.6g,\n",
-                     malloc_ops);
-        std::fprintf(json,
-                     "  \"quarantine_add_ops_per_sec\": %.6g,\n",
-                     free_ops);
-        std::fprintf(json, "  \"churn_ops_per_sec\": %.6g,\n",
-                     churn_ops);
-        std::fprintf(json, "  \"mean_bin_scan\": %.6g,\n",
-                     mutator.meanBinScanLength());
-        std::fprintf(json, "  \"raw_span_rate\": %.6g,\n",
-                     mutator.rawSpanRate());
-        std::fprintf(json, "  \"quarantine_merge_ratio\": %.6g,\n",
-                     mutator.mergeRatio());
-        std::fprintf(json,
-                     "  \"tenant\": {\"tenants\": %u, "
-                     "\"agg_allocs\": %llu, \"ops\": %llu, "
-                     "\"wall_sec\": %.6g, \"ops_per_sec\": %.6g},\n",
-                     tenants,
-                     static_cast<unsigned long long>(agg_allocs),
-                     static_cast<unsigned long long>(tenant_ops),
-                     tenant_wall, tenant_ops_per_sec);
-        std::fprintf(json, "  \"ok\": %s\n", ok ? "true" : "false");
-        std::fprintf(json, "}\n");
-        std::fclose(json);
-        std::printf("wrote BENCH_alloc.json\n");
-    }
+    bench::Report report{"alloc_hotpath"};
+    report.deterministic.set("live_target", live_target)
+        .set("mean_bin_scan", mutator.meanBinScanLength())
+        .set("raw_span_rate", mutator.rawSpanRate())
+        .set("quarantine_merge_ratio", mutator.mergeRatio())
+        .set("tenant", Json()
+                           .set("tenants", tenants)
+                           .set("agg_allocs", agg_allocs)
+                           .set("ops", tenant_ops))
+        .set("ok", ok);
+    report.timing.set("malloc_ops_per_sec", malloc_ops)
+        .set("quarantine_add_ops_per_sec", free_ops)
+        .set("churn_ops_per_sec", churn_ops)
+        .set("tenant", Json()
+                           .set("wall_sec", tenant_wall)
+                           .set("ops_per_sec", tenant_ops_per_sec));
+    report.write("BENCH_alloc.json");
 
     std::printf(ok ? "OK: heap valid after every phase\n"
                    : "FAILED: see gates above\n");
     return ok ? 0 : 1;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return bench::run(argc, argv, benchMain);
 }

@@ -15,23 +15,23 @@
  *  4. cross-backend parity: backend-independent mutator statistics
  *     must agree across the three backends on the same seeded trace.
  *
- * The whole deterministic section runs twice in-process and must be
- * byte-identical across the passes; wall-clock readings live outside
- * it. Emits BENCH_backend.json (deterministic fields + wall_sec),
- * uploaded by the Release CI leg and diffed by the bench-regression
- * step. Exit code reflects the gates.
+ * The whole deterministic section runs twice in-process and its two
+ * rendered report blocks must be byte-identical; wall-clock readings
+ * live outside it. Emits BENCH_backend.json, uploaded by the Release
+ * CI leg and diffed by the bench-regression step. Exit code reflects
+ * the gates.
  */
 
-#include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
 
-#include "bench_common.hh"
+#include "report.hh"
 #include "stats/summary.hh"
 #include "stats/table.hh"
 
 using namespace cherivoke;
+using bench::Json;
 
 namespace {
 
@@ -42,14 +42,6 @@ constexpr revoke::BackendKind kBackends[] = {
 };
 constexpr size_t kNumBackends =
     sizeof(kBackends) / sizeof(kBackends[0]);
-
-double
-nowSec()
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
 
 /** One profile × backend run. wallSec is the only field outside the
  *  deterministic section. */
@@ -73,9 +65,6 @@ struct Pass
     Cell compaction; //!< objid backend, low compaction threshold
     bool parityOk = true;
     std::string parityDetail;
-    /** Byte-exact rendering of every deterministic statistic; two
-     *  passes match iff these strings match. */
-    std::string fingerprint;
 };
 
 Cell
@@ -83,54 +72,33 @@ runCell(const workload::BenchmarkProfile &profile,
         const sim::ExperimentConfig &cfg)
 {
     Cell cell;
-    const double t0 = nowSec();
+    const bench::Stopwatch watch;
     cell.r = sim::runBenchmark(profile, cfg);
-    cell.wallSec = nowSec() - t0;
+    cell.wallSec = watch.seconds();
     return cell;
 }
 
-/** Append one cell's deterministic statistics to the pass
- *  fingerprint. %.17g round-trips IEEE doubles exactly. */
-void
-addFingerprint(std::string &out, const std::string &benchmark,
-               revoke::BackendKind kind, const sim::BenchResult &r)
+/** One cell's deterministic statistics: the run and its backend's
+ *  mechanics counters. */
+Json
+cellJson(const Cell &cell, revoke::BackendKind kind)
 {
-    char buf[640];
-    const workload::DriverResult &m = r.run;
-    const revoke::BackendStats &b = r.backendStats;
-    std::snprintf(
-        buf, sizeof(buf),
-        "%s/%s allocs=%llu frees=%llu freed=%llu stores=%llu "
-        "peak_allocs=%llu peak_bytes=%llu vsec=%.17g "
-        "epochs=%llu pages=%llu revoked=%llu "
-        "time=%.17g sweep=%.17g traffic=%.17g "
-        "ca=%llu cr=%llu cy=%llu rs=%llu st=%llu fs=%llu "
-        "ia=%llu ir=%llu ic=%llu cp=%llu ce=%llu mb=%llu\n",
-        benchmark.c_str(), revoke::backendName(kind),
-        static_cast<unsigned long long>(m.allocCalls),
-        static_cast<unsigned long long>(m.freeCalls),
-        static_cast<unsigned long long>(m.freedBytes),
-        static_cast<unsigned long long>(m.ptrStores),
-        static_cast<unsigned long long>(m.peakLiveAllocs),
-        static_cast<unsigned long long>(m.peakLiveBytes),
-        m.virtualSeconds,
-        static_cast<unsigned long long>(m.revoker.epochs),
-        static_cast<unsigned long long>(m.revoker.sweep.pagesSwept),
-        static_cast<unsigned long long>(m.revoker.sweep.capsRevoked),
-        r.normalizedTime, r.sweepOverhead, r.trafficOverheadPct,
-        static_cast<unsigned long long>(b.colorAssigns),
-        static_cast<unsigned long long>(b.colorsRetired),
-        static_cast<unsigned long long>(b.colorsRecycled),
-        static_cast<unsigned long long>(b.recycleScans),
-        static_cast<unsigned long long>(b.colorExhaustionStalls),
-        static_cast<unsigned long long>(b.colorForcedShares),
-        static_cast<unsigned long long>(b.idsAssigned),
-        static_cast<unsigned long long>(b.idsRetired),
-        static_cast<unsigned long long>(b.idChecks),
-        static_cast<unsigned long long>(b.idCompactions),
-        static_cast<unsigned long long>(b.idTableEntriesCompacted),
-        static_cast<unsigned long long>(b.metadataBytes));
-    out += buf;
+    const revoke::BackendStats &b = cell.r.backendStats;
+    Json out;
+    out.set("backend", revoke::backendName(kind));
+    return bench::addBench(out, cell.r)
+        .set("color_assigns", b.colorAssigns)
+        .set("colors_retired", b.colorsRetired)
+        .set("colors_recycled", b.colorsRecycled)
+        .set("recycle_scans", b.recycleScans)
+        .set("exhaustion_stalls", b.colorExhaustionStalls)
+        .set("forced_shares", b.colorForcedShares)
+        .set("ids_assigned", b.idsAssigned)
+        .set("ids_retired", b.idsRetired)
+        .set("id_checks", b.idChecks)
+        .set("id_compactions", b.idCompactions)
+        .set("entries_compacted", b.idTableEntriesCompacted)
+        .set("metadata_bytes", b.metadataBytes);
 }
 
 /** Within @p tolerance relatively (handles the release-timing noise
@@ -190,8 +158,6 @@ runPass(const sim::ExperimentConfig &base)
             sim::ExperimentConfig cfg = base;
             cfg.backend = kBackends[i];
             row.cells[i] = runCell(profile, cfg);
-            addFingerprint(pass.fingerprint, row.benchmark,
-                           kBackends[i], row.cells[i].r);
         }
         pass.parityOk &= checkParity(row, pass.parityDetail);
         pass.rows.push_back(std::move(row));
@@ -207,8 +173,6 @@ runPass(const sim::ExperimentConfig &base)
         cfg.backendConfig.colors = 2;
         cfg.backendConfig.allocsPerColor = 64;
         pass.exhaustion = runCell(stress, cfg);
-        addFingerprint(pass.fingerprint, "exhaustion",
-                       cfg.backend, pass.exhaustion.r);
     }
 
     // Object-ID compaction: a low retired-ID threshold must trigger
@@ -218,109 +182,47 @@ runPass(const sim::ExperimentConfig &base)
         cfg.backend = revoke::BackendKind::ObjectId;
         cfg.backendConfig.idCompactRetired = 512;
         pass.compaction = runCell(stress, cfg);
-        addFingerprint(pass.fingerprint, "compaction",
-                       cfg.backend, pass.compaction.r);
     }
     return pass;
 }
 
-void
-writeJson(const Pass &pass, bool deterministic, bool ok)
+/** Everything a pass reproduces; two passes must render alike. */
+Json
+passJson(const Pass &pass)
 {
-    FILE *json = std::fopen("BENCH_backend.json", "w");
-    if (!json) {
-        std::fprintf(stderr, "cannot write BENCH_backend.json\n");
-        return;
-    }
-    auto cellJson = [&](const Cell &cell, revoke::BackendKind kind,
-                        const char *indent, const char *tail) {
-        const workload::DriverResult &m = cell.r.run;
-        const revoke::BackendStats &b = cell.r.backendStats;
-        std::fprintf(
-            json,
-            "%s{\"backend\": \"%s\", \"allocs\": %llu, "
-            "\"frees\": %llu, \"ptr_stores\": %llu, "
-            "\"peak_live_allocs\": %llu, \"epochs\": %llu, "
-            "\"pages_swept\": %llu, \"caps_revoked\": %llu, "
-            "\"normalized_time\": %.6g, \"sweep_overhead\": %.6g, "
-            "\"traffic_pct\": %.6g, \"color_assigns\": %llu, "
-            "\"colors_recycled\": %llu, \"recycle_scans\": %llu, "
-            "\"exhaustion_stalls\": %llu, \"forced_shares\": %llu, "
-            "\"ids_assigned\": %llu, \"id_checks\": %llu, "
-            "\"id_compactions\": %llu, \"entries_compacted\": %llu, "
-            "\"metadata_bytes\": %llu, \"wall_sec\": %.6g}%s\n",
-            indent, revoke::backendName(kind),
-            static_cast<unsigned long long>(m.allocCalls),
-            static_cast<unsigned long long>(m.freeCalls),
-            static_cast<unsigned long long>(m.ptrStores),
-            static_cast<unsigned long long>(m.peakLiveAllocs),
-            static_cast<unsigned long long>(m.revoker.epochs),
-            static_cast<unsigned long long>(
-                m.revoker.sweep.pagesSwept),
-            static_cast<unsigned long long>(
-                m.revoker.sweep.capsRevoked),
-            cell.r.normalizedTime, cell.r.sweepOverhead,
-            cell.r.trafficOverheadPct,
-            static_cast<unsigned long long>(b.colorAssigns),
-            static_cast<unsigned long long>(b.colorsRecycled),
-            static_cast<unsigned long long>(b.recycleScans),
-            static_cast<unsigned long long>(b.colorExhaustionStalls),
-            static_cast<unsigned long long>(b.colorForcedShares),
-            static_cast<unsigned long long>(b.idsAssigned),
-            static_cast<unsigned long long>(b.idChecks),
-            static_cast<unsigned long long>(b.idCompactions),
-            static_cast<unsigned long long>(b.idTableEntriesCompacted),
-            static_cast<unsigned long long>(b.metadataBytes),
-            cell.wallSec, tail);
-    };
-
-    std::fprintf(json, "{\n");
-    std::fprintf(json, "  \"bench\": \"backend_compare\",\n");
-    std::fprintf(json, "  \"rows\": [\n");
-    for (size_t i = 0; i < pass.rows.size(); ++i) {
-        const Row &row = pass.rows[i];
-        std::fprintf(json, "    {\"benchmark\": \"%s\", "
-                           "\"backends\": [\n",
-                     row.benchmark.c_str());
+    Json rows = Json::array();
+    for (const Row &row : pass.rows) {
+        Json cells = Json::array();
         for (size_t k = 0; k < kNumBackends; ++k)
-            cellJson(row.cells[k], kBackends[k], "      ",
-                     k + 1 < kNumBackends ? "," : "");
-        std::fprintf(json, "    ]}%s\n",
-                     i + 1 < pass.rows.size() ? "," : "");
+            cells.push(cellJson(row.cells[k], kBackends[k]));
+        rows.push(Json()
+                      .set("benchmark", row.benchmark)
+                      .set("backends", std::move(cells)));
     }
-    std::fprintf(json, "  ],\n");
-    std::fprintf(json, "  \"exhaustion\":\n");
-    cellJson(pass.exhaustion, revoke::BackendKind::Color, "    ",
-             ",");
-    std::fprintf(json, "  \"compaction\":\n");
-    cellJson(pass.compaction, revoke::BackendKind::ObjectId, "    ",
-             ",");
-    std::fprintf(json, "  \"parity\": %s,\n",
-                 pass.parityOk ? "true" : "false");
-    std::fprintf(json, "  \"deterministic\": %s,\n",
-                 deterministic ? "true" : "false");
-    std::fprintf(json, "  \"ok\": %s\n", ok ? "true" : "false");
-    std::fprintf(json, "}\n");
-    std::fclose(json);
-    std::printf("wrote BENCH_backend.json\n");
+    return Json()
+        .set("rows", std::move(rows))
+        .set("exhaustion",
+             cellJson(pass.exhaustion, revoke::BackendKind::Color))
+        .set("compaction",
+             cellJson(pass.compaction, revoke::BackendKind::ObjectId))
+        .set("parity", pass.parityOk);
 }
 
-} // namespace
-
 int
-main()
+benchMain()
 {
     bench::printSystems("Backend comparison: sweep vs colored "
                         "capabilities vs inline object IDs");
 
     const sim::ExperimentConfig base = bench::defaultConfig();
-    bench::printKnobs();
+    announceEnvKnobs();
 
     // Two full passes; every deterministic statistic must match
     // byte for byte (the acceptance gate for the whole subsystem).
     const Pass pass = runPass(base);
-    const Pass again = runPass(base);
-    const bool deterministic = pass.fingerprint == again.fingerprint;
+    bench::Report report{"backend_compare", passJson(pass)};
+    const bool deterministic =
+        report.deterministic == passJson(runPass(base));
 
     stats::TextTable time_table(
         {"benchmark", "sweep", "color", "objid"});
@@ -392,8 +294,30 @@ main()
 
     const bool ok = exhaustion_ok && compaction_ok &&
                     pass.parityOk && deterministic;
-    writeJson(pass, deterministic, ok);
+    Json wall = Json::array();
+    for (const Row &row : pass.rows) {
+        Json cells = Json::array();
+        for (const Cell &cell : row.cells)
+            cells.push(cell.wallSec);
+        wall.push(Json()
+                      .set("benchmark", row.benchmark)
+                      .set("wall_sec", std::move(cells)));
+    }
+    report.deterministic.set("rerun_identical", deterministic)
+        .set("ok", ok);
+    report.timing.set("rows", std::move(wall))
+        .set("exhaustion_wall_sec", pass.exhaustion.wallSec)
+        .set("compaction_wall_sec", pass.compaction.wallSec);
+    report.write("BENCH_backend.json");
     std::printf(ok ? "OK: all backend gates passed\n"
                    : "FAILED: see gates above\n");
     return ok ? 0 : 1;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return bench::run(argc, argv, benchMain);
 }

@@ -1,20 +1,25 @@
 /**
  * @file
  * Shared helpers for the benchmark harness: the table 1 system
- * banner, default experiment settings used across figures, and the
- * tenant_slice profile of the consolidation benches.
+ * banner, default experiment settings used across figures, the
+ * tenant_slice profile of the consolidation benches, a stopwatch,
+ * and the guard every bench main runs through.
  */
 
 #ifndef CHERIVOKE_BENCH_BENCH_COMMON_HH
 #define CHERIVOKE_BENCH_BENCH_COMMON_HH
 
+#include <chrono>
 #include <cstdio>
-#include <cstdlib>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include "support/env.hh"
 #include "support/logging.hh"
 #include "support/units.hh"
 #include "sim/experiment.hh"
+#include "tenant/trace_codec.hh"
 #include "workload/spec_profiles.hh"
 
 namespace cherivoke {
@@ -34,170 +39,80 @@ printSystems(const char *title)
                 "DDR2\n\n");
 }
 
+/** Parse @p text, read from @p knob, with a name table's parser. */
+template <typename Kind>
+Kind
+parseNamed(const char *knob, const std::string &text,
+           bool (*parse)(const std::string &, Kind &))
+{
+    Kind kind{};
+    if (!parse(text, kind))
+        fatal("%s: unknown value '%s' (see --knobs)", knob,
+              text.c_str());
+    return kind;
+}
+
+/** A knob naming a policy, scope or backend. */
+template <typename Kind>
+Kind
+namedKnob(const char *knob, bool (*parse)(const std::string &, Kind &))
+{
+    return parseNamed(knob, knobText(knob), parse);
+}
+
+/** A list knob of such names, one per tenant. */
+template <typename Kind>
+std::vector<Kind>
+namedListKnob(const char *knob,
+              bool (*parse)(const std::string &, Kind &))
+{
+    std::vector<Kind> kinds;
+    for (const std::string &item : knobTextList(knob))
+        kinds.push_back(parseNamed(knob, item, parse));
+    return kinds;
+}
+
 /**
- * Default experiment configuration used by the figure benches.
- *
- * Every figure driver honours the policy/threads/paint-shard
- * overrides so the whole suite can be reproduced under any engine
- * configuration; the tenant knobs configure drivers built on
- * sim::runMultiTenantBenchmark (bench/tenant_scale):
- *   CHERIVOKE_POLICY         = stw | stop-the-world | incremental |
- *                              concurrent | adaptive
- *   CHERIVOKE_THREADS        = sweep worker count (default 1)
- *   CHERIVOKE_PAINT_SHARDS   = concurrent painter threads (default 1)
- *   CHERIVOKE_TENANTS        = co-resident tenant count (default 1)
- *   CHERIVOKE_TENANT_SCOPE   = per-tenant | global
- *   CHERIVOKE_TENANT_HEAP_MIB= per-tenant live-heap target override
- *   CHERIVOKE_TENANT_WEIGHTS = scheduling shares, e.g. "2,1,1"
- *   CHERIVOKE_TENANT_POLICIES= per-tenant revocation policies, one
- *                              per tenant, e.g. "concurrent,stw"
- *                              (mixed policies share one engine)
- *   CHERIVOKE_TENANT_CHURN   = mid-run spawn->retire cycles of
- *                              short-lived extra tenants (default 0)
- *   CHERIVOKE_MUTATOR_THREADS= mutator threads per tenant (default
- *                              1 = the classic serial front-end)
- *   CHERIVOKE_REMOTE_BATCH   = remote frees per batch message on
- *                              the MPSC queues (default 32)
- *   CHERIVOKE_FAULT_PLAN     = chaos schedule `kind@tenant:op[,...]`
- *                              (kinds: double-free, wild-free,
- *                              header-corruption, oom,
- *                              codec-corruption); default none
- *   CHERIVOKE_FAULT_SEED     = seed a generated plan (one injection
- *                              per kind) instead; 0 = off. The
- *                              explicit plan wins when both are set
- *   CHERIVOKE_PAGE_BUDGET_MIB= soft resident-page budget over the
- *                              shared tenant memory, in MiB
- *                              (escalation ladder; default 0 = off)
- *   CHERIVOKE_BACKEND        = revocation backend: sweep | color |
- *                              objid (how freed memory becomes safe
- *                              to reuse; default sweep)
- *   CHERIVOKE_TENANT_BACKENDS= per-tenant backends, one per tenant,
- *                              e.g. "sweep,color,objid" (mixed
- *                              backends share one engine)
- *   CHERIVOKE_COLORS         = color-pool size of the colored-
- *                              capability backend (1..63, default 16)
- *   CHERIVOKE_ALLOCS_PER_COLOR = allocations before a color seals
- *                              (default 256)
- *   CHERIVOKE_RECYCLE_FRACTION = retired-color fraction that
- *                              triggers a recycling scan (default 0.5)
- *   CHERIVOKE_ID_COMPACT     = retired object-IDs that trigger a
- *                              table-compaction epoch (default 4096)
- *   CHERIVOKE_BG_SWEEPER     = 1 runs a true background sweeper
- *                              thread per engine racing the mutators
- *                              (modelled statistics stay
- *                              bit-identical; default 0)
- *   CHERIVOKE_EPOCH_DEADLINE_MS = explicit per-epoch sweeper
- *                              deadline in ms, > 0; leave unset to
- *                              derive it from the sweep-cost model
- *   CHERIVOKE_SWEEPER_RETRIES= bounded watchdog retries with
- *                              exponential backoff before the
- *                              degradation ladder fires (default 2)
- *
- * Parsing is strict (support/env.hh): a set-but-malformed value such
- * as CHERIVOKE_THREADS=abc fails the run with a clear error instead
- * of silently running the default configuration. Every query lands
- * in the env-knob registry; printKnobs() dumps the effective set.
+ * Default experiment configuration used by the figure benches, with
+ * every shared CHERIVOKE_* knob (support/env.cc declares them all)
+ * applied, so the whole suite reproduces under any engine
+ * configuration.
  */
 inline sim::ExperimentConfig
 defaultConfig()
 {
-    // First: reject misspelled CHERIVOKE_* variables outright, with
-    // a nearest-knob suggestion. A typo'd knob is never queried, so
-    // strict per-knob parsing alone cannot catch it.
-    validateEnvironment();
     sim::ExperimentConfig cfg;
-    cfg.quarantineFraction = 0.25;
-    cfg.kernel = revoke::SweepKernel::Vector;
     cfg.scale = 1.0 / 128;
     cfg.durationSec = 0.4;
-    cfg.seed = 42;
-    const std::string policy =
-        envStr("CHERIVOKE_POLICY", revoke::policyName(cfg.policy));
-    if (!revoke::parsePolicy(policy, cfg.policy))
-        fatal("CHERIVOKE_POLICY: unknown policy '%s'",
-              policy.c_str());
-    cfg.threads = envUnsigned("CHERIVOKE_THREADS", cfg.threads);
-    cfg.paintShards =
-        envUnsigned("CHERIVOKE_PAINT_SHARDS", cfg.paintShards);
-    cfg.tenants = envUnsigned("CHERIVOKE_TENANTS", cfg.tenants);
-    const std::string scope = envStr(
-        "CHERIVOKE_TENANT_SCOPE", tenant::scopeName(cfg.tenantScope));
-    if (!tenant::parseScope(scope, cfg.tenantScope))
-        fatal("CHERIVOKE_TENANT_SCOPE: unknown scope '%s' "
-              "(expected per-tenant or global)",
-              scope.c_str());
-    cfg.tenantHeapMiB =
-        envF64("CHERIVOKE_TENANT_HEAP_MIB", cfg.tenantHeapMiB, 0);
-    cfg.tenantWeights = envF64List("CHERIVOKE_TENANT_WEIGHTS");
-    if (!cfg.tenantWeights.empty() &&
-        cfg.tenantWeights.size() != cfg.tenants)
-        fatal("CHERIVOKE_TENANT_WEIGHTS: %zu weights for %u tenants",
-              cfg.tenantWeights.size(), cfg.tenants);
-    for (const std::string &item :
-         envStrList("CHERIVOKE_TENANT_POLICIES")) {
-        revoke::PolicyKind kind;
-        if (!revoke::parsePolicy(item, kind))
-            fatal("CHERIVOKE_TENANT_POLICIES: unknown policy '%s'",
-                  item.c_str());
-        cfg.tenantPolicies.push_back(kind);
-    }
-    if (!cfg.tenantPolicies.empty() &&
-        cfg.tenantPolicies.size() != cfg.tenants)
-        fatal("CHERIVOKE_TENANT_POLICIES: %zu policies for %u "
-              "tenants",
-              cfg.tenantPolicies.size(), cfg.tenants);
-    const std::string backend = envStr(
-        "CHERIVOKE_BACKEND", revoke::backendName(cfg.backend));
-    if (!revoke::parseBackend(backend, cfg.backend))
-        fatal("CHERIVOKE_BACKEND: unknown backend '%s' (expected "
-              "sweep, color, or objid)",
-              backend.c_str());
-    for (const std::string &item :
-         envStrList("CHERIVOKE_TENANT_BACKENDS")) {
-        revoke::BackendKind kind;
-        if (!revoke::parseBackend(item, kind))
-            fatal("CHERIVOKE_TENANT_BACKENDS: unknown backend '%s'",
-                  item.c_str());
-        cfg.tenantBackends.push_back(kind);
-    }
-    if (!cfg.tenantBackends.empty() &&
-        cfg.tenantBackends.size() != cfg.tenants)
-        fatal("CHERIVOKE_TENANT_BACKENDS: %zu backends for %u "
-              "tenants",
-              cfg.tenantBackends.size(), cfg.tenants);
-    cfg.backendConfig.colors =
-        envUnsigned("CHERIVOKE_COLORS", cfg.backendConfig.colors);
-    cfg.backendConfig.allocsPerColor = static_cast<uint64_t>(
-        envI64("CHERIVOKE_ALLOCS_PER_COLOR",
-               static_cast<int64_t>(
-                   cfg.backendConfig.allocsPerColor)));
+    cfg.policy = namedKnob("CHERIVOKE_POLICY", revoke::parsePolicy);
+    cfg.threads = knobUnsigned("CHERIVOKE_THREADS");
+    cfg.paintShards = knobUnsigned("CHERIVOKE_PAINT_SHARDS");
+    cfg.tenantScope =
+        namedKnob("CHERIVOKE_TENANT_SCOPE", tenant::parseScope);
+    cfg.tenantHeapMiB = knobReal("CHERIVOKE_TENANT_HEAP_MIB");
+    cfg.tenantWeights = knobRealList("CHERIVOKE_TENANT_WEIGHTS");
+    cfg.tenantPolicies = namedListKnob("CHERIVOKE_TENANT_POLICIES",
+                                       revoke::parsePolicy);
+    cfg.backend = namedKnob("CHERIVOKE_BACKEND", revoke::parseBackend);
+    cfg.tenantBackends = namedListKnob("CHERIVOKE_TENANT_BACKENDS",
+                                       revoke::parseBackend);
+    cfg.backendConfig.colors = knobUnsigned("CHERIVOKE_COLORS");
+    cfg.backendConfig.allocsPerColor =
+        knobInt("CHERIVOKE_ALLOCS_PER_COLOR");
     cfg.backendConfig.recycleFraction =
-        envF64("CHERIVOKE_RECYCLE_FRACTION",
-               cfg.backendConfig.recycleFraction);
-    cfg.backendConfig.idCompactRetired = static_cast<uint64_t>(
-        envI64("CHERIVOKE_ID_COMPACT",
-               static_cast<int64_t>(
-                   cfg.backendConfig.idCompactRetired)));
-    cfg.tenantChurn =
-        envUnsigned("CHERIVOKE_TENANT_CHURN", cfg.tenantChurn, 0);
-    cfg.mutatorThreads =
-        envUnsigned("CHERIVOKE_MUTATOR_THREADS", cfg.mutatorThreads);
-    cfg.remoteBatch =
-        envUnsigned("CHERIVOKE_REMOTE_BATCH", cfg.remoteBatch);
-    const std::string plan = envStr("CHERIVOKE_FAULT_PLAN", "");
-    if (!plan.empty()) {
-        parseFaultPlan(plan); // strict: reject malformed text here
-        cfg.faultPlanText = plan;
-    }
-    cfg.faultSeed = static_cast<uint64_t>(
-        envI64("CHERIVOKE_FAULT_SEED", 0, 0));
-    cfg.pageBudgetMiB =
-        envF64("CHERIVOKE_PAGE_BUDGET_MIB", cfg.pageBudgetMiB, 0);
-    cfg.bgSweeper = envI64("CHERIVOKE_BG_SWEEPER", 0, 0) != 0;
-    cfg.epochDeadlineMs = envF64("CHERIVOKE_EPOCH_DEADLINE_MS",
-                                 cfg.epochDeadlineMs, 0);
-    cfg.sweeperRetries =
-        envUnsigned("CHERIVOKE_SWEEPER_RETRIES", cfg.sweeperRetries, 0);
+        knobReal("CHERIVOKE_RECYCLE_FRACTION");
+    cfg.backendConfig.idCompactRetired =
+        knobInt("CHERIVOKE_ID_COMPACT");
+    cfg.mutatorThreads = knobUnsigned("CHERIVOKE_MUTATOR_THREADS");
+    cfg.remoteBatch = knobUnsigned("CHERIVOKE_REMOTE_BATCH");
+    cfg.faultPlanText = knobText("CHERIVOKE_FAULT_PLAN");
+    if (!cfg.faultPlanText.empty())
+        parseFaultPlan(cfg.faultPlanText); // strict: reject it here
+    cfg.faultSeed = knobInt("CHERIVOKE_FAULT_SEED");
+    cfg.pageBudgetMiB = knobReal("CHERIVOKE_PAGE_BUDGET_MIB");
+    cfg.bgSweeper = knobInt("CHERIVOKE_BG_SWEEPER") != 0;
+    cfg.epochDeadlineMs = knobReal("CHERIVOKE_EPOCH_DEADLINE_MS");
+    cfg.sweeperRetries = knobUnsigned("CHERIVOKE_SWEEPER_RETRIES");
     return cfg;
 }
 
@@ -233,17 +148,61 @@ sliceProfile(unsigned tenants, uint64_t agg_allocs)
     return p;
 }
 
-/**
- * Print the effective knob set — every CHERIVOKE_* variable this
- * process has queried, with the value it actually ran under — to
- * stderr, so figure data on stdout stays byte-stable across
- * default and configured runs. Each bench calls this once, after
- * its configuration is fully parsed.
- */
-inline void
-printKnobs()
+/** Round every tenant trace through the binary codec: record once,
+ *  replay exactly. */
+inline std::vector<workload::Trace>
+codecRoundTrip(const std::vector<workload::Trace> &traces)
 {
-    announceEnvKnobs();
+    std::vector<workload::Trace> out;
+    out.reserve(traces.size());
+    for (const workload::Trace &t : traces)
+        out.push_back(tenant::decodeTrace(tenant::encodeTrace(t)));
+    return out;
+}
+
+/** Host wall time since construction (steady clock). Reporting
+ *  only: nothing modelled may depend on it. */
+class Stopwatch
+{
+  public:
+    double
+    seconds() const
+    {
+        return std::chrono::duration<double>(
+                   std::chrono::steady_clock::now() - start_)
+            .count();
+    }
+
+  private:
+    std::chrono::steady_clock::time_point start_ =
+        std::chrono::steady_clock::now();
+};
+
+/**
+ * Every bench main runs its body through here. `--knobs` prints the
+ * knob table instead. Misspelled knobs are rejected before the body
+ * runs, with a nearest-knob suggestion: a typo'd knob is never read,
+ * so strict parsing alone cannot catch it. A FatalError (a bad knob,
+ * a malformed plan) ends the run with its one `fatal:` line on
+ * stderr and exit status 2, where it would otherwise terminate with
+ * SIGABRT.
+ */
+template <typename Body>
+int
+run(int argc, char **argv, Body body)
+{
+    if (argc > 1 && std::strcmp(argv[1], "--knobs") == 0) {
+        printKnobTable(stdout);
+        return 0;
+    }
+    try {
+        validateEnvironment();
+        return body();
+    } catch (const FatalError &err) {
+        std::fflush(stdout);
+        std::fprintf(stderr, "%s\n", err.what());
+        return 2;
+    }
 }
 
 } // namespace bench

@@ -25,17 +25,16 @@
  *    that contain the domain; a crash that falls back to assist) —
  *    each must fire exactly the expected typed SweeperEvent counts,
  *    and survivors must stay bit-identical to a sweeper-off control;
- *  - matrix determinism: the whole matrix runs twice and every
- *    deterministic statistic (fault and sweeper-event logs included,
- *    wall-clock excluded) must come out byte-identical.
+ *  - matrix determinism: the whole matrix runs twice and the two
+ *    passes' rendered report blocks (fault and sweeper-event logs
+ *    included, wall-clock excluded) must come out byte-identical.
  *
- * Results go to stdout and BENCH_fault.json. The JSON separates the
- * "deterministic" section (gated byte-identical across same-seed
- * runs) from the "reporting" section (containment latency and
- * survivor throughput — host wall-clock, excluded from the gate).
+ * Results go to stdout and BENCH_fault.json: the report's
+ * "deterministic" block is what the determinism gate compares, its
+ * "timing" block holds containment latency and survivor throughput.
  *
- * Environment: the shared bench_common.hh knobs; the matrix pins
- * tenants/scope/policy/plan per cell (they are the experiment, not
+ * Knobs: the shared engine knobs; the matrix pins tenants, scope,
+ * policy and plan per cell (they are the experiment, not
  * configuration), so CHERIVOKE_FAULT_PLAN / CHERIVOKE_PAGE_BUDGET_MIB
  * are ignored here while CHERIVOKE_FAULT_SEED seeds the seeded phase.
  *
@@ -51,11 +50,11 @@
 #include <string>
 #include <vector>
 
-#include "bench_common.hh"
+#include "report.hh"
 #include "support/fault.hh"
-#include "tenant/trace_codec.hh"
 
 using namespace cherivoke;
+using bench::Json;
 
 namespace {
 
@@ -80,9 +79,8 @@ faultProfile()
  *  make each survivor's statistics a pure function of its own trace,
  *  which is what the survivor bit-identity gate relies on. */
 sim::ExperimentConfig
-baseConfig()
+baseConfig(sim::ExperimentConfig cfg)
 {
-    sim::ExperimentConfig cfg = bench::defaultConfig();
     cfg.tenants = 3;
     cfg.tenantScope = tenant::RevocationScope::PerTenant;
     cfg.policy = revoke::PolicyKind::StopTheWorld;
@@ -99,77 +97,6 @@ baseConfig()
     return cfg;
 }
 
-/** Per-tenant statistics fingerprint (identity and host wall-clock
- *  excluded); survivors are "bit-identical" when these match. */
-std::string
-tenantFingerprint(const tenant::TenantResult &t)
-{
-    std::string out;
-    char buf[256];
-    auto add = [&](const char *key, double v) {
-        std::snprintf(buf, sizeof(buf), "%s=%.17g\n", key, v);
-        out += buf;
-    };
-    auto addU = [&](const char *key, uint64_t v) {
-        std::snprintf(buf, sizeof(buf), "%s=%llu\n", key,
-                      static_cast<unsigned long long>(v));
-        out += buf;
-    };
-    addU("ops_applied", t.opsApplied);
-    addU("allocs", t.run.allocCalls);
-    addU("frees", t.run.freeCalls);
-    addU("freed_bytes", t.run.freedBytes);
-    addU("ptr_stores", t.run.ptrStores);
-    addU("peak_live_bytes", t.run.peakLiveBytes);
-    addU("peak_live_allocs", t.run.peakLiveAllocs);
-    addU("peak_quarantine", t.run.peakQuarantineBytes);
-    addU("peak_footprint", t.run.peakFootprintBytes);
-    addU("epochs", t.run.revoker.epochs);
-    addU("slices", t.run.revoker.slices);
-    addU("paint_ops", t.run.revoker.paint.total());
-    addU("pages_swept", t.run.revoker.sweep.pagesSwept);
-    addU("lines_swept", t.run.revoker.sweep.linesSwept);
-    addU("caps_examined", t.run.revoker.sweep.capsExamined);
-    addU("caps_revoked", t.run.revoker.sweep.capsRevoked);
-    addU("internal_frees", t.run.revoker.internalFrees);
-    addU("bytes_released", t.run.revoker.bytesReleased);
-    addU("mutator_fp", t.mutator.fingerprint());
-    add("virtual_sec", t.run.virtualSeconds);
-    add("page_density", t.run.pageDensity);
-    add("line_density", t.run.lineDensity);
-    return out;
-}
-
-/** The fault log rendered without its wall-clock field. */
-std::string
-faultLogText(const tenant::MultiTenantResult &m)
-{
-    std::string out;
-    char buf[512];
-    for (const tenant::FaultRecord &f : m.faults) {
-        std::snprintf(
-            buf, sizeof(buf),
-            "fault kind=%s tenant=%llu slot=%zu step=%llu op=%llu "
-            "injected=%d msg=%s\n",
-            heapFaultKindName(f.kind),
-            static_cast<unsigned long long>(f.tenantId), f.slot,
-            static_cast<unsigned long long>(f.step),
-            static_cast<unsigned long long>(f.opIndex),
-            f.injected ? 1 : 0, f.message.c_str());
-        out += buf;
-    }
-    std::snprintf(buf, sizeof(buf),
-                  "contained=%llu oom_kills=%llu pressure=%llu "
-                  "reclaimed=%llu\n",
-                  static_cast<unsigned long long>(m.faultsContained),
-                  static_cast<unsigned long long>(m.oomKills),
-                  static_cast<unsigned long long>(m.pressureEvents),
-                  static_cast<unsigned long long>(
-                      m.pressurePagesReclaimed));
-    out += buf;
-    return out;
-}
-
 const tenant::TenantResult *
 findTenant(const tenant::MultiTenantResult &m, uint64_t id)
 {
@@ -179,14 +106,21 @@ findTenant(const tenant::MultiTenantResult &m, uint64_t id)
     return nullptr;
 }
 
-std::vector<workload::Trace>
-codecRoundTrip(const std::vector<workload::Trace> &traces)
+/** Every tenant of @p run but @p skip has a namesake in @p control
+ *  with bit-identical statistics. */
+bool
+survivorsMatch(const tenant::MultiTenantResult &run,
+               const tenant::MultiTenantResult &control,
+               uint64_t skip)
 {
-    std::vector<workload::Trace> out;
-    out.reserve(traces.size());
-    for (const workload::Trace &t : traces)
-        out.push_back(tenant::decodeTrace(tenant::encodeTrace(t)));
-    return out;
+    bool match = true;
+    for (const tenant::TenantResult &t : run.tenants) {
+        if (t.tenantId == skip)
+            continue;
+        const tenant::TenantResult *c = findTenant(control, t.tenantId);
+        match = match && c && bench::tenantJson(t) == bench::tenantJson(*c);
+    }
+    return match;
 }
 
 struct Cell
@@ -196,8 +130,8 @@ struct Cell
     bool survivorMatch = true;
     uint64_t faultOp = 0;
     uint64_t pagesReleased = 0; //!< at the containment retire
-    /** Deterministic cell statistics (gated byte-identical). */
-    std::string detText;
+    std::string plan;
+    Json run; //!< the faulted run, rendered
     /** @name Reporting only (host wall-clock; not gated) */
     /// @{
     double containSec = 0;
@@ -231,6 +165,8 @@ runCell(HeapFaultKind kind,
                                      sim::MachineProfile::x86(),
                                      &traces);
     const tenant::MultiTenantResult &m = faulted.run;
+    cell.plan = cfg.faultPlanText;
+    cell.run = bench::multiTenantJson(faulted);
     cell.faultedOpsPerSec = faulted.mutatorOpsPerSec;
 
     // Containment gates: exactly one fault, the right kind, the
@@ -293,28 +229,13 @@ runCell(HeapFaultKind kind,
                                      sim::MachineProfile::x86(),
                                      &control);
     cell.controlOpsPerSec = ctrl.mutatorOpsPerSec;
-    for (const tenant::TenantResult &t : m.tenants) {
-        if (t.tenantId == kFaultyTenant)
-            continue;
-        const tenant::TenantResult *c =
-            findTenant(ctrl.run, t.tenantId);
-        if (!c || tenantFingerprint(t) != tenantFingerprint(*c)) {
-            std::printf("FAILED [%s]: survivor %llu diverged from "
-                        "the control run\n",
-                        heapFaultKindName(kind),
-                        static_cast<unsigned long long>(t.tenantId));
-            cell.survivorMatch = false;
-            cell.ok = false;
-        }
+    if (!survivorsMatch(m, ctrl.run, kFaultyTenant)) {
+        std::printf("FAILED [%s]: a survivor diverged from the "
+                    "control run\n",
+                    heapFaultKindName(kind));
+        cell.survivorMatch = false;
+        cell.ok = false;
     }
-
-    cell.detText = std::string("cell ") + heapFaultKindName(kind) +
-                   " plan=" + cfg.faultPlanText + "\n" +
-                   faultLogText(m) + "pages_released=" +
-                   std::to_string(cell.pagesReleased) + "\n";
-    for (const tenant::TenantResult &t : m.tenants)
-        cell.detText += "tenant " + std::to_string(t.tenantId) +
-                        "\n" + tenantFingerprint(t);
     return cell;
 }
 
@@ -335,7 +256,8 @@ struct SupervisionCell
     /// @}
     bool ok = true;
     bool survivorMatch = true;
-    std::string detText;
+    Json events = Json::array(); //!< every SweeperEvent, as a line
+    Json run = Json();
 };
 
 /** The ladder rungs, one cell each, with sweeperRetries pinned to 2
@@ -345,27 +267,25 @@ std::vector<SupervisionCell>
 supervisionCells()
 {
     std::vector<SupervisionCell> cells;
-    cells.push_back({.name = "bg-parity", .detText = {}});
+    cells.push_back({.name = "bg-parity"});
     cells.push_back({.name = "slow-recovers",
                      .plan = "sweeper-slow@1:1:2",
-                     .stalls = 1, .retries = 2, .detText = {}});
+                     .stalls = 1, .retries = 2});
     cells.push_back({.name = "stall-assist",
                      .plan = "sweeper-stall@1:1",
-                     .stalls = 1, .retries = 2, .reassigns = 1,
-                     .detText = {}});
+                     .stalls = 1, .retries = 2, .reassigns = 1});
     cells.push_back({.name = "stall-stw",
                      .plan = "sweeper-stall@1:1,sweeper-stall@1:2",
                      .stalls = 2, .retries = 4, .reassigns = 1,
-                     .stwCatchups = 1, .detText = {}});
+                     .stwCatchups = 1});
     cells.push_back({.name = "stall-contain",
                      .plan = "sweeper-stall@1:1,sweeper-stall@1:2,"
                              "sweeper-stall@1:3",
                      .stalls = 3, .retries = 6, .reassigns = 1,
-                     .stwCatchups = 1, .containments = 1,
-                     .detText = {}});
+                     .stwCatchups = 1, .containments = 1});
     cells.push_back({.name = "crash-assist",
                      .plan = "sweeper-crash@1:1",
-                     .crashes = 1, .reassigns = 1, .detText = {}});
+                     .crashes = 1, .reassigns = 1});
     return cells;
 }
 
@@ -381,6 +301,10 @@ runSupervisionCell(SupervisionCell cell,
     sim::ExperimentConfig cfg = base;
     cfg.bgSweeper = true;
     cfg.sweeperRetries = 2; // the expected counts assume this
+    // A deadline no run reaches: only the injected states drive the
+    // ladder (an injected stall is walked with the watchdog's own
+    // deadline as "now"), never a slow host's real clock.
+    cfg.epochDeadlineMs = 1e9;
     cfg.faultPlanText = cell.plan;
     const sim::MultiTenantBenchResult res =
         sim::runMultiTenantBenchmark(profile, cfg,
@@ -455,49 +379,32 @@ runSupervisionCell(SupervisionCell cell,
             std::vector<workload::Trace> cut = traces;
             cut[kFaultyTenant].ops =
                 cut[kFaultyTenant].ops.prefix(m.faults[0].opIndex);
-            const sim::MultiTenantBenchResult ctrl =
+            cell.survivorMatch = survivorsMatch(
+                m,
                 sim::runMultiTenantBenchmark(
-                    profile, base, sim::MachineProfile::x86(), &cut);
-            for (const tenant::TenantResult &t : m.tenants) {
-                if (t.tenantId == kFaultyTenant)
-                    continue;
-                const tenant::TenantResult *c =
-                    findTenant(ctrl.run, t.tenantId);
-                if (!c ||
-                    tenantFingerprint(t) != tenantFingerprint(*c)) {
-                    cell.survivorMatch = false;
-                    cell.ok = false;
-                }
-            }
+                    profile, base, sim::MachineProfile::x86(), &cut)
+                    .run,
+                kFaultyTenant);
         }
     } else {
         // Every other rung recovers the run: all tenants finish and
         // every per-tenant statistic is bit-identical to the
         // sweeper-off control — the headline guarantee that the
         // racing background thread never perturbs modelled results.
-        for (const tenant::TenantResult &t : m.tenants) {
-            const tenant::TenantResult *c =
-                findTenant(control, t.tenantId);
-            if (t.opsApplied != t.opsTotal || !c ||
-                tenantFingerprint(t) != tenantFingerprint(*c)) {
-                cell.survivorMatch = false;
-                cell.ok = false;
-            }
-        }
+        for (const tenant::TenantResult &t : m.tenants)
+            cell.survivorMatch &= t.opsApplied == t.opsTotal;
+        cell.survivorMatch &= survivorsMatch(m, control, UINT64_MAX);
     }
-    if (!cell.survivorMatch)
+    if (!cell.survivorMatch) {
         std::printf("FAILED [supervision %s]: tenant statistics "
                     "diverged from the sweeper-off control\n",
                     cell.name);
+        cell.ok = false;
+    }
 
-    cell.detText = std::string("supervision ") + cell.name +
-                   " plan=" + cell.plan + "\n";
     for (const revoke::SweeperEvent &ev : m.sweeperEvents)
-        cell.detText += revoke::sweeperEventLine(ev) + "\n";
-    cell.detText += faultLogText(m);
-    for (const tenant::TenantResult &t : m.tenants)
-        cell.detText += "tenant " + std::to_string(t.tenantId) +
-                        "\n" + tenantFingerprint(t);
+        cell.events.push(revoke::sweeperEventLine(ev));
+    cell.run = bench::multiTenantJson(res);
     return cell;
 }
 
@@ -509,7 +416,7 @@ struct PressureResult
     uint64_t pagesReclaimed = 0;
     uint64_t oomKills = 0;
     unsigned survivors = 0;
-    std::string detText;
+    Json run;
     double wallSec = 0; //!< reporting only
 };
 
@@ -580,14 +487,7 @@ runPressure(const workload::BenchmarkProfile &profile,
         pr.ok = false;
     }
 
-    char buf[128];
-    std::snprintf(buf, sizeof(buf), "pressure budget_mib=%.17g\n",
-                  pr.budgetMiB);
-    pr.detText = buf;
-    pr.detText += faultLogText(m);
-    for (const tenant::TenantResult &t : m.tenants)
-        pr.detText += "tenant " + std::to_string(t.tenantId) + "\n" +
-                      tenantFingerprint(t);
+    pr.run = bench::multiTenantJson(res);
     return pr;
 }
 
@@ -597,7 +497,7 @@ struct SeededResult
     uint64_t seed = 0;
     std::string planText;
     uint64_t faultsContained = 0;
-    std::string detText;
+    Json run;
 };
 
 /** Seeded phase: generate the plan from a seed, check the plan and
@@ -637,16 +537,8 @@ runSeeded(uint64_t seed, const workload::BenchmarkProfile &profile,
                                      sim::MachineProfile::x86(),
                                      &traces);
     sr.faultsContained = a.run.faultsContained;
-
-    auto det = [](const sim::MultiTenantBenchResult &r) {
-        std::string out = faultLogText(r.run);
-        for (const tenant::TenantResult &t : r.run.tenants)
-            out += "tenant " + std::to_string(t.tenantId) + "\n" +
-                   tenantFingerprint(t);
-        return out;
-    };
-    sr.detText = "seeded plan=" + sr.planText + "\n" + det(a);
-    if (det(a) != det(b)) {
+    sr.run = bench::multiTenantJson(a);
+    if (sr.run != bench::multiTenantJson(b)) {
         std::printf("FAILED [seeded]: two replays of seed %llu "
                     "diverged\n",
                     static_cast<unsigned long long>(seed));
@@ -667,7 +559,6 @@ struct Pass
     std::vector<SupervisionCell> supervision;
     PressureResult pressure;
     SeededResult seeded;
-    std::string detText;
 };
 
 Pass
@@ -679,11 +570,9 @@ runPass(uint64_t seed, const workload::BenchmarkProfile &profile,
     Pass pass;
     if (!supervision_only) {
         for (size_t k = 0; k < kNumHeapFaultKinds; ++k) {
-            Cell cell = runCell(static_cast<HeapFaultKind>(k),
-                                profile, base, traces);
-            pass.ok &= cell.ok;
-            pass.detText += cell.detText;
-            pass.cells.push_back(std::move(cell));
+            pass.cells.push_back(runCell(static_cast<HeapFaultKind>(k),
+                                         profile, base, traces));
+            pass.ok &= pass.cells.back().ok;
         }
     }
     // The sweeper-off control every supervision cell diffs against.
@@ -691,69 +580,101 @@ runPass(uint64_t seed, const workload::BenchmarkProfile &profile,
         sim::runMultiTenantBenchmark(profile, base,
                                      sim::MachineProfile::x86(),
                                      &traces);
-    for (SupervisionCell cell : supervisionCells()) {
-        cell = runSupervisionCell(cell, profile, base, traces,
-                                  control.run);
-        pass.ok &= cell.ok;
-        pass.detText += cell.detText;
-        pass.supervision.push_back(std::move(cell));
+    for (const SupervisionCell &cell : supervisionCells()) {
+        pass.supervision.push_back(runSupervisionCell(
+            cell, profile, base, traces, control.run));
+        pass.ok &= pass.supervision.back().ok;
     }
     if (!supervision_only) {
         pass.pressure = runPressure(profile, base, traces);
         pass.ok &= pass.pressure.ok;
-        pass.detText += pass.pressure.detText;
         pass.seeded = runSeeded(seed, profile, base, traces);
         pass.ok &= pass.seeded.ok;
-        pass.detText += pass.seeded.detText;
     }
     return pass;
 }
 
-uint64_t
-fnv1a(const std::string &text)
+/** Everything a pass reproduces; two passes must render alike. */
+Json
+passJson(const Pass &pass)
 {
-    uint64_t h = 0xcbf29ce484222325ULL;
-    for (const char c : text) {
-        h ^= static_cast<uint8_t>(c);
-        h *= 0x100000001b3ULL;
+    Json cells = Json::array(), supervision = Json::array();
+    for (const Cell &c : pass.cells) {
+        cells.push(Json()
+                       .set("kind", heapFaultKindName(c.kind))
+                       .set("contained", c.ok)
+                       .set("fault_op", c.faultOp)
+                       .set("pages_released", c.pagesReleased)
+                       .set("survivors_bit_identical", c.survivorMatch)
+                       .set("plan", c.plan)
+                       .set("run", c.run));
     }
-    return h;
+    for (const SupervisionCell &c : pass.supervision) {
+        supervision.push(Json()
+                             .set("cell", c.name)
+                             .set("plan", c.plan)
+                             .set("ok", c.ok)
+                             .set("stalls", c.stalls)
+                             .set("retries", c.retries)
+                             .set("crashes", c.crashes)
+                             .set("reassigns", c.reassigns)
+                             .set("stw_catchups", c.stwCatchups)
+                             .set("containments", c.containments)
+                             .set("survivors_bit_identical",
+                                  c.survivorMatch)
+                             .set("events", c.events)
+                             .set("run", c.run));
+    }
+    const PressureResult &p = pass.pressure;
+    return Json()
+        .set("seed", pass.seeded.seed)
+        .set("seeded_plan", pass.seeded.planText)
+        .set("seeded_run", pass.seeded.run)
+        .set("cells", std::move(cells))
+        .set("supervision", std::move(supervision))
+        .set("pressure", Json()
+                             .set("budget_mib", p.budgetMiB)
+                             .set("events", p.pressureEvents)
+                             .set("pages_reclaimed", p.pagesReclaimed)
+                             .set("oom_kills", p.oomKills)
+                             .set("survivors", p.survivors)
+                             .set("run", p.run));
 }
 
-} // namespace
-
 int
-main()
+benchMain()
 {
     bench::printSystems("Fault-containment chaos matrix "
                         "(bench/fault_matrix)");
 
     const workload::BenchmarkProfile profile = faultProfile();
-    const sim::ExperimentConfig base = baseConfig();
-    bench::printKnobs();
+    const sim::ExperimentConfig shared = bench::defaultConfig();
+    const sim::ExperimentConfig base = baseConfig(shared);
     const bool supervision_only =
-        envI64("CHERIVOKE_FAULT_SUPERVISION_ONLY", 0, 0) != 0;
+        knobInt("CHERIVOKE_FAULT_SUPERVISION_ONLY") != 0;
+    announceEnvKnobs();
     const uint64_t seed =
-        base.faultSeed ? base.faultSeed : 0xC0FFEEULL;
+        shared.faultSeed ? shared.faultSeed : 0xC0FFEEULL;
 
     // One recording, through the binary codec, shared by every cell
     // and both determinism passes.
-    const std::vector<workload::Trace> traces = codecRoundTrip(
+    const std::vector<workload::Trace> traces = bench::codecRoundTrip(
         sim::synthesizeTenantTraces(profile, base));
 
-    Pass a = runPass(seed, profile, base, traces, supervision_only);
-    const Pass b =
-        runPass(seed, profile, base, traces, supervision_only);
+    const Pass a = runPass(seed, profile, base, traces,
+                           supervision_only);
+    bench::Report report{"fault_matrix", passJson(a)};
+    const Pass b = runPass(seed, profile, base, traces,
+                           supervision_only);
     bool ok = a.ok && b.ok;
 
-    const bool rerun_identical = a.detText == b.detText;
+    const bool rerun_identical = report.deterministic == passJson(b);
     if (!rerun_identical) {
         std::printf("FAILED: the matrix is not deterministic — two "
                     "same-seed passes produced different "
                     "statistics\n");
         ok = false;
     }
-
     if (!supervision_only) {
         std::printf("%-18s %-10s %9s %14s %12s %12s\n", "kind",
                     "contained", "fault op", "pages released",
@@ -805,95 +726,21 @@ main()
 
     // The reduced TSan configuration emits no artifact: a subset
     // run must never become the regression baseline.
-    FILE *json = supervision_only
-                     ? nullptr
-                     : std::fopen("BENCH_fault.json", "w");
-    if (json) {
-        std::fprintf(json, "{\n");
-        std::fprintf(json, "  \"bench\": \"fault_matrix\",\n");
-        std::fprintf(json, "  \"deterministic\": {\n");
-        std::fprintf(json, "    \"seed\": %llu,\n",
-                     static_cast<unsigned long long>(seed));
-        std::fprintf(json, "    \"seeded_plan\": \"%s\",\n",
-                     a.seeded.planText.c_str());
-        std::fprintf(json, "    \"cells\": [\n");
-        for (size_t i = 0; i < a.cells.size(); ++i) {
-            const Cell &c = a.cells[i];
-            std::fprintf(
-                json,
-                "      {\"kind\": \"%s\", \"contained\": %s, "
-                "\"fault_op\": %llu, \"pages_released\": %llu, "
-                "\"survivors_bit_identical\": %s}%s\n",
-                heapFaultKindName(c.kind), c.ok ? "true" : "false",
-                static_cast<unsigned long long>(c.faultOp),
-                static_cast<unsigned long long>(c.pagesReleased),
-                c.survivorMatch ? "true" : "false",
-                i + 1 < a.cells.size() ? "," : "");
+    if (!supervision_only) {
+        Json cells = Json::array();
+        for (const Cell &c : a.cells) {
+            cells.push(Json()
+                           .set("kind", heapFaultKindName(c.kind))
+                           .set("containment_sec", c.containSec)
+                           .set("faulted_ops_per_sec", c.faultedOpsPerSec)
+                           .set("control_ops_per_sec",
+                                c.controlOpsPerSec));
         }
-        std::fprintf(json, "    ],\n");
-        std::fprintf(json, "    \"supervision\": [\n");
-        for (size_t i = 0; i < a.supervision.size(); ++i) {
-            const SupervisionCell &c = a.supervision[i];
-            std::fprintf(
-                json,
-                "      {\"cell\": \"%s\", \"plan\": \"%s\", "
-                "\"ok\": %s, \"stalls\": %llu, \"retries\": %llu, "
-                "\"crashes\": %llu, \"reassigns\": %llu, "
-                "\"stw_catchups\": %llu, \"containments\": %llu, "
-                "\"survivors_bit_identical\": %s}%s\n",
-                c.name, c.plan, c.ok ? "true" : "false",
-                static_cast<unsigned long long>(c.stalls),
-                static_cast<unsigned long long>(c.retries),
-                static_cast<unsigned long long>(c.crashes),
-                static_cast<unsigned long long>(c.reassigns),
-                static_cast<unsigned long long>(c.stwCatchups),
-                static_cast<unsigned long long>(c.containments),
-                c.survivorMatch ? "true" : "false",
-                i + 1 < a.supervision.size() ? "," : "");
-        }
-        std::fprintf(json, "    ],\n");
-        std::fprintf(json, "    \"pressure\": {\"events\": %llu, "
-                           "\"pages_reclaimed\": %llu, "
-                           "\"oom_kills\": %llu, "
-                           "\"survivors\": %u},\n",
-                     static_cast<unsigned long long>(
-                         a.pressure.pressureEvents),
-                     static_cast<unsigned long long>(
-                         a.pressure.pagesReclaimed),
-                     static_cast<unsigned long long>(
-                         a.pressure.oomKills),
-                     a.pressure.survivors);
-        std::fprintf(json, "    \"fingerprint\": \"%016llx\",\n",
-                     static_cast<unsigned long long>(
-                         fnv1a(a.detText)));
-        std::fprintf(json, "    \"rerun_identical\": %s\n",
-                     rerun_identical ? "true" : "false");
-        std::fprintf(json, "  },\n");
-        std::fprintf(json, "  \"reporting\": {\n");
-        std::fprintf(json, "    \"cells\": [\n");
-        for (size_t i = 0; i < a.cells.size(); ++i) {
-            const Cell &c = a.cells[i];
-            std::fprintf(
-                json,
-                "      {\"kind\": \"%s\", "
-                "\"containment_sec\": %.6g, "
-                "\"faulted_ops_per_sec\": %.6g, "
-                "\"control_ops_per_sec\": %.6g}%s\n",
-                heapFaultKindName(c.kind), c.containSec,
-                c.faultedOpsPerSec, c.controlOpsPerSec,
-                i + 1 < a.cells.size() ? "," : "");
-        }
-        std::fprintf(json, "    ],\n");
-        std::fprintf(json,
-                     "    \"pressure_wall_sec\": %.6g,\n",
-                     a.pressure.wallSec);
-        std::fprintf(json, "    \"pressure_budget_mib\": %.6g\n",
-                     a.pressure.budgetMiB);
-        std::fprintf(json, "  },\n");
-        std::fprintf(json, "  \"ok\": %s\n", ok ? "true" : "false");
-        std::fprintf(json, "}\n");
-        std::fclose(json);
-        std::printf("wrote BENCH_fault.json\n");
+        report.deterministic.set("rerun_identical", rerun_identical)
+            .set("ok", ok);
+        report.timing.set("cells", std::move(cells))
+            .set("pressure_wall_sec", a.pressure.wallSec);
+        report.write("BENCH_fault.json");
     }
 
     if (ok && supervision_only) {
@@ -914,4 +761,12 @@ main()
         std::printf("FAILED: see gates above\n");
     }
     return ok ? 0 : 1;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return bench::run(argc, argv, benchMain);
 }

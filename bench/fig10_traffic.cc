@@ -12,14 +12,16 @@
 
 using namespace cherivoke;
 
+namespace {
+
 int
-main()
+benchMain()
 {
     bench::printSystems(
         "Figure 10: Off-core-traffic overhead (%)");
 
     const sim::ExperimentConfig base = bench::defaultConfig();
-    bench::printKnobs();
+    announceEnvKnobs();
 
     stats::TextTable table({"benchmark", "traffic overhead"});
     for (const auto &profile : workload::specProfiles()) {
@@ -40,4 +42,12 @@ main()
                 "Paper: max ~16%% (xalancbmk), minimal for "
                 "non-allocating workloads.\n");
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return bench::run(argc, argv, benchMain);
 }

@@ -17,14 +17,16 @@
 
 using namespace cherivoke;
 
+namespace {
+
 int
-main()
+benchMain()
 {
     bench::printSystems("Figure 5: CHERIvoke vs state of the art "
                         "(25% heap overhead)");
 
     const sim::ExperimentConfig cfg = bench::defaultConfig();
-    bench::printKnobs();
+    announceEnvKnobs();
 
     stats::TextTable time_tab({"benchmark", "CHERIvoke(ours)",
                                "CHERIvoke(paper)", "Oscar",
@@ -85,4 +87,12 @@ main()
                 "paper plots (digitized);\nCHERIvoke(ours) is "
                 "measured on this repository's simulator.\n");
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return bench::run(argc, argv, benchMain);
 }

@@ -15,14 +15,16 @@
 
 using namespace cherivoke;
 
+namespace {
+
 int
-main()
+benchMain()
 {
     bench::printSystems("Figure 6: Decomposition of run-time "
                         "overheads (25% heap overhead)");
 
     const sim::ExperimentConfig cfg = bench::defaultConfig();
-    bench::printKnobs();
+    announceEnvKnobs();
     stats::TextTable table({"benchmark", "quarantine only",
                             "+shadow", "+sweep (total)",
                             "model (sweep)"});
@@ -57,4 +59,12 @@ main()
                 "(ScanRate x QuarantineFraction), evaluated on "
                 "measured inputs (0 when no sweeps ran).\n");
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return bench::run(argc, argv, benchMain);
 }

@@ -24,16 +24,14 @@ const char *kBenchmarks[] = {"ffmpeg", "astar",   "dealII",
                              "povray", "soplex",  "sphinx3",
                              "xalancbmk"};
 
-} // namespace
-
 int
-main()
+benchMain()
 {
     bench::printSystems("Figure 7: Sweep-loop DRAM bandwidth by "
                         "kernel (MiB/s)");
 
     const sim::ExperimentConfig base = bench::defaultConfig();
-    bench::printKnobs();
+    announceEnvKnobs();
 
     stats::TextTable table({"benchmark", "simple", "unrolled",
                             "AVX2"});
@@ -77,4 +75,12 @@ main()
                 100 * geomean(unrolled_col) / peak,
                 100 * geomean(vec_col) / peak);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return bench::run(argc, argv, benchMain);
 }

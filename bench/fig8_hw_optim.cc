@@ -80,16 +80,14 @@ sweepTimeAtDensity(double density, bool use_pte, bool use_tags,
                              0, 1, 1.0);
 }
 
-} // namespace
-
 int
-main()
+benchMain()
 {
     bench::printSystems("Figure 8: Hardware work-elimination "
                         "(PTE CapDirty + CLoadTags)");
 
     const sim::ExperimentConfig base = bench::defaultConfig();
-    bench::printKnobs();
+    announceEnvKnobs();
 
     // --- (a) proportion of memory swept per benchmark ---
     std::printf("--- (a) Proportion of memory swept ---\n");
@@ -153,4 +151,12 @@ main()
                 "§6.3) so its curve sits above the ideal at low "
                 "density.\n");
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return bench::run(argc, argv, benchMain);
 }

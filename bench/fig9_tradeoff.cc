@@ -13,14 +13,16 @@
 
 using namespace cherivoke;
 
+namespace {
+
 int
-main()
+benchMain()
 {
     bench::printSystems("Figure 9: Execution time vs heap overhead "
                         "(xalancbmk, omnetpp)");
 
     const sim::ExperimentConfig base = bench::defaultConfig();
-    bench::printKnobs();
+    announceEnvKnobs();
 
     stats::TextTable table({"heap overhead", "xalancbmk", "omnetpp"});
     for (double q : {0.10, 0.20, 0.25, 0.40, 0.60, 0.80, 1.00, 1.50,
@@ -45,4 +47,12 @@ main()
                 "xalancbmk, less temporal fragmentation in the "
                 "cache, §6.4).\n");
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return bench::run(argc, argv, benchMain);
 }

@@ -27,40 +27,30 @@
  * Wall-clock numbers are reporting only — the container CI runs on
  * one CPU, so gates are determinism and equality, never throughput.
  *
- * Results go to stdout and BENCH_mutator.json; every row carries the
- * thread-count configuration and std::thread::hardware_concurrency()
- * so trajectory tracking can bucket hosts.
+ * Results go to stdout and BENCH_mutator.json; every row carries its
+ * thread-count configuration, and the report's host block the
+ * hardware thread count, so trajectory tracking can bucket hosts.
  *
- * Environment (strict parsing; bench_common.hh knobs apply too —
- * CHERIVOKE_REMOTE_BATCH sets the batch capacity everywhere):
- *   CHERIVOKE_MUTATOR_OPS      = trace ops for the race phases
- *                                (default 40000)
- *   CHERIVOKE_MSGPASS_ENTRIES  = entries per producer in msgpass
- *                                (default 50000)
+ * Knobs: the shared engine knobs apply (CHERIVOKE_REMOTE_BATCH sets
+ * the batch capacity everywhere), plus CHERIVOKE_MUTATOR_OPS (trace
+ * ops for the race phases) and CHERIVOKE_MSGPASS_ENTRIES (entries
+ * per msgpass producer).
  */
 
-#include <chrono>
 #include <cstdio>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "bench_common.hh"
+#include "report.hh"
 #include "tenant/mutator_threads.hh"
 #include "tenant/remote_queue.hh"
 #include "workload/synth.hh"
 
 using namespace cherivoke;
+using bench::Json;
 
 namespace {
-
-double
-now()
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
 
 struct MsgpassRow
 {
@@ -79,7 +69,7 @@ runMsgpass(unsigned producers, uint64_t entries_each,
     MsgpassRow row;
     row.producers = producers;
     tenant::RemoteFreeQueue queue;
-    const double t0 = now();
+    const bench::Stopwatch watch;
 
     std::vector<std::thread> threads;
     for (unsigned p = 0; p < producers; ++p) {
@@ -110,7 +100,7 @@ runMsgpass(unsigned producers, uint64_t entries_each,
     for (auto &t : threads)
         t.join();
 
-    row.wallSec = now() - t0;
+    row.wallSec = watch.seconds();
     row.entries = entries;
     row.batches = batches;
     row.conserved = order_ok && queue.drained() &&
@@ -156,22 +146,17 @@ rampTrace(uint64_t ops_target)
     return workload::synthesize(profile, cfg);
 }
 
-} // namespace
-
 int
-main()
+benchMain()
 {
     bench::printSystems(
         "Mutator contention: batched remote-free message passing");
 
     const sim::ExperimentConfig base = bench::defaultConfig();
     const unsigned batch = base.remoteBatch;
-    const uint64_t race_ops = static_cast<uint64_t>(
-        envI64("CHERIVOKE_MUTATOR_OPS", 40000));
-    const uint64_t msg_entries = static_cast<uint64_t>(
-        envI64("CHERIVOKE_MSGPASS_ENTRIES", 50000));
-    bench::printKnobs();
-    const unsigned hw = std::thread::hardware_concurrency();
+    const uint64_t race_ops = knobInt("CHERIVOKE_MUTATOR_OPS");
+    const uint64_t msg_entries = knobInt("CHERIVOKE_MSGPASS_ENTRIES");
+    announceEnvKnobs();
     bool ok = true;
 
     // ---- Phase 1: msgpass producers/consumer --------------------
@@ -298,75 +283,52 @@ main()
                     threaded.run.mutatorRemoteFrees));
 
     // ---- BENCH_mutator.json -------------------------------------
-    FILE *json = std::fopen("BENCH_mutator.json", "w");
-    if (json) {
-        std::fprintf(json, "{\n");
-        std::fprintf(json, "  \"bench\": \"mutator_contention\",\n");
-        std::fprintf(json, "  \"hw_concurrency\": %u,\n", hw);
-        std::fprintf(json, "  \"remote_batch\": %u,\n", batch);
-        std::fprintf(json, "  \"msgpass\": [\n");
-        for (size_t i = 0; i < msgpass.size(); ++i) {
-            const MsgpassRow &r = msgpass[i];
-            std::fprintf(
-                json,
-                "    {\"producers\": %u, \"entries\": %llu, "
-                "\"batches\": %llu, \"wall_sec\": %.6f, "
-                "\"conserved\": %s}%s\n",
-                r.producers,
-                static_cast<unsigned long long>(r.entries),
-                static_cast<unsigned long long>(r.batches),
-                r.wallSec, r.conserved ? "true" : "false",
-                i + 1 < msgpass.size() ? "," : "");
-        }
-        std::fprintf(json, "  ],\n");
-        std::fprintf(
-            json,
-            "  \"pingpong\": {\"threads\": 2, \"frees\": %llu, "
-            "\"remote\": %llu, \"batches\": %llu, "
-            "\"wall_sec\": %.6f, \"deterministic\": %s},\n",
-            static_cast<unsigned long long>(pp_a.effectiveFrees),
-            static_cast<unsigned long long>(pp_a.remoteFrees),
-            static_cast<unsigned long long>(pp_a.batches),
-            pp_a.wallSec,
-            pp_all_remote && pp_deterministic ? "true" : "false");
-        std::fprintf(json, "  \"lotsofthreads\": [\n");
-        for (size_t i = 0; i < rows.size(); ++i) {
-            const auto &r = rows[i];
-            std::fprintf(
-                json,
-                "    {\"threads\": %u, \"remote_frees\": %llu, "
-                "\"batches\": %llu, \"drains\": %llu, "
-                "\"epoch_barriers\": %llu, \"fingerprint\": %llu, "
-                "\"wall_sec\": %.6f, \"deterministic\": %s}%s\n",
-                r.threads,
-                static_cast<unsigned long long>(
-                    r.result.remoteFrees),
-                static_cast<unsigned long long>(r.result.batches),
-                static_cast<unsigned long long>(r.result.drains),
-                static_cast<unsigned long long>(
-                    r.result.epochBarriers),
-                static_cast<unsigned long long>(
-                    r.result.fingerprint()),
-                r.result.wallSec,
-                r.deterministic ? "true" : "false",
-                i + 1 < rows.size() ? "," : "");
-        }
-        std::fprintf(json, "  ],\n");
-        std::fprintf(
-            json,
-            "  \"tenant_parity\": {\"serial_threads\": 1, "
-            "\"threaded_threads\": 4, \"bit_identical\": %s, "
-            "\"remote_frees\": %llu, \"epoch_barriers\": %llu},\n",
-            parity ? "true" : "false",
-            static_cast<unsigned long long>(
-                threaded.run.mutatorRemoteFrees),
-            static_cast<unsigned long long>(
-                threaded.run.mutatorEpochBarriers));
-        std::fprintf(json, "  \"ok\": %s\n", ok ? "true" : "false");
-        std::fprintf(json, "}\n");
-        std::fclose(json);
-        std::printf("wrote BENCH_mutator.json\n");
+    bench::Report report{"mutator_contention"};
+    Json msg_det = Json::array(), msg_time = Json::array();
+    for (const MsgpassRow &r : msgpass) {
+        msg_det.push(Json()
+                         .set("producers", r.producers)
+                         .set("entries", r.entries)
+                         .set("batches", r.batches)
+                         .set("conserved", r.conserved));
+        msg_time.push(r.wallSec);
     }
+    Json ramp_det = Json::array(), ramp_time = Json::array();
+    for (const auto &r : rows) {
+        ramp_det.push(Json()
+                          .set("threads", r.threads)
+                          .set("remote_frees", r.result.remoteFrees)
+                          .set("batches", r.result.batches)
+                          .set("drains", r.result.drains)
+                          .set("epoch_barriers", r.result.epochBarriers)
+                          .set("fingerprint", r.result.fingerprint())
+                          .set("deterministic", r.deterministic));
+        ramp_time.push(r.result.wallSec);
+    }
+    report.deterministic.set("remote_batch", batch)
+        .set("msgpass", std::move(msg_det))
+        .set("pingpong",
+             Json()
+                 .set("threads", 2)
+                 .set("frees", pp_a.effectiveFrees)
+                 .set("remote", pp_a.remoteFrees)
+                 .set("batches", pp_a.batches)
+                 .set("deterministic",
+                      pp_all_remote && pp_deterministic))
+        .set("lotsofthreads", std::move(ramp_det))
+        .set("tenant_parity",
+             Json()
+                 .set("serial_threads", 1)
+                 .set("threaded_threads", 4)
+                 .set("bit_identical", parity)
+                 .set("remote_frees", threaded.run.mutatorRemoteFrees)
+                 .set("epoch_barriers",
+                      threaded.run.mutatorEpochBarriers))
+        .set("ok", ok);
+    report.timing.set("msgpass_wall_sec", std::move(msg_time))
+        .set("pingpong_wall_sec", pp_a.wallSec)
+        .set("lotsofthreads_wall_sec", std::move(ramp_time));
+    report.write("BENCH_mutator.json");
 
     if (ok) {
         std::printf("OK: conservation, all-remote ping-pong, "
@@ -376,4 +338,12 @@ main()
         std::printf("FAILED: see gates above\n");
     }
     return ok ? 0 : 1;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return bench::run(argc, argv, benchMain);
 }

@@ -28,24 +28,24 @@
  *     consistently capture, so the gate treats anything within
  *     1e-4 relative as a match.
  *
- *  3. Determinism: the whole adaptive pass runs twice and the two
- *     %.17g fingerprints must be byte-identical.
+ *  3. Determinism: every adaptive run is replayed, and the rendered
+ *     runs and replays must be byte-identical.
  *
- * Emits BENCH_adaptive.json (deterministic fields + elapsed_ms).
+ * Emits BENCH_adaptive.json.
  */
 
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <map>
 #include <string>
 #include <vector>
 
-#include "bench_common.hh"
+#include "report.hh"
 #include "stats/table.hh"
 #include "workload/spec_profiles.hh"
 
 using namespace cherivoke;
+using bench::Json;
 
 namespace {
 
@@ -75,53 +75,13 @@ listPolicies()
     return 0;
 }
 
-/** One profile × policy result of the overhead pass. */
-struct OverheadCell
-{
-    sim::BenchResult r;
-};
-
-/** Deterministic %.17g fingerprint of one adaptive run (doubles
- *  round-trip exactly at this precision). */
-void
-addFingerprint(std::string &out, const std::string &benchmark,
-               const sim::BenchResult &r)
-{
-    char buf[512];
-    const workload::DriverResult &m = r.run;
-    std::snprintf(
-        buf, sizeof(buf),
-        "%s allocs=%llu frees=%llu freed=%llu stores=%llu "
-        "vsec=%.17g epochs=%llu slices=%llu pages=%llu "
-        "skipped_tier=%llu revoked=%llu released=%llu "
-        "time=%.17g sweep=%.17g shadow=%.17g predicted=%.17g\n",
-        benchmark.c_str(),
-        static_cast<unsigned long long>(m.allocCalls),
-        static_cast<unsigned long long>(m.freeCalls),
-        static_cast<unsigned long long>(m.freedBytes),
-        static_cast<unsigned long long>(m.ptrStores),
-        m.virtualSeconds,
-        static_cast<unsigned long long>(m.revoker.epochs),
-        static_cast<unsigned long long>(m.revoker.slices),
-        static_cast<unsigned long long>(m.revoker.sweep.pagesSwept),
-        static_cast<unsigned long long>(
-            m.revoker.sweep.pagesSkippedTier),
-        static_cast<unsigned long long>(m.revoker.sweep.capsRevoked),
-        static_cast<unsigned long long>(m.revoker.bytesReleased),
-        r.normalizedTime, r.sweepOverhead, r.shadowOverhead,
-        r.predictedSweepOverhead);
-    out += buf;
-}
-
-} // namespace
-
 int
-main(int argc, char **argv)
+benchMain(int argc, char **argv)
 {
     if (argc > 1 && std::strcmp(argv[1], "--list-policies") == 0)
         return listPolicies();
 
-    const auto start = std::chrono::steady_clock::now();
+    const bench::Stopwatch elapsed;
     bench::printSystems("Policy sweep: registered RevocationEngine "
                         "policies x sweep threads, + adaptive gate");
 
@@ -131,7 +91,7 @@ main(int argc, char **argv)
     const char *benchmarks[] = {"xalancbmk", "omnetpp", "povray"};
 
     const sim::ExperimentConfig base = bench::defaultConfig();
-    bench::printKnobs();
+    announceEnvKnobs();
 
     // --- Pass 1: thread-count traffic parity, every policy --------
     stats::TextTable table({"benchmark", "policy", "threads",
@@ -186,8 +146,8 @@ main(int argc, char **argv)
                            "concurrent", "adaptive", "best static",
                            "adaptive<=best"});
     bool adaptive_ok = true;
-    std::string fingerprint_a, fingerprint_b;
-    std::vector<std::map<std::string, double>> gate_rows;
+    Json adaptive_runs = Json::array(), replays = Json::array(),
+         gate_rows = Json::array();
 
     // Epoch-boundary noise floor (see the file comment): barrier
     // policies differ from stop-the-world by O(1e-5) either way.
@@ -207,11 +167,13 @@ main(int argc, char **argv)
             row[revoke::policyName(policy)] = r.normalizedTime;
             if (policy == revoke::PolicyKind::Adaptive) {
                 adaptive_time = r.normalizedTime;
-                addFingerprint(fingerprint_a, profile.name, r);
                 // Determinism: the identical run, replayed.
-                const sim::BenchResult again =
-                    sim::runBenchmark(profile, cfg);
-                addFingerprint(fingerprint_b, profile.name, again);
+                Json run, replay;
+                run.set("benchmark", profile.name);
+                replay.set("benchmark", profile.name);
+                adaptive_runs.push(std::move(bench::addBench(run, r)));
+                replays.push(std::move(bench::addBench(
+                    replay, sim::runBenchmark(profile, cfg))));
             } else {
                 if (policy == revoke::PolicyKind::StopTheWorld)
                     stw_time = r.normalizedTime;
@@ -233,7 +195,11 @@ main(int argc, char **argv)
             adaptive_time <= best_static * (1.0 + kNoiseFloor);
         adaptive_ok = adaptive_ok && ok;
         row["best_static"] = best_static;
-        gate_rows.push_back(row);
+        Json gate_row;
+        gate_row.set("benchmark", profile.name);
+        for (const auto &entry : row)
+            gate_row.set(entry.first, entry.second);
+        gate_rows.push(std::move(gate_row));
         gate.addRow(
             {profile.name,
              stats::TextTable::num(row["stop-the-world"], 6),
@@ -245,7 +211,7 @@ main(int argc, char **argv)
     }
     std::printf("%s\n", gate.render().c_str());
 
-    const bool deterministic = fingerprint_a == fingerprint_b;
+    const bool deterministic = adaptive_runs == replays;
     std::printf("adaptive gate: %s\n",
                 adaptive_ok ? "adaptive matches or beats every "
                               "static policy on all profiles"
@@ -255,49 +221,31 @@ main(int argc, char **argv)
                 deterministic ? "byte-identical"
                               : "DIVERGED");
 
-    // --- BENCH_adaptive.json --------------------------------------
-    const double elapsed_ms =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - start)
-            .count();
-    FILE *json = std::fopen("BENCH_adaptive.json", "w");
-    if (!json) {
-        std::fprintf(stderr, "cannot write BENCH_adaptive.json\n");
-        return 1;
-    }
-    std::fprintf(json, "{\n");
-    std::fprintf(json, "  \"bench\": \"policy_sweep\",\n");
-    std::fprintf(json, "  \"policies\": [");
-    for (size_t i = 0; i < policies.size(); ++i) {
-        std::fprintf(json, "%s\"%s\"", i ? ", " : "",
-                     revoke::policyName(policies[i]));
-    }
-    std::fprintf(json, "],\n");
-    std::fprintf(json, "  \"rows\": [\n");
-    for (size_t i = 0; i < gate_rows.size(); ++i) {
-        std::fprintf(json, "    {\"benchmark\": \"%s\"",
-                     profiles[i].name.c_str());
-        for (const auto &entry : gate_rows[i]) {
-            std::fprintf(json, ", \"%s\": %.17g",
-                         entry.first.c_str(), entry.second);
-        }
-        std::fprintf(json, "}%s\n",
-                     i + 1 < gate_rows.size() ? "," : "");
-    }
-    std::fprintf(json, "  ],\n");
-    std::fprintf(json, "  \"traffic_parity\": %s,\n",
-                 all_match ? "true" : "false");
-    std::fprintf(json, "  \"adaptive_ok\": %s,\n",
-                 adaptive_ok ? "true" : "false");
-    std::fprintf(json, "  \"deterministic\": %s,\n",
-                 deterministic ? "true" : "false");
-    std::fprintf(json, "  \"elapsed_ms\": %.3f\n", elapsed_ms);
-    std::fprintf(json, "}\n");
-    std::fclose(json);
-
     const bool ok = all_match && adaptive_ok && deterministic;
+    Json names = Json::array();
+    for (const revoke::PolicyKind policy : policies)
+        names.push(revoke::policyName(policy));
+    bench::Report report{"policy_sweep"};
+    report.deterministic.set("policies", std::move(names))
+        .set("rows", std::move(gate_rows))
+        .set("adaptive_runs", std::move(adaptive_runs))
+        .set("traffic_parity", all_match)
+        .set("adaptive_ok", adaptive_ok)
+        .set("rerun_identical", deterministic)
+        .set("ok", ok);
+    report.timing.set("elapsed_ms", elapsed.seconds() * 1e3);
+    report.write("BENCH_adaptive.json");
     std::printf(ok ? "OK: traffic parity, adaptive gate and "
                      "determinism all hold\n"
                    : "FAILED: see the tables above\n");
     return ok ? 0 : 1;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return bench::run(argc, argv,
+                      [&] { return benchMain(argc, argv); });
 }

@@ -15,8 +15,8 @@
  * must produce byte-identical shadow contents and identical
  * PaintStats, sweeps identical SweepStats; any divergence fails the
  * bench. Results are emitted both as a table and machine-readable
- * into BENCH_sweep.json so the perf trajectory is tracked PR over
- * PR.
+ * into BENCH_sweep.json so the perf trajectory is tracked across
+ * changes.
  *
  * The two wall-clock gates (4-shard paint, 4-thread sweep, each
  * within 25% of serial) are timed apart from the table: every sample
@@ -24,37 +24,27 @@
  * longer lets thread start-up decide the result, and serial and
  * threaded samples alternate so both see the same host load.
  *
- * Environment knobs (strict: malformed values fail the run):
- *   CHERIVOKE_BENCH_ALLOCS = image size in allocations (default 80000)
- *   CHERIVOKE_BENCH_SECS   = min measure window per config (default 0.2)
+ * Knobs: CHERIVOKE_BENCH_ALLOCS (image size) and
+ * CHERIVOKE_BENCH_SECS (timing window per configuration).
  */
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <functional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "alloc/cherivoke_alloc.hh"
+#include "report.hh"
 #include "revoke/sweeper.hh"
 #include "stats/table.hh"
-#include "support/env.hh"
 #include "support/rng.hh"
 
 using namespace cherivoke;
+using bench::Json;
 
 namespace {
-
-double
-now()
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
 
 /** Snapshot of the heap's whole shadow span. */
 std::vector<uint8_t>
@@ -126,14 +116,11 @@ struct SweepRow
     bool equal = true;
 };
 
-} // namespace
-
 int
-main()
+benchMain()
 {
-    const uint64_t allocs = static_cast<uint64_t>(
-        envI64("CHERIVOKE_BENCH_ALLOCS", 80000));
-    const double window = envF64("CHERIVOKE_BENCH_SECS", 0.2);
+    const uint64_t allocs = knobInt("CHERIVOKE_BENCH_ALLOCS");
+    const double window = knobReal("CHERIVOKE_BENCH_SECS");
     announceEnvKnobs();
 
     std::printf("==============================================\n");
@@ -215,11 +202,11 @@ main()
         // Then throughput: repeat paint/clear, timing the paints.
         double painting = 0;
         uint64_t iters = 0;
-        const double begin = now();
-        while (now() - begin < window || iters < 3) {
-            const double t0 = now();
+        const bench::Stopwatch begin;
+        while (begin.seconds() < window || iters < 3) {
+            const bench::Stopwatch t0;
             paintOnce();
-            painting += now() - t0;
+            painting += t0.seconds();
             ++iters;
             clearAll();
         }
@@ -241,20 +228,20 @@ main()
     }
     const double paint_ratio = gateRatio(
         [&] {
-            const double t0 = now();
+            const bench::Stopwatch t0;
             for (unsigned p = 0; p < kGatePasses; ++p) {
                 for (const alloc::QuarantineRun &run : runs)
                     shadow.paint(run.addr + alloc::kChunkHeader,
                                  run.size - alloc::kChunkHeader);
             }
-            const double dt = now() - t0;
+            const double dt = t0.seconds();
             clearAll();
             return dt;
         },
         [&] {
-            const double t0 = now();
+            const bench::Stopwatch t0;
             alloc::paintShardsConcurrent(shadow, gate_shards);
-            const double dt = now() - t0;
+            const double dt = t0.seconds();
             clearAll();
             return dt;
         });
@@ -289,11 +276,11 @@ main()
 
         double sweeping = 0;
         uint64_t iters = 0, pages = 0;
-        const double begin = now();
-        while (now() - begin < window || iters < 3) {
-            const double t0 = now();
+        const bench::Stopwatch begin;
+        while (begin.seconds() < window || iters < 3) {
+            const bench::Stopwatch t0;
             const revoke::SweepStats s = sweeper.sweep(space, shadow);
-            sweeping += now() - t0;
+            sweeping += t0.seconds();
             pages += s.pagesSwept;
             ++iters;
         }
@@ -307,10 +294,10 @@ main()
     gate_opts.threads = 4;
     revoke::Sweeper gate_threaded(gate_opts);
     const auto timedSweeps = [&](revoke::Sweeper &sweeper) {
-        const double t0 = now();
+        const bench::Stopwatch t0;
         for (unsigned p = 0; p < kGatePasses; ++p)
             sweeper.sweep(space, shadow);
-        return now() - t0;
+        return t0.seconds();
     };
     const double sweep_ratio =
         gateRatio([&] { return timedSweeps(gate_serial); },
@@ -353,53 +340,36 @@ main()
                        : "");
 
     // ---- BENCH_sweep.json ---------------------------------------
-    FILE *json = std::fopen("BENCH_sweep.json", "w");
-    if (json) {
-        std::fprintf(json, "{\n");
-        std::fprintf(json, "  \"bench\": \"sweep_hotpath\",\n");
-        std::fprintf(json, "  \"allocations\": %llu,\n",
-                     static_cast<unsigned long long>(allocs));
-        std::fprintf(json, "  \"painted_granules\": %llu,\n",
-                     static_cast<unsigned long long>(
-                         painted_granules));
-        std::fprintf(json, "  \"swept_pages_per_iter\": %llu,\n",
-                     static_cast<unsigned long long>(
-                         ref_sweep.pagesSwept));
-        std::fprintf(json, "  \"paint\": [\n");
-        for (size_t i = 0; i < paint_rows.size(); ++i) {
-            const PaintRow &r = paint_rows[i];
-            std::fprintf(
-                json,
-                "    {\"shards\": %u, \"sec_per_iter\": %.6g, "
-                "\"granules_per_sec\": %.6g, \"equal\": %s}%s\n",
-                r.shards, r.secPerIter, r.granulesPerSec,
-                r.equal ? "true" : "false",
-                i + 1 < paint_rows.size() ? "," : "");
-        }
-        std::fprintf(json, "  ],\n");
-        std::fprintf(json, "  \"sweep\": [\n");
-        for (size_t i = 0; i < sweep_rows.size(); ++i) {
-            const SweepRow &r = sweep_rows[i];
-            std::fprintf(
-                json,
-                "    {\"threads\": %u, \"sec_per_iter\": %.6g, "
-                "\"pages_per_sec\": %.6g, \"equal\": %s}%s\n",
-                r.threads, r.secPerIter, r.pagesPerSec,
-                r.equal ? "true" : "false",
-                i + 1 < sweep_rows.size() ? "," : "");
-        }
-        std::fprintf(json, "  ],\n");
-        std::fprintf(json, "  \"hw_concurrency\": %u,\n", hw);
-        std::fprintf(json, "  \"paint_speedup_4shards\": %.3f,\n",
-                     1 / paint_ratio);
-        std::fprintf(json, "  \"sweep_speedup_4threads\": %.3f,\n",
-                     1 / sweep_ratio);
-        std::fprintf(json, "  \"ok\": %s\n",
-                     all_equal ? "true" : "false");
-        std::fprintf(json, "}\n");
-        std::fclose(json);
-        std::printf("wrote BENCH_sweep.json\n");
+    bench::Report report{"sweep_hotpath"};
+    Json paint_det = Json::array(), paint_time = Json::array();
+    for (const PaintRow &r : paint_rows) {
+        paint_det.push(
+            Json().set("shards", r.shards).set("equal", r.equal));
+        paint_time.push(Json()
+                            .set("shards", r.shards)
+                            .set("sec_per_iter", r.secPerIter)
+                            .set("granules_per_sec", r.granulesPerSec));
     }
+    Json sweep_det = Json::array(), sweep_time = Json::array();
+    for (const SweepRow &r : sweep_rows) {
+        sweep_det.push(
+            Json().set("threads", r.threads).set("equal", r.equal));
+        sweep_time.push(Json()
+                            .set("threads", r.threads)
+                            .set("sec_per_iter", r.secPerIter)
+                            .set("pages_per_sec", r.pagesPerSec));
+    }
+    report.deterministic.set("allocations", allocs)
+        .set("painted_granules", painted_granules)
+        .set("swept_pages_per_iter", ref_sweep.pagesSwept)
+        .set("paint", std::move(paint_det))
+        .set("sweep", std::move(sweep_det))
+        .set("ok", all_equal);
+    report.timing.set("paint", std::move(paint_time))
+        .set("sweep", std::move(sweep_time))
+        .set("paint_speedup_4shards", 1 / paint_ratio)
+        .set("sweep_speedup_4threads", 1 / sweep_ratio);
+    report.write("BENCH_sweep.json");
 
     // Gate parallel health wherever the host can show it: with
     // >= 4 hardware threads only a catastrophic threading regression
@@ -431,4 +401,12 @@ main()
                     : "FAILED: a configuration diverged from the "
                       "serial reference\n");
     return all_equal && perf_ok ? 0 : 1;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return bench::run(argc, argv, benchMain);
 }

@@ -16,14 +16,16 @@
 
 using namespace cherivoke;
 
+namespace {
+
 int
-main()
+benchMain()
 {
     bench::printSystems(
         "Table 2: Deallocation metadata from applications");
 
     const sim::ExperimentConfig cfg = bench::defaultConfig();
-    bench::printKnobs();
+    announceEnvKnobs();
     stats::TextTable table({"benchmark", "pages w/ ptrs (paper)",
                             "(measured)", "free MiB/s (paper)",
                             "(measured)", "kfrees/s (paper)",
@@ -62,6 +64,14 @@ main()
     std::printf("(measured = synthetic workload replayed in the "
                 "simulator at scale %.4f,\n rates rescaled to "
                 "reference scale; paper columns are table 2)\n",
-                bench::defaultConfig().scale);
+                cfg.scale);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return bench::run(argc, argv, benchMain);
 }

@@ -39,57 +39,41 @@
  * Results go to stdout and BENCH_tenant.json (trajectory tracking,
  * uploaded by CI next to BENCH_sweep.json).
  *
- * Environment (strict parsing; see bench_common.hh for the shared
- * engine knobs which all apply here too; the churn and mixed-policy
- * phases pin scope/policy knobs — they are correctness gates, not
- * configuration axes):
- *   CHERIVOKE_TENANT_AGG_ALLOCS = aggregate live-allocation target
- *                                 (default 1000000)
- *   CHERIVOKE_TENANT_MAX        = largest tenant count (default 8)
- *   CHERIVOKE_TENANT_CHURN     = churn cycles in the churn phase
- *                                 (default 4; 0 skips the phase;
- *                                 1 is raised to 2 so slot reuse
- *                                 is always exercised)
+ * Knobs: the shared engine knobs apply (the churn and mixed-policy
+ * phases pin scope and policy: they are correctness gates, not
+ * configuration axes), plus CHERIVOKE_TENANT_AGG_ALLOCS (aggregate
+ * live-allocation target), CHERIVOKE_TENANT_MAX (largest tenant
+ * count) and CHERIVOKE_TENANT_CHURN (churn-phase cycles; 0 skips the
+ * phase, 1 is raised to 2 so slot reuse is always exercised).
  */
 
-#include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
-#include "bench_common.hh"
+#include "report.hh"
 #include "stats/table.hh"
-#include "tenant/trace_codec.hh"
 
 using namespace cherivoke;
+using bench::Json;
 
 namespace {
-
-double
-now()
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
 
 sim::ExperimentConfig
 rowConfig(unsigned tenants)
 {
     sim::ExperimentConfig cfg = bench::defaultConfig();
     // The tenant count IS this bench's x-axis and the heap targets
-    // come from sliceProfile, so the CHERIVOKE_TENANTS /
-    // _TENANT_WEIGHTS / _TENANT_HEAP_MIB / _TENANT_POLICIES /
-    // _TENANT_BACKENDS / _TENANT_CHURN overrides do not apply to the
-    // scaling rows (policy, backend, threads, shards, and
-    // _TENANT_SCOPE still do; churn has its own phase below).
+    // come from sliceProfile, so the CHERIVOKE_TENANT_WEIGHTS /
+    // _TENANT_HEAP_MIB / _TENANT_POLICIES / _TENANT_BACKENDS
+    // overrides do not apply to the scaling rows (policy, backend,
+    // threads, shards, and _TENANT_SCOPE still do; churn has its own
+    // phase below).
     cfg.tenants = tenants;
     cfg.tenantWeights.clear();
     cfg.tenantHeapMiB = 0;
     cfg.tenantPolicies.clear();
     cfg.tenantBackends.clear();
-    cfg.tenantChurn = 0;
     cfg.scale = 1.0; //!< real allocation counts, no scaling
     cfg.durationSec = 2.0;
     return cfg;
@@ -102,148 +86,21 @@ struct Row
     double wallSec = 0;
 };
 
-/**
- * Render every statistic the row reports into one string; rows are
- * "bit-identical" when these strings match byte for byte. Doubles
- * print with %.17g, which round-trips IEEE doubles exactly.
- */
-std::string
-statsFingerprint(const sim::MultiTenantBenchResult &r)
-{
-    std::string out;
-    char buf[256];
-    auto add = [&](const char *key, double v) {
-        std::snprintf(buf, sizeof(buf), "%s=%.17g\n", key, v);
-        out += buf;
-    };
-    auto addU = [&](const char *key, uint64_t v) {
-        std::snprintf(buf, sizeof(buf), "%s=%llu\n", key,
-                      static_cast<unsigned long long>(v));
-        out += buf;
-    };
-    const tenant::MultiTenantResult &m = r.run;
-    addU("ops", m.totalOps);
-    addU("allocs", m.allocCalls);
-    addU("frees", m.freeCalls);
-    addU("freed_bytes", m.freedBytes);
-    addU("ptr_stores", m.ptrStores);
-    addU("peak_agg_live_allocs", m.peakAggLiveAllocs);
-    addU("peak_agg_live_bytes", m.peakAggLiveBytes);
-    addU("peak_agg_quarantine", m.peakAggQuarantineBytes);
-    addU("peak_agg_footprint", m.peakAggFootprintBytes);
-    addU("epochs", m.engine.epochs);
-    addU("slices", m.engine.slices);
-    addU("paint_ops", m.engine.paint.total());
-    addU("pages_swept", m.engine.sweep.pagesSwept);
-    addU("pages_skipped", m.engine.sweep.pagesSkippedPte);
-    addU("lines_swept", m.engine.sweep.linesSwept);
-    addU("caps_examined", m.engine.sweep.capsExamined);
-    addU("caps_revoked", m.engine.sweep.capsRevoked);
-    addU("internal_frees", m.engine.internalFrees);
-    addU("bytes_released", m.engine.bytesReleased);
-    add("virtual_sec", m.virtualSeconds);
-    add("sweep_overhead", r.sweepOverhead);
-    add("shadow_overhead", r.shadowOverhead);
-    add("traffic_pct", r.trafficOverheadPct);
-    add("scan_rate", r.achievedScanRate);
-    addU("spawns", m.spawns);
-    addU("retires", m.retires);
-    addU("slots_reused", m.slotsReused);
-    for (const tenant::LifecycleEvent &ev : m.lifecycle) {
-        // wallSec deliberately excluded: host time, not model state.
-        addU("ev_kind", ev.kind == tenant::LifecycleEvent::Kind::Spawn
-                            ? 0 : 1);
-        addU("ev_id", ev.tenantId);
-        addU("ev_slot", ev.slot);
-        addU("ev_step", ev.step);
-        addU("ev_reused", ev.reusedSlot ? 1 : 0);
-        addU("ev_pages_released", ev.pagesReleased);
-    }
-    for (const tenant::TenantResult &t : m.tenants) {
-        addU("t_id", t.tenantId);
-        addU("t_slot", t.index);
-        addU("t_ops_applied", t.opsApplied);
-        addU("t_epochs", t.run.revoker.epochs);
-        addU("t_caps_revoked", t.run.revoker.sweep.capsRevoked);
-        addU("t_peak_live_allocs", t.run.peakLiveAllocs);
-        add("t_virtual_sec", t.run.virtualSeconds);
-        add("t_page_density", t.run.pageDensity);
-        add("t_line_density", t.run.lineDensity);
-    }
-    return out;
-}
-
-/**
- * Per-tenant statistics fingerprint: everything a tenant's replay
- * produces, minus its identity (name/id). Two tenants replaying the
- * same trace under the same config — one in a fresh slot, one in a
- * reused slot — must match byte for byte.
- */
-std::string
-tenantFingerprint(const tenant::TenantResult &t)
-{
-    std::string out;
-    char buf[256];
-    auto add = [&](const char *key, double v) {
-        std::snprintf(buf, sizeof(buf), "%s=%.17g\n", key, v);
-        out += buf;
-    };
-    auto addU = [&](const char *key, uint64_t v) {
-        std::snprintf(buf, sizeof(buf), "%s=%llu\n", key,
-                      static_cast<unsigned long long>(v));
-        out += buf;
-    };
-    addU("ops_applied", t.opsApplied);
-    addU("ops_total", t.opsTotal);
-    addU("allocs", t.run.allocCalls);
-    addU("frees", t.run.freeCalls);
-    addU("freed_bytes", t.run.freedBytes);
-    addU("ptr_stores", t.run.ptrStores);
-    addU("peak_live_bytes", t.run.peakLiveBytes);
-    addU("peak_live_allocs", t.run.peakLiveAllocs);
-    addU("peak_quarantine", t.run.peakQuarantineBytes);
-    addU("peak_footprint", t.run.peakFootprintBytes);
-    addU("epochs", t.run.revoker.epochs);
-    addU("slices", t.run.revoker.slices);
-    addU("paint_ops", t.run.revoker.paint.total());
-    addU("pages_swept", t.run.revoker.sweep.pagesSwept);
-    addU("lines_swept", t.run.revoker.sweep.linesSwept);
-    addU("caps_examined", t.run.revoker.sweep.capsExamined);
-    addU("caps_revoked", t.run.revoker.sweep.capsRevoked);
-    addU("internal_frees", t.run.revoker.internalFrees);
-    addU("bytes_released", t.run.revoker.bytesReleased);
-    add("virtual_sec", t.run.virtualSeconds);
-    add("page_density", t.run.pageDensity);
-    add("line_density", t.run.lineDensity);
-    return out;
-}
-
-/** Round every tenant trace through the binary codec: record once,
- *  replay exactly. */
-std::vector<workload::Trace>
-codecRoundTrip(const std::vector<workload::Trace> &traces)
-{
-    std::vector<workload::Trace> out;
-    out.reserve(traces.size());
-    for (const workload::Trace &t : traces)
-        out.push_back(tenant::decodeTrace(tenant::encodeTrace(t)));
-    return out;
-}
-
-} // namespace
-
 int
-main()
+benchMain()
 {
-    const uint64_t agg_allocs = static_cast<uint64_t>(
-        envI64("CHERIVOKE_TENANT_AGG_ALLOCS", 1000000));
-    const unsigned max_tenants =
-        envUnsigned("CHERIVOKE_TENANT_MAX", 8);
+    const uint64_t agg_allocs = knobInt("CHERIVOKE_TENANT_AGG_ALLOCS");
+    const unsigned max_tenants = knobUnsigned("CHERIVOKE_TENANT_MAX");
+    // 0 skips the churn phase; any other request runs at least 2
+    // cycles so the slot-reuse gate is always exercised.
+    unsigned churn_cycles = knobUnsigned("CHERIVOKE_TENANT_CHURN");
+    if (churn_cycles == 1)
+        churn_cycles = 2;
 
     bench::printSystems("Multi-tenant consolidation scaling "
                         "(bench/tenant_scale)");
     (void)bench::defaultConfig();
-    bench::printKnobs();
+    announceEnvKnobs();
     std::printf("aggregate live-allocation target: %llu across up "
                 "to %u tenants\n\n",
                 static_cast<unsigned long long>(agg_allocs),
@@ -255,9 +112,8 @@ main()
     if (counts.back() != max_tenants)
         counts.push_back(max_tenants);
 
-    bool ok = true;
+    bool ok = true, rerun_identical = true;
     std::vector<Row> rows;
-    std::string det_fingerprint_a, det_fingerprint_b;
 
     for (unsigned n : counts) {
         const workload::BenchmarkProfile profile =
@@ -266,26 +122,27 @@ main()
 
         // Record once through the binary codec, then replay — the
         // deterministic-replay interchange path, not a side channel.
-        const std::vector<workload::Trace> traces = codecRoundTrip(
-            sim::synthesizeTenantTraces(profile, cfg));
+        const std::vector<workload::Trace> traces =
+            bench::codecRoundTrip(
+                sim::synthesizeTenantTraces(profile, cfg));
 
         Row row;
         row.tenants = n;
-        const double t0 = now();
+        const bench::Stopwatch watch;
         row.bench = sim::runMultiTenantBenchmark(
             profile, cfg, sim::MachineProfile::x86(), &traces);
-        row.wallSec = now() - t0;
+        row.wallSec = watch.seconds();
 
         if (n == counts.back()) {
             // Determinism gate: identical traces, fresh manager —
             // every statistic must come out bit-identical.
-            det_fingerprint_a = statsFingerprint(row.bench);
-            const sim::MultiTenantBenchResult again =
-                sim::runMultiTenantBenchmark(
-                    profile, cfg, sim::MachineProfile::x86(),
-                    &traces);
-            det_fingerprint_b = statsFingerprint(again);
-            if (det_fingerprint_a != det_fingerprint_b) {
+            const Json first = bench::multiTenantJson(row.bench);
+            rerun_identical =
+                first == bench::multiTenantJson(
+                             sim::runMultiTenantBenchmark(
+                                 profile, cfg,
+                                 sim::MachineProfile::x86(), &traces));
+            if (!rerun_identical) {
                 std::printf("FAILED: max-tenant replay diverged "
                             "between two runs of the same traces\n");
                 ok = false;
@@ -308,7 +165,7 @@ main()
                 sim::runMultiTenantBenchmark(
                     profile, bg_cfg, sim::MachineProfile::x86(),
                     &traces);
-            if (statsFingerprint(bg_run) != det_fingerprint_a) {
+            if (bench::multiTenantJson(bg_run) != first) {
                 std::printf("FAILED: background-sweeper run "
                             "diverged from the mutator-assist "
                             "run over the same traces\n");
@@ -331,18 +188,10 @@ main()
         const workload::DriverResult &a = classic.run;
         const workload::DriverResult &b = rows[0].bench.run
                                               .tenants[0].run;
-        single_match =
-            a.revoker == b.revoker &&
-            a.allocCalls == b.allocCalls &&
-            a.freeCalls == b.freeCalls &&
-            a.freedBytes == b.freedBytes &&
-            a.ptrStores == b.ptrStores &&
-            a.peakLiveBytes == b.peakLiveBytes &&
-            a.peakQuarantineBytes == b.peakQuarantineBytes &&
-            a.peakFootprintBytes == b.peakFootprintBytes &&
-            a.pageDensity == b.pageDensity &&
-            a.lineDensity == b.lineDensity &&
-            a.virtualSeconds == b.virtualSeconds;
+        Json a_json, b_json;
+        single_match = a.revoker == b.revoker &&
+                       bench::addDriver(a_json, a) ==
+                           bench::addDriver(b_json, b);
         if (!single_match) {
             std::printf("FAILED: 1-tenant manager run diverged from "
                         "the single-process TraceDriver pipeline\n");
@@ -357,12 +206,6 @@ main()
     // pinned (per-tenant + stop-the-world) so each churn tenant's
     // statistics are a pure function of its trace: the fresh-slot
     // cycle and every reused-slot cycle must match bit for bit.
-    // 0 skips the phase (matching the knob's meaning everywhere
-    // else); any non-zero request runs at least 2 cycles so the
-    // slot-reuse gate is always exercised.
-    unsigned churn_cycles = envUnsigned("CHERIVOKE_TENANT_CHURN", 4, 0);
-    if (churn_cycles == 1)
-        churn_cycles = 2;
     sim::MultiTenantBenchResult churn_bench;
     bool churn_reuse_ok = true, churn_identical = true,
          churn_complete = true, churn_deterministic = true;
@@ -375,8 +218,9 @@ main()
         cfg.policy = revoke::PolicyKind::StopTheWorld;
         cfg.durationSec = 1.0;
 
-        const std::vector<workload::Trace> traces = codecRoundTrip(
-            sim::synthesizeTenantTraces(profile, cfg));
+        const std::vector<workload::Trace> traces =
+            bench::codecRoundTrip(
+                sim::synthesizeTenantTraces(profile, cfg));
         churn_bench = sim::runMultiTenantBenchmark(
             profile, cfg, sim::MachineProfile::x86(), &traces);
         const tenant::MultiTenantResult &m = churn_bench.run;
@@ -406,17 +250,13 @@ main()
 
         // Gate: every cycle ran its whole trace and produced stats
         // bit-identical to the fresh-slot first cycle.
-        std::string first_fp;
+        std::vector<Json> churn_tenants;
         for (const tenant::TenantResult &t : m.tenants) {
             if (t.tenantId < sim::kChurnTenantIdBase)
                 continue;
             churn_complete &= t.opsApplied == t.opsTotal;
-            const std::string fp = tenantFingerprint(t);
-            if (first_fp.empty()) {
-                first_fp = fp;
-            } else if (fp != first_fp) {
-                churn_identical = false;
-            }
+            churn_tenants.push_back(bench::tenantJson(t));
+            churn_identical &= churn_tenants.back() == churn_tenants[0];
         }
         if (!churn_complete) {
             std::printf("FAILED: a churn tenant was retired before "
@@ -424,7 +264,7 @@ main()
                         "tight)\n");
             ok = false;
         }
-        if (first_fp.empty() || !churn_identical) {
+        if (churn_tenants.empty() || !churn_identical) {
             std::printf("FAILED: reused-slot churn cycle diverged "
                         "from the fresh-slot cycle\n");
             ok = false;
@@ -436,7 +276,8 @@ main()
             sim::runMultiTenantBenchmark(
                 profile, cfg, sim::MachineProfile::x86(), &traces);
         churn_deterministic =
-            statsFingerprint(churn_bench) == statsFingerprint(again);
+            bench::multiTenantJson(churn_bench) ==
+            bench::multiTenantJson(again);
         if (!churn_deterministic) {
             std::printf("FAILED: churn replay diverged between two "
                         "runs of the same traces\n");
@@ -469,15 +310,17 @@ main()
         cfg.pagesPerSlice = 16; // several slices per concurrent epoch
         cfg.durationSec = 1.0;
 
-        const std::vector<workload::Trace> traces = codecRoundTrip(
-            sim::synthesizeTenantTraces(profile, cfg));
+        const std::vector<workload::Trace> traces =
+            bench::codecRoundTrip(
+                sim::synthesizeTenantTraces(profile, cfg));
         mixed_bench = sim::runMultiTenantBenchmark(
             profile, cfg, sim::MachineProfile::x86(), &traces);
         const sim::MultiTenantBenchResult again =
             sim::runMultiTenantBenchmark(
                 profile, cfg, sim::MachineProfile::x86(), &traces);
         mixed_deterministic =
-            statsFingerprint(mixed_bench) == statsFingerprint(again);
+            bench::multiTenantJson(mixed_bench) ==
+            bench::multiTenantJson(again);
         if (!mixed_deterministic) {
             std::printf("FAILED: mixed-policy replay diverged "
                         "between two runs of the same traces\n");
@@ -542,123 +385,62 @@ main()
                 rows.back().bench.run.tenantEpochs.max());
 
     // ---- BENCH_tenant.json --------------------------------------
-    FILE *json = std::fopen("BENCH_tenant.json", "w");
-    if (json) {
-        std::fprintf(json, "{\n");
-        std::fprintf(json, "  \"bench\": \"tenant_scale\",\n");
-        std::fprintf(json, "  \"agg_alloc_target\": %llu,\n",
-                     static_cast<unsigned long long>(agg_allocs));
-        std::fprintf(json, "  \"rows\": [\n");
-        for (size_t i = 0; i < rows.size(); ++i) {
-            const Row &r = rows[i];
-            const tenant::MultiTenantResult &m = r.bench.run;
-            std::fprintf(
-                json,
-                "    {\"tenants\": %u, \"ops\": %llu, "
-                "\"peak_live_allocs\": %llu, "
-                "\"peak_live_bytes\": %llu, \"epochs\": %llu, "
-                "\"pages_swept\": %llu, \"caps_revoked\": %llu, "
-                "\"sweep_overhead\": %.6g, "
-                "\"shadow_overhead\": %.6g, "
-                "\"traffic_pct\": %.6g, \"scan_rate\": %.6g, "
-                "\"wall_sec\": %.6g, \"ops_per_sec\": %.6g, "
-                "\"mutator_ops_per_sec\": %.6g}%s\n",
-                r.tenants,
-                static_cast<unsigned long long>(m.totalOps),
-                static_cast<unsigned long long>(
-                    m.peakAggLiveAllocs),
-                static_cast<unsigned long long>(m.peakAggLiveBytes),
-                static_cast<unsigned long long>(m.engine.epochs),
-                static_cast<unsigned long long>(
-                    m.engine.sweep.pagesSwept),
-                static_cast<unsigned long long>(
-                    m.engine.sweep.capsRevoked),
-                r.bench.sweepOverhead, r.bench.shadowOverhead,
-                r.bench.trafficOverheadPct, r.bench.achievedScanRate,
-                r.wallSec,
-                static_cast<double>(m.totalOps) / r.wallSec,
-                r.bench.mutatorOpsPerSec,
-                i + 1 < rows.size() ? "," : "");
-        }
-        std::fprintf(json, "  ],\n");
-        // Arrival/departure overhead rows from the churn phase: one
-        // row per lifecycle transition, wall_sec being the host cost
-        // of the spawn (region + allocator setup) or retire (epoch
-        // drain + PTE unmap + bulk page release).
-        std::fprintf(json, "  \"churn\": {\n");
-        std::fprintf(json, "    \"cycles\": %u,\n", churn_cycles);
-        std::fprintf(json, "    \"spawns\": %llu,\n",
-                     static_cast<unsigned long long>(
-                         churn_bench.run.spawns));
-        std::fprintf(json, "    \"retires\": %llu,\n",
-                     static_cast<unsigned long long>(
-                         churn_bench.run.retires));
-        std::fprintf(json, "    \"slots_reused\": %llu,\n",
-                     static_cast<unsigned long long>(
-                         churn_bench.run.slotsReused));
-        std::fprintf(json, "    \"reuse_bit_identical\": %s,\n",
-                     churn_identical ? "true" : "false");
-        std::fprintf(json, "    \"deterministic\": %s,\n",
-                     churn_deterministic ? "true" : "false");
-        std::fprintf(json, "    \"events\": [\n");
-        const auto &events = churn_bench.run.lifecycle;
-        for (size_t i = 0; i < events.size(); ++i) {
-            const tenant::LifecycleEvent &ev = events[i];
-            std::fprintf(
-                json,
-                "      {\"event\": \"%s\", \"tenant_id\": %llu, "
-                "\"slot\": %zu, \"step\": %llu, "
-                "\"reused_slot\": %s, \"pages_released\": %llu, "
-                "\"wall_sec\": %.6g}%s\n",
-                ev.kind == tenant::LifecycleEvent::Kind::Spawn
-                    ? "spawn" : "retire",
-                static_cast<unsigned long long>(ev.tenantId),
-                ev.slot,
-                static_cast<unsigned long long>(ev.step),
-                ev.reusedSlot ? "true" : "false",
-                static_cast<unsigned long long>(ev.pagesReleased),
-                ev.wallSec, i + 1 < events.size() ? "," : "");
-        }
-        std::fprintf(json, "    ]\n");
-        std::fprintf(json, "  },\n");
-        // Mixed-policy phase: per-tenant sweep overhead, reported
-        // separately per policy.
-        std::fprintf(json, "  \"mixed_policy\": {\n");
-        std::fprintf(json, "    \"deterministic\": %s,\n",
-                     mixed_deterministic ? "true" : "false");
-        std::fprintf(json, "    \"tenants\": [\n");
-        for (size_t i = 0;
-             i < mixed_bench.run.tenants.size() && i < 2; ++i) {
-            const tenant::TenantResult &t = mixed_bench.run.tenants[i];
-            std::fprintf(
-                json,
-                "      {\"policy\": \"%s\", \"epochs\": %llu, "
-                "\"slices\": %llu, \"caps_revoked\": %llu, "
-                "\"sweep_overhead\": %.6g}%s\n",
-                mixed_policies[i],
-                static_cast<unsigned long long>(
-                    t.run.revoker.epochs),
-                static_cast<unsigned long long>(
-                    t.run.revoker.slices),
-                static_cast<unsigned long long>(
-                    t.run.revoker.sweep.capsRevoked),
-                i < mixed_bench.tenantSweepOverhead.size()
-                    ? mixed_bench.tenantSweepOverhead[i] : 0.0,
-                i + 1 < mixed_bench.run.tenants.size() && i + 1 < 2
-                    ? "," : "");
-        }
-        std::fprintf(json, "    ]\n");
-        std::fprintf(json, "  },\n");
-        std::fprintf(json, "  \"deterministic\": %s,\n",
-                     det_fingerprint_a == det_fingerprint_b
-                         ? "true" : "false");
-        std::fprintf(json, "  \"single_tenant_match\": %s,\n",
-                     single_match ? "true" : "false");
-        std::fprintf(json, "  \"ok\": %s\n", ok ? "true" : "false");
-        std::fprintf(json, "}\n");
-        std::fclose(json);
-        std::printf("wrote BENCH_tenant.json\n");
+    bench::Report report{"tenant_scale"};
+    Json row_det = Json::array(), row_time = Json::array();
+    for (const Row &r : rows) {
+        Json det;
+        det.set("tenants", r.tenants);
+        row_det.push(std::move(bench::addMultiTenant(det, r.bench)));
+        const double ops = static_cast<double>(r.bench.run.totalOps);
+        row_time.push(
+            Json()
+                .set("tenants", r.tenants)
+                .set("wall_sec", r.wallSec)
+                .set("ops_per_sec", ops / r.wallSec)
+                .set("mutator_ops_per_sec", r.bench.mutatorOpsPerSec));
     }
+    // Arrival/departure rows from the churn phase: the host cost of
+    // each spawn (region + allocator setup) or retire (epoch drain +
+    // PTE unmap + bulk page release) is timing; the rest replays.
+    Json churn;
+    churn.set("cycles", churn_cycles)
+        .set("reuse_bit_identical", churn_identical)
+        .set("deterministic", churn_deterministic);
+    Json churn_time = Json::array();
+    for (const tenant::LifecycleEvent &ev : churn_bench.run.lifecycle)
+        churn_time.push(ev.wallSec);
+    // Mixed-policy phase: per-tenant sweep overhead, reported
+    // separately per policy.
+    Json mixed_tenants = Json::array();
+    for (size_t i = 0; i < mixed_bench.run.tenants.size() && i < 2;
+         ++i) {
+        const tenant::TenantResult &t = mixed_bench.run.tenants[i];
+        mixed_tenants.push(
+            Json()
+                .set("policy", mixed_policies[i])
+                .set("epochs", t.run.revoker.epochs)
+                .set("slices", t.run.revoker.slices)
+                .set("caps_revoked", t.run.revoker.sweep.capsRevoked)
+                .set("sweep_overhead",
+                     i < mixed_bench.tenantSweepOverhead.size()
+                         ? mixed_bench.tenantSweepOverhead[i]
+                         : 0.0));
+    }
+    report.deterministic.set("agg_alloc_target", agg_allocs)
+        .set("rows", std::move(row_det))
+        .set("churn",
+             std::move(bench::addMultiTenant(churn, churn_bench)))
+        .set("mixed_policy",
+             Json()
+                 .set("deterministic", mixed_deterministic)
+                 .set("tenants", std::move(mixed_tenants))
+                 .set("run", bench::multiTenantJson(mixed_bench)))
+        .set("rerun_identical", rerun_identical)
+        .set("single_tenant_match", single_match)
+        .set("ok", ok);
+    report.timing.set("rows", std::move(row_time))
+        .set("churn_event_wall_sec", std::move(churn_time));
+    report.write("BENCH_tenant.json");
 
     if (ok) {
         std::printf("OK: deterministic replay, %llu+ aggregate live "
@@ -668,4 +450,12 @@ main()
         std::printf("FAILED: see gates above\n");
     }
     return ok ? 0 : 1;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return bench::run(argc, argv, benchMain);
 }

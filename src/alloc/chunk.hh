@@ -156,8 +156,6 @@ class ChunkView
                    kBirthMask));
     }
 
-    void setPrevSize(uint64_t s) { write(addr_, s); }
-
     /** Free-list links, stored in the (dead) payload. */
     uint64_t fd() const { return read(addr_ + 16); }
     uint64_t bk() const { return read(addr_ + 24); }

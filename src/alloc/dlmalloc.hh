@@ -163,7 +163,6 @@ class DlAllocator
     /** Mapped heap footprint. */
     uint64_t footprintBytes() const { return heap_end_ - heap_base_; }
     uint64_t heapBase() const { return heap_base_; }
-    uint64_t heapEnd() const { return heap_end_; }
 
     /** Mutator-path counters; the quarantine's owner adds its run
      *  merges through the non-const overload. */

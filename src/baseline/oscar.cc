@@ -16,7 +16,6 @@ Oscar::malloc(uint64_t size)
     const uint64_t mapped =
         alignUp(std::max<uint64_t>(size, 1), kPageBytes);
     const uint64_t base = space_->mmapHeap(mapped);
-    ++map_ops_;
     live_[base] = mapped;
     live_aliased_bytes_ += mapped;
     return space_->rootCap()
@@ -34,7 +33,6 @@ Oscar::free(const cap::Capability &capability)
                      "(Oscar free of unknown allocation)");
     // Poison: unmapping makes any dangling access fault.
     space_->munmapHeap(base, it->second);
-    ++map_ops_;
     live_aliased_bytes_ -= it->second;
     live_.erase(it);
 }

@@ -52,13 +52,11 @@ class Oscar
     /** Free: poison the alias (unmap); dangling accesses fault. */
     void free(const cap::Capability &capability);
 
-    uint64_t mapOps() const { return map_ops_; }
     uint64_t liveAliasedBytes() const { return live_aliased_bytes_; }
 
   private:
     mem::AddressSpace *space_;
     std::map<uint64_t, uint64_t> live_; //!< base -> mapped size
-    uint64_t map_ops_ = 0;
     uint64_t live_aliased_bytes_ = 0;
 };
 

@@ -19,7 +19,6 @@ Dram::reset()
     read_bytes_ = 0;
     write_bytes_ = 0;
     reads_ = 0;
-    writes_ = 0;
 }
 
 } // namespace cache

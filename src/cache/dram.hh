@@ -37,13 +37,12 @@ class Dram
     const DramConfig &config() const { return config_; }
 
     void read(uint64_t bytes) { read_bytes_ += bytes; ++reads_; }
-    void write(uint64_t bytes) { write_bytes_ += bytes; ++writes_; }
+    void write(uint64_t bytes) { write_bytes_ += bytes; }
 
     uint64_t readBytes() const { return read_bytes_; }
     uint64_t writeBytes() const { return write_bytes_; }
     uint64_t totalBytes() const { return read_bytes_ + write_bytes_; }
     uint64_t readAccesses() const { return reads_; }
-    uint64_t writeAccesses() const { return writes_; }
 
     /** Seconds needed to stream the accumulated traffic. */
     double streamTimeSeconds() const;
@@ -55,7 +54,6 @@ class Dram
     uint64_t read_bytes_ = 0;
     uint64_t write_bytes_ = 0;
     uint64_t reads_ = 0;
-    uint64_t writes_ = 0;
 };
 
 } // namespace cache

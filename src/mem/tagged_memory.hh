@@ -451,7 +451,6 @@ class TaggedMemory
      * under it.
      */
     void setSoftPageBudget(size_t pages) { soft_budget_ = pages; }
-    size_t softPageBudget() const { return soft_budget_; }
     bool
     overSoftBudget() const
     {

@@ -62,10 +62,6 @@ class ColorBackend final : public SweepBackend
     /** @name Introspection (tests, benches) */
     /// @{
     unsigned poolColors() const { return pool_colors_; }
-    unsigned freeColors() const
-    {
-        return static_cast<unsigned>(free_colors_.size());
-    }
     unsigned retiredColors() const { return retired_; }
     uint64_t generation(uint8_t color) const
     {

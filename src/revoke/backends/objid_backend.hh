@@ -52,7 +52,6 @@ class ObjectIdBackend final : public RevocationBackend
     /// @{
     uint64_t liveIds() const { return live_.size(); }
     uint64_t retiredIds() const { return retired_; }
-    uint64_t nextId() const { return next_id_; }
     /// @}
 
   private:

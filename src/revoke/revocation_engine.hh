@@ -447,19 +447,6 @@ class RevocationEngine
     {
         return supervisor_.events();
     }
-
-    /** Ladder strikes accumulated against domain @p index. */
-    unsigned sweeperStrikes(size_t index) const
-    {
-        return supervisor_.strikes(index);
-    }
-
-    /** The background sweeper thread (null unless
-     *  config().backgroundSweeper and an epoch has dispatched). */
-    const BackgroundSweeper *backgroundSweeperThread() const
-    {
-        return bg_.get();
-    }
     /// @}
 
   private:

@@ -71,12 +71,6 @@ struct SweepStats
 
     /** Bytes of memory whose data was actually read. */
     uint64_t bytesSwept() const { return linesSwept * kLineBytes; }
-    /** Bytes covered by the sweep including eliminated work. */
-    uint64_t
-    bytesConsidered() const
-    {
-        return pagesConsidered * kPageBytes;
-    }
 
     SweepStats &operator+=(const SweepStats &o);
     bool operator==(const SweepStats &o) const;

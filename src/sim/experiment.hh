@@ -72,7 +72,7 @@ struct ExperimentConfig
     uint64_t stackBytes = 512 * KiB;
 
     /** @name Multi-tenant consolidation axis
-     *  (runMultiTenantBenchmark; CHERIVOKE_TENANTS et al.) */
+     *  (runMultiTenantBenchmark; CHERIVOKE_TENANT_SCOPE et al.) */
     /// @{
     /** Co-resident tenant processes sharing one memory + engine. */
     unsigned tenants = 1;

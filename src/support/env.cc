@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 
 #include "support/logging.hh"
@@ -10,6 +11,88 @@
 extern char **environ;
 
 namespace cherivoke {
+
+const std::vector<KnobSpec> &
+knobTable()
+{
+    using enum KnobType;
+    // Each default is a value its own knob accepts, and equals the
+    // library default the knob overrides (sim::ExperimentConfig,
+    // revoke::BackendConfig), so an unset knob and a knob set to its
+    // printed default run the same configuration.
+    static const std::vector<KnobSpec> table = {
+        {"CHERIVOKE_ALLOCS_PER_COLOR", Int, "256", true,
+         "allocations before a color cohort seals"},
+        {"CHERIVOKE_ALLOC_CHURN", Int, "0", false,
+         "alloc_hotpath churn-phase malloc/free pairs; 0 = half of "
+         "CHERIVOKE_ALLOC_LIVE"},
+        {"CHERIVOKE_ALLOC_LIVE", Int, "1000000", true,
+         "alloc_hotpath live-allocation target"},
+        {"CHERIVOKE_BACKEND", Text, "sweep", false,
+         "revocation backend: sweep | color | objid"},
+        {"CHERIVOKE_BENCH_ALLOCS", Int, "80000", true,
+         "sweep_hotpath image size in allocations"},
+        {"CHERIVOKE_BENCH_SECS", Real, "0.2", true,
+         "sweep_hotpath minimum timing window per configuration, s"},
+        {"CHERIVOKE_BG_SWEEPER", Int, "0", false,
+         "non-zero runs a background sweeper thread per engine"},
+        {"CHERIVOKE_COLORS", Unsigned, "16", true,
+         "color-pool size of the color backend (at most 63)"},
+        {"CHERIVOKE_EPOCH_DEADLINE_MS", Real, "0", false,
+         "per-epoch background-sweeper deadline, ms; 0 = derive it "
+         "from the sweep-cost model"},
+        {"CHERIVOKE_FAULT_PLAN", Text, "", false,
+         "chaos schedule kind@tenant:op[,...]; empty = none"},
+        {"CHERIVOKE_FAULT_SEED", Int, "0", false,
+         "seed of a generated fault plan (one injection per kind); "
+         "0 = none. An explicit plan wins"},
+        {"CHERIVOKE_FAULT_SUPERVISION_ONLY", Int, "0", false,
+         "non-zero runs only fault_matrix's supervision cells"},
+        {"CHERIVOKE_ID_COMPACT", Int, "4096", true,
+         "retired object IDs that trigger a table-compaction epoch"},
+        {"CHERIVOKE_MSGPASS_ENTRIES", Int, "50000", true,
+         "mutator_contention entries per msgpass producer"},
+        {"CHERIVOKE_MUTATOR_OPS", Int, "40000", true,
+         "mutator_contention trace ops for the race phases"},
+        {"CHERIVOKE_MUTATOR_THREADS", Unsigned, "1", true,
+         "mutator threads per tenant"},
+        {"CHERIVOKE_PAGE_BUDGET_MIB", Real, "0", false,
+         "soft resident-page budget over shared tenant memory, MiB; "
+         "0 = off"},
+        {"CHERIVOKE_PAINT_SHARDS", Unsigned, "1", true,
+         "quarantine bands painted concurrently at epoch open"},
+        {"CHERIVOKE_POLICY", Text, "stop-the-world", false,
+         "epoch policy: stw | stop-the-world | incremental | "
+         "concurrent | adaptive"},
+        {"CHERIVOKE_RECYCLE_FRACTION", Real, "0.5", true,
+         "retired-color fraction that triggers a recycling scan"},
+        {"CHERIVOKE_REMOTE_BATCH", Unsigned, "32", true,
+         "remote frees per batch message on the MPSC queues"},
+        {"CHERIVOKE_SWEEPER_RETRIES", Unsigned, "2", false,
+         "watchdog retries before the degradation ladder fires"},
+        {"CHERIVOKE_TENANT_AGG_ALLOCS", Int, "1000000", true,
+         "aggregate live-allocation target of the tenant benches"},
+        {"CHERIVOKE_TENANT_BACKENDS", TextList, "", false,
+         "per-tenant backends, one per tenant, e.g. sweep,color"},
+        {"CHERIVOKE_TENANT_CHURN", Unsigned, "4", false,
+         "tenant_scale churn-phase spawn/retire cycles; 0 skips the "
+         "phase, 1 runs 2"},
+        {"CHERIVOKE_TENANT_HEAP_MIB", Real, "0", false,
+         "per-tenant live-heap target, MiB; 0 = the profile's own"},
+        {"CHERIVOKE_TENANT_MAX", Unsigned, "8", true,
+         "tenant count of alloc_hotpath, largest of tenant_scale"},
+        {"CHERIVOKE_TENANT_POLICIES", TextList, "", false,
+         "per-tenant epoch policies, one per tenant"},
+        {"CHERIVOKE_TENANT_SCOPE", Text, "per-tenant", false,
+         "what a tenant's quarantine trigger sweeps: per-tenant | "
+         "global"},
+        {"CHERIVOKE_TENANT_WEIGHTS", RealList, "", true,
+         "tenant scheduling weights, one per tenant, e.g. 2,1,1"},
+        {"CHERIVOKE_THREADS", Unsigned, "1", true,
+         "sweep worker threads (sweeps without a cache model)"},
+    };
+    return table;
+}
 
 namespace {
 
@@ -20,25 +103,94 @@ knobRegistry()
     return registry;
 }
 
-void
-recordKnob(const char *name, std::string value, bool from_env)
+const KnobSpec &
+specOf(const char *name, KnobType type)
 {
-    for (EnvKnob &knob : knobRegistry()) {
-        if (knob.name == name) {
-            knob.value = std::move(value);
-            knob.fromEnv = from_env;
-            return;
-        }
+    for (const KnobSpec &spec : knobTable()) {
+        if (std::strcmp(spec.name, name) != 0)
+            continue;
+        if (spec.type != type)
+            panic("%s is read as the wrong type", name);
+        return spec;
     }
-    knobRegistry().push_back(EnvKnob{name, std::move(value), from_env});
+    panic("%s is not declared in the knob table", name);
 }
 
+/** The knob's environment text, or its default; recorded. */
 std::string
-renderF64(double value)
+effectiveText(const KnobSpec &spec)
 {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%g", value);
-    return buf;
+    const char *text = std::getenv(spec.name);
+    const std::string value = text ? text : spec.fallback;
+    std::vector<EnvKnob> &registry = knobRegistry();
+    const EnvKnob read{spec.name, value, text != nullptr};
+    const auto known = std::find_if(
+        registry.begin(), registry.end(),
+        [&](const EnvKnob &k) { return k.name == read.name; });
+    if (known == registry.end())
+        registry.push_back(read);
+    else
+        *known = read;
+    return value;
+}
+
+const char *
+boundText(const KnobSpec &spec)
+{
+    return spec.positive ? "> 0" : ">= 0";
+}
+
+/** fatal() unless a number parsed from @p text meets the bound. */
+void
+checkBound(const KnobSpec &spec, const std::string &text,
+           bool non_negative, bool zero)
+{
+    if (!non_negative || (spec.positive && zero))
+        fatal("%s: %s is out of range (must be %s)", spec.name,
+              text.c_str(), boundText(spec));
+}
+
+int64_t
+integer(const KnobSpec &spec)
+{
+    const std::string text = effectiveText(spec);
+    int64_t value = 0;
+    if (!parseI64(text, value))
+        fatal("%s: expected an integer, got '%s'", spec.name,
+              text.c_str());
+    checkBound(spec, text, value >= 0, value == 0);
+    return value;
+}
+
+double
+real(const KnobSpec &spec, const std::string &text)
+{
+    double value = 0;
+    if (!parseF64(text, value))
+        fatal("%s: expected a number, got '%s'", spec.name,
+              text.c_str());
+    checkBound(spec, text, value >= 0, value == 0);
+    return value;
+}
+
+/** Split a list knob's text on commas; unset means empty. */
+std::vector<std::string>
+items(const KnobSpec &spec)
+{
+    const std::string all = effectiveText(spec);
+    std::vector<std::string> out;
+    if (all.empty())
+        return out;
+    size_t pos = 0;
+    while (pos <= all.size()) {
+        const size_t comma = std::min(all.find(',', pos), all.size());
+        out.push_back(all.substr(pos, comma - pos));
+        if (out.back().empty())
+            fatal("%s: empty item in list '%s'", spec.name,
+                  all.c_str());
+        pos = comma + 1;
+    }
+    return out;
 }
 
 /** Classic Levenshtein distance, small-string sizes only. */
@@ -64,49 +216,52 @@ editDistance(const std::string &a, const std::string &b)
 
 } // namespace
 
-const std::vector<std::string> &
-knownEnvKnobs()
+unsigned
+knobUnsigned(const char *name)
 {
-    // Every CHERIVOKE_* environment variable any binary in this repo
-    // reads. A knob added anywhere must be added here, or
-    // validateEnvironment() rejects it — which is the point: the
-    // table is the single registry a typo is checked against.
-    static const std::vector<std::string> known = {
-        "CHERIVOKE_ALLOCS_PER_COLOR",
-        "CHERIVOKE_ALLOC_CHURN",
-        "CHERIVOKE_ALLOC_LIVE",
-        "CHERIVOKE_BACKEND",
-        "CHERIVOKE_BENCH_ALLOCS",
-        "CHERIVOKE_BENCH_SECS",
-        "CHERIVOKE_BG_SWEEPER",
-        "CHERIVOKE_COLORS",
-        "CHERIVOKE_EPOCH_DEADLINE_MS",
-        "CHERIVOKE_FAULT_PLAN",
-        "CHERIVOKE_FAULT_SEED",
-        "CHERIVOKE_FAULT_SUPERVISION_ONLY",
-        "CHERIVOKE_ID_COMPACT",
-        "CHERIVOKE_MSGPASS_ENTRIES",
-        "CHERIVOKE_MUTATOR_OPS",
-        "CHERIVOKE_MUTATOR_THREADS",
-        "CHERIVOKE_PAGE_BUDGET_MIB",
-        "CHERIVOKE_PAINT_SHARDS",
-        "CHERIVOKE_POLICY",
-        "CHERIVOKE_RECYCLE_FRACTION",
-        "CHERIVOKE_REMOTE_BATCH",
-        "CHERIVOKE_SWEEPER_RETRIES",
-        "CHERIVOKE_TENANTS",
-        "CHERIVOKE_TENANT_AGG_ALLOCS",
-        "CHERIVOKE_TENANT_BACKENDS",
-        "CHERIVOKE_TENANT_CHURN",
-        "CHERIVOKE_TENANT_HEAP_MIB",
-        "CHERIVOKE_TENANT_MAX",
-        "CHERIVOKE_TENANT_POLICIES",
-        "CHERIVOKE_TENANT_SCOPE",
-        "CHERIVOKE_TENANT_WEIGHTS",
-        "CHERIVOKE_TEST_KNOB",
-        "CHERIVOKE_THREADS",
-    };
-    return known;
+    const KnobSpec &spec = specOf(name, KnobType::Unsigned);
+    constexpr int64_t kMax = std::numeric_limits<unsigned>::max();
+    const int64_t value = integer(spec);
+    if (value > kMax)
+        fatal("%s: %lld is above the maximum %lld", name,
+              static_cast<long long>(value),
+              static_cast<long long>(kMax));
+    return static_cast<unsigned>(value);
+}
+
+int64_t
+knobInt(const char *name)
+{
+    return integer(specOf(name, KnobType::Int));
+}
+
+double
+knobReal(const char *name)
+{
+    const KnobSpec &spec = specOf(name, KnobType::Real);
+    return real(spec, effectiveText(spec));
+}
+
+std::string
+knobText(const char *name)
+{
+    return effectiveText(specOf(name, KnobType::Text));
+}
+
+std::vector<double>
+knobRealList(const char *name)
+{
+    const KnobSpec &spec = specOf(name, KnobType::RealList);
+    std::vector<double> values;
+    for (const std::string &item : items(spec))
+        values.push_back(real(spec, item));
+    return values;
+}
+
+std::vector<std::string>
+knobTextList(const char *name)
+{
+    return items(specOf(name, KnobType::TextList));
 }
 
 void
@@ -118,47 +273,18 @@ validateEnvironment()
             continue;
         const std::string name =
             entry.substr(0, std::min(entry.find('='), entry.size()));
-        bool known = false;
-        for (const std::string &knob : knownEnvKnobs()) {
-            if (knob == name) {
-                known = true;
-                break;
-            }
-        }
-        if (known)
-            continue;
-        const std::string *nearest = nullptr;
+        const KnobSpec *nearest = nullptr;
         size_t best = ~size_t{0};
-        for (const std::string &knob : knownEnvKnobs()) {
-            const size_t d = editDistance(name, knob);
+        for (const KnobSpec &spec : knobTable()) {
+            const size_t d = editDistance(name, spec.name);
             if (d < best) {
                 best = d;
-                nearest = &knob;
+                nearest = &spec;
             }
         }
-        fatal("%s: unknown CHERIVOKE_* knob (did you mean %s?)",
-              name.c_str(), nearest->c_str());
-    }
-}
-
-const std::vector<EnvKnob> &
-envKnobs()
-{
-    return knobRegistry();
-}
-
-void
-printEnvKnobs(std::FILE *out)
-{
-    if (envKnobs().empty()) {
-        std::fprintf(out, "  (none queried)\n");
-        return;
-    }
-    for (const EnvKnob &knob : envKnobs()) {
-        std::fprintf(out, "  %-26s = %s (%s)\n", knob.name.c_str(),
-                     knob.value.empty() ? "(unset)"
-                                        : knob.value.c_str(),
-                     knob.fromEnv ? "env" : "default");
+        if (best != 0)
+            fatal("%s: unknown CHERIVOKE_* knob (did you mean %s?)",
+                  name.c_str(), nearest->name);
     }
 }
 
@@ -190,114 +316,39 @@ parseF64(const std::string &text, double &out)
     return true;
 }
 
+const std::vector<EnvKnob> &
+envKnobs()
+{
+    return knobRegistry();
+}
+
 void
 announceEnvKnobs()
 {
     std::fprintf(stderr, "Effective CHERIVOKE_* knobs:\n");
-    printEnvKnobs(stderr);
+    if (envKnobs().empty())
+        std::fprintf(stderr, "  (none read)\n");
+    for (const EnvKnob &knob : envKnobs()) {
+        std::fprintf(stderr, "  %-32s = %s (%s)\n", knob.name.c_str(),
+                     knob.value.empty() ? "(unset)"
+                                        : knob.value.c_str(),
+                     knob.fromEnv ? "env" : "default");
+    }
     std::fprintf(stderr, "\n");
 }
 
-int64_t
-envI64(const char *name, int64_t fallback, int64_t min)
+void
+printKnobTable(std::FILE *out)
 {
-    const char *text = std::getenv(name);
-    if (!text) {
-        recordKnob(name, std::to_string(fallback), false);
-        return fallback;
+    for (const KnobSpec &spec : knobTable()) {
+        std::fprintf(out, "%-33s %-15s %s", spec.name,
+                     spec.fallback[0] ? spec.fallback : "(unset)",
+                     spec.help);
+        if (spec.type != KnobType::Text &&
+            spec.type != KnobType::TextList)
+            std::fprintf(out, " (%s)", boundText(spec));
+        std::fputc('\n', out);
     }
-    int64_t value = 0;
-    if (!parseI64(text, value))
-        fatal("%s: expected an integer, got '%s'", name, text);
-    if (value < min)
-        fatal("%s: %lld is below the minimum %lld", name,
-              static_cast<long long>(value),
-              static_cast<long long>(min));
-    recordKnob(name, std::to_string(value), true);
-    return value;
-}
-
-unsigned
-envUnsigned(const char *name, unsigned fallback, unsigned min)
-{
-    constexpr int64_t kMax = std::numeric_limits<unsigned>::max();
-    const int64_t value = envI64(name, fallback, min);
-    if (value > kMax)
-        fatal("%s: %lld is above the maximum %lld", name,
-              static_cast<long long>(value),
-              static_cast<long long>(kMax));
-    return static_cast<unsigned>(value);
-}
-
-double
-envF64(const char *name, double fallback, double min)
-{
-    const char *text = std::getenv(name);
-    if (!text) {
-        recordKnob(name, renderF64(fallback), false);
-        return fallback;
-    }
-    double value = 0;
-    if (!parseF64(text, value))
-        fatal("%s: expected a number, got '%s'", name, text);
-    if (value < min || (min == 0 && value <= 0))
-        fatal("%s: %g is out of range (must be %s %g)", name, value,
-              min == 0 ? ">" : ">=", min);
-    recordKnob(name, renderF64(value), true);
-    return value;
-}
-
-std::vector<double>
-envF64List(const char *name)
-{
-    const char *text = std::getenv(name);
-    recordKnob(name, text ? text : "", text != nullptr);
-    if (!text)
-        return {};
-    std::vector<double> values;
-    const std::string all(text);
-    size_t pos = 0;
-    while (pos <= all.size()) {
-        const size_t comma = std::min(all.find(',', pos), all.size());
-        const std::string item = all.substr(pos, comma - pos);
-        double value = 0;
-        if (!parseF64(item, value) || value <= 0)
-            fatal("%s: expected a comma-separated list of positive "
-                  "numbers, got '%s'",
-                  name, text);
-        values.push_back(value);
-        pos = comma + 1;
-    }
-    return values;
-}
-
-std::string
-envStr(const char *name, const std::string &fallback)
-{
-    const char *text = std::getenv(name);
-    recordKnob(name, text ? text : fallback, text != nullptr);
-    return text ? text : fallback;
-}
-
-std::vector<std::string>
-envStrList(const char *name)
-{
-    const char *text = std::getenv(name);
-    recordKnob(name, text ? text : "", text != nullptr);
-    if (!text)
-        return {};
-    std::vector<std::string> items;
-    const std::string all(text);
-    size_t pos = 0;
-    while (pos <= all.size()) {
-        const size_t comma = std::min(all.find(',', pos), all.size());
-        const std::string item = all.substr(pos, comma - pos);
-        if (item.empty())
-            fatal("%s: empty item in list '%s'", name, text);
-        items.push_back(item);
-        pos = comma + 1;
-    }
-    return items;
 }
 
 } // namespace cherivoke

@@ -1,10 +1,13 @@
 /**
  * @file
- * Strict environment-variable parsing for the bench/experiment
- * harness. An *unset* variable yields the caller's fallback, but a
+ * The CHERIVOKE_* knob table and its strict parser. Every knob any
+ * binary reads is declared once, in knobTable(): name, type, default,
+ * bound and one line of help. That declaration drives parsing, the
+ * unknown-knob hint, the effective-knob dump and the `config` block
+ * of every BENCH_*.json. An unset knob takes its declared default; a
  * set-and-malformed value (`CHERIVOKE_THREADS=abc`, `=3x`, `=`, out
- * of range…) throws FatalError with the offending text rather than
- * silently falling back — a mistyped sweep configuration must never
+ * of range…) throws FatalError naming the knob rather than silently
+ * falling back — a mistyped sweep configuration must never
  * masquerade as a default run.
  */
 
@@ -18,19 +21,54 @@
 
 namespace cherivoke {
 
-/**
- * One entry of the knob registry: every env* query below records the
- * knob's name and *effective* value (the parsed environment text, or
- * the caller's fallback rendered as text), so a bench can print the
- * exact configuration it ran under — defaults included — in one
- * format from one place.
- */
-struct EnvKnob
+/** How a knob's text parses. */
+enum class KnobType
 {
-    std::string name;     //!< CHERIVOKE_* variable name
-    std::string value;    //!< effective value, rendered as text
-    bool fromEnv = false; //!< true when the environment supplied it
+    Unsigned, //!< decimal integer that fits in `unsigned`
+    Int,      //!< decimal 64-bit integer
+    Real,     //!< floating-point number
+    Text,     //!< free text; the reader checks it against its names
+    RealList, //!< comma-separated numbers; unset = empty
+    TextList, //!< comma-separated non-empty items; unset = empty
 };
+
+/** One declared knob. */
+struct KnobSpec
+{
+    const char *name;     //!< the CHERIVOKE_* variable
+    KnobType type;
+    const char *fallback; //!< the default, as the knob's own text
+    /** Numbers and list items must be > 0; otherwise >= 0. */
+    bool positive;
+    const char *help;     //!< one line, printed by printKnobTable
+};
+
+/** Every CHERIVOKE_* knob any binary reads, sorted by name. */
+const std::vector<KnobSpec> &knobTable();
+
+/**
+ * Read a declared knob: its environment text, or its default when
+ * unset, parsed as the declared type and checked against the
+ * declared bound (fatal() otherwise). Each read is recorded for the
+ * dump. Reading an undeclared knob, or as the wrong type, panics.
+ */
+/// @{
+unsigned knobUnsigned(const char *name);
+int64_t knobInt(const char *name);
+double knobReal(const char *name);
+std::string knobText(const char *name);
+std::vector<double> knobRealList(const char *name);
+std::vector<std::string> knobTextList(const char *name);
+/// @}
+
+/**
+ * Reject misspelled knobs: fatal() on any CHERIVOKE_* variable in
+ * the environment that knobTable() does not declare, suggesting the
+ * nearest declared knob by edit distance (`CHERIVOKE_BACKEDN` →
+ * "did you mean CHERIVOKE_BACKEND?"). A typo'd knob is never read,
+ * so strict parsing alone cannot catch it.
+ */
+void validateEnvironment();
 
 /** Strictly parse all of @p text as a decimal integer.
  *  @return false on empty input, trailing garbage, or overflow */
@@ -39,65 +77,23 @@ bool parseI64(const std::string &text, int64_t &out);
 /** Strictly parse all of @p text as a floating-point number. */
 bool parseF64(const std::string &text, double &out);
 
-/**
- * Integer environment knob: @p fallback when unset; fatal() when set
- * but malformed or below @p min.
- */
-int64_t envI64(const char *name, int64_t fallback, int64_t min = 1);
+/** One knob this process has read, with the text it ran under. */
+struct EnvKnob
+{
+    std::string name;     //!< CHERIVOKE_* variable name
+    std::string value;    //!< effective value, as text
+    bool fromEnv = false; //!< true when the environment supplied it
+};
 
-/** envI64 for an `unsigned` knob: also fatal() when the value does
- *  not fit in unsigned, rather than truncating it. */
-unsigned envUnsigned(const char *name, unsigned fallback,
-                     unsigned min = 1);
-
-/** Floating-point environment knob; fatal() unless value >= @p min
- *  (strictly > when @p min is an exclusive bound of 0). */
-double envF64(const char *name, double fallback, double min = 0);
-
-/**
- * Comma-separated list of positive doubles (e.g. tenant scheduling
- * weights, `CHERIVOKE_TENANT_WEIGHTS=2,1,1`). Unset → empty vector;
- * malformed or non-positive entries → fatal().
- */
-std::vector<double> envF64List(const char *name);
-
-/** String environment knob: @p fallback when unset (no validation
- *  beyond non-emptiness of the registry record). */
-std::string envStr(const char *name, const std::string &fallback);
-
-/**
- * Comma-separated list of raw strings (the caller validates each
- * item, e.g. against a policy or backend name table). Unset → empty
- * vector; set-but-empty items → fatal().
- */
-std::vector<std::string> envStrList(const char *name);
-
-/**
- * Reject misspelled knobs: scan the process environment for
- * CHERIVOKE_* variables and fatal() on any name not in the known-knob
- * table, suggesting the nearest known knob by edit distance
- * (`CHERIVOKE_BACKEDN` → "did you mean CHERIVOKE_BACKEND?"). A typo'd
- * knob silently running the default configuration is the one strict
- * parsing cannot catch — the variable is simply never queried.
- * Benches call this before parsing their configuration.
- */
-void validateEnvironment();
-
-/** The known-knob table validateEnvironment() checks against (full
- *  CHERIVOKE_-prefixed names, sorted). Exposed for tests. */
-const std::vector<std::string> &knownEnvKnobs();
-
-/** Every knob queried so far, in first-query order; a repeated
- *  query updates its recorded value in place. */
+/** Every knob read so far, in first-read order. */
 const std::vector<EnvKnob> &envKnobs();
 
-/** Print `name = value (env|default)` lines for every recorded
- *  knob (the bench startup "effective knob set" block). */
-void printEnvKnobs(std::FILE *out);
-
-/** The full startup block — header, knob lines, blank line — on
- *  stderr, so figure data on stdout stays byte-stable. */
+/** `name = value (env|default)` for every knob read so far, under a
+ *  header, on stderr, so figure data on stdout stays byte-stable. */
 void announceEnvKnobs();
+
+/** The whole table: name, default, bound and help, one per line. */
+void printKnobTable(std::FILE *out);
 
 } // namespace cherivoke
 

@@ -62,29 +62,22 @@ const char *heapFaultKindName(HeapFaultKind kind);
 bool parseHeapFaultKind(const std::string &name, HeapFaultKind &out);
 
 /**
- * A recoverable, attributable heap fault. Raised where the fault is
- * detected (allocator, codec, pressure ladder); the tenant id is
- * stamped at the containment boundary, which knows whose op was
- * executing.
+ * A recoverable heap fault. Raised where the fault is detected
+ * (allocator, codec, pressure ladder); the containment boundary,
+ * which knows whose op was executing, records the tenant in its
+ * FaultRecord.
  */
 class HeapFault : public FatalError
 {
   public:
-    static constexpr uint64_t kNoTenant = ~uint64_t{0};
-
     HeapFault(HeapFaultKind kind, const std::string &what)
         : FatalError(what), kind_(kind)
     {}
 
     HeapFaultKind kind() const { return kind_; }
 
-    uint64_t tenant() const { return tenant_; }
-    bool attributed() const { return tenant_ != kNoTenant; }
-    void setTenant(uint64_t id) { tenant_ = id; }
-
   private:
     HeapFaultKind kind_;
-    uint64_t tenant_ = kNoTenant;
 };
 
 /** Raise a HeapFault of @p kind with a printf-formatted message. */

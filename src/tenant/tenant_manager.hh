@@ -400,10 +400,6 @@ class TenantManager
      */
     void retireTenant(uint64_t id);
 
-    /** Live (spawned and not retired) tenants. */
-    size_t tenantCount() const { return live_ids_.size(); }
-    /** Slots ever occupied (live + retired, free-list included). */
-    size_t slotCount() const { return slots_.size(); }
     size_t freeSlotCount() const { return free_slots_.size(); }
     bool tenantLive(uint64_t id) const
     {

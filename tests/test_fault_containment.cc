@@ -282,26 +282,26 @@ TEST(FaultPlan, ChaosKnobsParseStrictly)
     // The three knobs the bench harness reads: unset -> default,
     // malformed -> fatal, never a silent fallback.
     unsetenv("CHERIVOKE_FAULT_SEED");
-    EXPECT_EQ(envI64("CHERIVOKE_FAULT_SEED", 0, 0), 0);
+    EXPECT_EQ(knobInt("CHERIVOKE_FAULT_SEED"), 0);
     setenv("CHERIVOKE_FAULT_SEED", "abc", 1);
-    EXPECT_THROW(envI64("CHERIVOKE_FAULT_SEED", 0, 0), FatalError);
+    EXPECT_THROW(knobInt("CHERIVOKE_FAULT_SEED"), FatalError);
     setenv("CHERIVOKE_FAULT_SEED", "-3", 1);
-    EXPECT_THROW(envI64("CHERIVOKE_FAULT_SEED", 0, 0), FatalError);
+    EXPECT_THROW(knobInt("CHERIVOKE_FAULT_SEED"), FatalError);
     setenv("CHERIVOKE_FAULT_SEED", "99", 1);
-    EXPECT_EQ(envI64("CHERIVOKE_FAULT_SEED", 0, 0), 99);
+    EXPECT_EQ(knobInt("CHERIVOKE_FAULT_SEED"), 99);
     unsetenv("CHERIVOKE_FAULT_SEED");
 
+    // The budget's default, 0 = off, is also a value it accepts.
     unsetenv("CHERIVOKE_PAGE_BUDGET_MIB");
-    EXPECT_DOUBLE_EQ(envF64("CHERIVOKE_PAGE_BUDGET_MIB", 0, 0), 0);
+    EXPECT_DOUBLE_EQ(knobReal("CHERIVOKE_PAGE_BUDGET_MIB"), 0);
+    setenv("CHERIVOKE_PAGE_BUDGET_MIB", "0", 1);
+    EXPECT_DOUBLE_EQ(knobReal("CHERIVOKE_PAGE_BUDGET_MIB"), 0);
     setenv("CHERIVOKE_PAGE_BUDGET_MIB", "12q", 1);
-    EXPECT_THROW(envF64("CHERIVOKE_PAGE_BUDGET_MIB", 0, 0),
-                 FatalError);
+    EXPECT_THROW(knobReal("CHERIVOKE_PAGE_BUDGET_MIB"), FatalError);
     setenv("CHERIVOKE_PAGE_BUDGET_MIB", "-4", 1);
-    EXPECT_THROW(envF64("CHERIVOKE_PAGE_BUDGET_MIB", 0, 0),
-                 FatalError);
+    EXPECT_THROW(knobReal("CHERIVOKE_PAGE_BUDGET_MIB"), FatalError);
     setenv("CHERIVOKE_PAGE_BUDGET_MIB", "64.5", 1);
-    EXPECT_DOUBLE_EQ(envF64("CHERIVOKE_PAGE_BUDGET_MIB", 0, 0),
-                     64.5);
+    EXPECT_DOUBLE_EQ(knobReal("CHERIVOKE_PAGE_BUDGET_MIB"), 64.5);
     unsetenv("CHERIVOKE_PAGE_BUDGET_MIB");
 
     // CHERIVOKE_FAULT_PLAN is validated with parseFaultPlan, whose

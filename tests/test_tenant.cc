@@ -382,54 +382,120 @@ TEST(EnvParsing, StrictIntegerAndFloat)
     EXPECT_FALSE(parseF64("2.5q", d));
     EXPECT_FALSE(parseF64("", d));
 
-    // Unset -> fallback; malformed -> fatal, never a silent default.
-    unsetenv("CHERIVOKE_TEST_KNOB");
-    EXPECT_EQ(envI64("CHERIVOKE_TEST_KNOB", 7), 7);
-    setenv("CHERIVOKE_TEST_KNOB", "abc", 1);
-    EXPECT_THROW(envI64("CHERIVOKE_TEST_KNOB", 7), FatalError);
-    setenv("CHERIVOKE_TEST_KNOB", "0", 1);
-    EXPECT_THROW(envI64("CHERIVOKE_TEST_KNOB", 7), FatalError);
-    setenv("CHERIVOKE_TEST_KNOB", "12", 1);
-    EXPECT_EQ(envI64("CHERIVOKE_TEST_KNOB", 7), 12);
+    // Unset -> the declared default; malformed -> fatal, never a
+    // silent default.
+    unsetenv("CHERIVOKE_BENCH_ALLOCS");
+    EXPECT_EQ(knobInt("CHERIVOKE_BENCH_ALLOCS"), 80000);
+    setenv("CHERIVOKE_BENCH_ALLOCS", "abc", 1);
+    EXPECT_THROW(knobInt("CHERIVOKE_BENCH_ALLOCS"), FatalError);
+    setenv("CHERIVOKE_BENCH_ALLOCS", "0", 1);
+    EXPECT_THROW(knobInt("CHERIVOKE_BENCH_ALLOCS"), FatalError);
+    setenv("CHERIVOKE_BENCH_ALLOCS", "12", 1);
+    EXPECT_EQ(knobInt("CHERIVOKE_BENCH_ALLOCS"), 12);
+    unsetenv("CHERIVOKE_BENCH_ALLOCS");
 
     // Unsigned knobs reject what does not fit instead of truncating:
     // 2^32 would otherwise become 0, and 2^32 + 1 would become 1.
-    EXPECT_EQ(envUnsigned("CHERIVOKE_TEST_KNOB", 7), 12u);
-    setenv("CHERIVOKE_TEST_KNOB", "4294967295", 1);
-    EXPECT_EQ(envUnsigned("CHERIVOKE_TEST_KNOB", 7), 4294967295u);
+    setenv("CHERIVOKE_THREADS", "12", 1);
+    EXPECT_EQ(knobUnsigned("CHERIVOKE_THREADS"), 12u);
+    setenv("CHERIVOKE_THREADS", "4294967295", 1);
+    EXPECT_EQ(knobUnsigned("CHERIVOKE_THREADS"), 4294967295u);
     for (const char *text : {"4294967296", "4294967297"}) {
-        setenv("CHERIVOKE_TEST_KNOB", text, 1);
+        setenv("CHERIVOKE_THREADS", text, 1);
         try {
-            envUnsigned("CHERIVOKE_TEST_KNOB", 7);
+            knobUnsigned("CHERIVOKE_THREADS");
             ADD_FAILURE() << text << " was accepted";
         } catch (const FatalError &err) {
-            EXPECT_NE(std::string(err.what()).find(
-                          "CHERIVOKE_TEST_KNOB"),
+            EXPECT_NE(std::string(err.what()).find("CHERIVOKE_THREADS"),
                       std::string::npos)
                 << err.what();
         }
     }
-    setenv("CHERIVOKE_TEST_KNOB", "0", 1);
-    EXPECT_THROW(envUnsigned("CHERIVOKE_TEST_KNOB", 7), FatalError);
-    EXPECT_EQ(envUnsigned("CHERIVOKE_TEST_KNOB", 7, 0), 0u);
+    setenv("CHERIVOKE_THREADS", "0", 1);
+    EXPECT_THROW(knobUnsigned("CHERIVOKE_THREADS"), FatalError);
+    unsetenv("CHERIVOKE_THREADS");
+    setenv("CHERIVOKE_SWEEPER_RETRIES", "0", 1); // bound >= 0
+    EXPECT_EQ(knobUnsigned("CHERIVOKE_SWEEPER_RETRIES"), 0u);
+    unsetenv("CHERIVOKE_SWEEPER_RETRIES");
 
-    setenv("CHERIVOKE_TEST_KNOB", "2,1,1", 1);
-    const std::vector<double> w =
-        envF64List("CHERIVOKE_TEST_KNOB");
+    setenv("CHERIVOKE_TENANT_WEIGHTS", "2,1,1", 1);
+    const std::vector<double> w = knobRealList("CHERIVOKE_TENANT_WEIGHTS");
     ASSERT_EQ(w.size(), 3u);
     EXPECT_DOUBLE_EQ(w[0], 2.0);
-    setenv("CHERIVOKE_TEST_KNOB", "2,,1", 1);
-    EXPECT_THROW(envF64List("CHERIVOKE_TEST_KNOB"), FatalError);
-    unsetenv("CHERIVOKE_TEST_KNOB");
-    EXPECT_TRUE(envF64List("CHERIVOKE_TEST_KNOB").empty());
+    setenv("CHERIVOKE_TENANT_WEIGHTS", "2,,1", 1);
+    EXPECT_THROW(knobRealList("CHERIVOKE_TENANT_WEIGHTS"), FatalError);
+    setenv("CHERIVOKE_TENANT_WEIGHTS", "2,0", 1);
+    EXPECT_THROW(knobRealList("CHERIVOKE_TENANT_WEIGHTS"), FatalError);
+    unsetenv("CHERIVOKE_TENANT_WEIGHTS");
+    EXPECT_TRUE(knobRealList("CHERIVOKE_TENANT_WEIGHTS").empty());
+
+    // Reading a knob the table does not declare is a bug, not a
+    // configuration error.
+    EXPECT_THROW(knobInt("CHERIVOKE_UNDECLARED"), PanicError);
+    EXPECT_THROW(knobReal("CHERIVOKE_THREADS"), PanicError);
+}
+
+namespace {
+
+/** A knob's parsed value, as text, whatever its type. */
+std::string
+readKnob(const KnobSpec &spec)
+{
+    std::ostringstream out;
+    out.precision(17);
+    switch (spec.type) {
+      case KnobType::Unsigned: out << knobUnsigned(spec.name); break;
+      case KnobType::Int: out << knobInt(spec.name); break;
+      case KnobType::Real: out << knobReal(spec.name); break;
+      case KnobType::Text: out << knobText(spec.name); break;
+      case KnobType::RealList:
+        for (const double v : knobRealList(spec.name))
+            out << v << ',';
+        break;
+      case KnobType::TextList:
+        for (const std::string &v : knobTextList(spec.name))
+            out << v << ',';
+        break;
+    }
+    return out.str();
+}
+
+} // namespace
+
+TEST(EnvParsing, DeclaredDefaultsParseToThemselves)
+{
+    // Every declared default is a value its own knob accepts, and
+    // setting a knob to the default it prints leaves its value — and
+    // so every configuration built from it — unchanged.
+    std::string previous;
+    for (const KnobSpec &spec : knobTable()) {
+        SCOPED_TRACE(spec.name);
+        EXPECT_LT(previous, spec.name) << "table not sorted by name";
+        previous = spec.name;
+        EXPECT_NE(std::string(spec.help), "");
+        const auto recorded = [&] {
+            for (const EnvKnob &knob : envKnobs())
+                if (knob.name == spec.name)
+                    return knob;
+            return EnvKnob{};
+        };
+        unsetenv(spec.name);
+        const std::string unset = readKnob(spec);
+        EXPECT_FALSE(recorded().fromEnv);
+        EXPECT_EQ(recorded().value, spec.fallback);
+        setenv(spec.name, spec.fallback, 1);
+        EXPECT_EQ(readKnob(spec), unset);
+        EXPECT_TRUE(recorded().fromEnv);
+        unsetenv(spec.name);
+    }
 }
 
 TEST(EnvParsing, UnknownKnobIsFatalWithSuggestion)
 {
-    // A recognised knob passes validation...
-    setenv("CHERIVOKE_TEST_KNOB", "1", 1);
+    // A declared knob passes validation...
+    setenv("CHERIVOKE_THREADS", "1", 1);
     EXPECT_NO_THROW(validateEnvironment());
-    unsetenv("CHERIVOKE_TEST_KNOB");
+    unsetenv("CHERIVOKE_THREADS");
 
     // ...a typo'd one fatals and names the nearest real knob, so a
     // transposed letter can't silently run the benchmark with the
@@ -448,14 +514,12 @@ TEST(EnvParsing, UnknownKnobIsFatalWithSuggestion)
     unsetenv("CHERIVOKE_BACKEDN");
     EXPECT_NO_THROW(validateEnvironment());
 
-    // Every knob the table advertises is itself accepted.
-    for (const std::string &knob : knownEnvKnobs()) {
-        setenv(knob.c_str(), "1", 1);
-    }
+    // Every knob the table declares is itself accepted.
+    for (const KnobSpec &spec : knobTable())
+        setenv(spec.name, "1", 1);
     EXPECT_NO_THROW(validateEnvironment());
-    for (const std::string &knob : knownEnvKnobs()) {
-        unsetenv(knob.c_str());
-    }
+    for (const KnobSpec &spec : knobTable())
+        unsetenv(spec.name);
 }
 
 TEST(TenantScope, ParseAndName)

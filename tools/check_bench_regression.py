@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Diff the deterministic fields of fresh BENCH_*.json files against a
+"""Diff the deterministic block of fresh BENCH_*.json reports against a
 previous run's artifacts.
 
 Usage:
@@ -13,89 +13,31 @@ newest match wins when a name appears more than once. FRESH_DIR holds
 this run's files. NAMEs limit the comparison (e.g. "BENCH_tenant");
 default is every BENCH_*.json present in FRESH_DIR.
 
-Wall-clock-derived fields are stripped from both sides before
-comparing via the declarative STRIP_PATTERNS list below; every
-remaining field is deterministic by the benches' own two-pass gates,
-so any difference is a real behaviour change, not noise. Every
-pattern is "scheme:argument" with schemes key/substr/suffix; an
-unknown scheme is a hard error, never a pattern that silently
-matches nothing.
+Every report (bench/report.hh) carries a "schema" number and keeps
+what two same-seed runs reproduce in its "deterministic" block; host
+wall-clock readings live in "timing" and host facts in "host", and
+neither is compared. So any difference in "deterministic" is a real
+behaviour change, not noise. Two reports whose schemas differ — or a
+baseline written before reports had one — are skipped: their layouts
+differ, so a difference would say nothing about behaviour.
 
 --tolerance REL compares numeric leaves with the given relative
 tolerance instead of exact equality (default 0 = exact: the
-deterministic fields are gated byte-identical by the benches, so
+deterministic blocks are gated byte-identical by the benches, so
 slack is only for ad-hoc comparisons).
 
 --self-test runs the built-in unittest suite (registered with ctest
 as test_check_bench_regression).
 
 Exit status: 0 = no drift (or nothing to compare), 1 = drift,
-2 = usage error. A missing baseline for a fresh file is a skip, not a
-failure, so the first run after adding a bench passes.
+2 = usage error. A missing or older-schema baseline for a fresh file
+is a skip, not a failure, so the first run after adding a bench (or
+changing the schema) passes.
 """
 
 import json
 import pathlib
 import sys
-
-# Declarative wall-clock strip-list: "scheme:argument" per entry.
-#   key:NAME     drop fields named exactly NAME
-#   substr:TEXT  drop fields whose name contains TEXT
-#   suffix:TEXT  drop fields whose name ends with TEXT
-STRIP_PATTERNS = [
-    "key:sec_per_iter",
-    "key:hw_concurrency",
-    "substr:wall",
-    "substr:speedup",
-    "suffix:_sec",      # wall_sec, containment_sec...
-    "suffix:_per_sec",  # ops_per_sec, pages_per_sec...
-    "suffix:_rate",     # scan_rate, raw_span_rate
-    "suffix:_ms",       # elapsed_ms (BENCH_adaptive.json)
-]
-
-KNOWN_SCHEMES = ("key", "substr", "suffix")
-
-
-def compile_strip_list(patterns):
-    """Validate the strip-list and return a key -> bool predicate.
-
-    Raises ValueError on an entry with a missing or unknown scheme —
-    a typo'd pattern must fail loudly, not silently match nothing.
-    """
-    compiled = []
-    for pattern in patterns:
-        scheme, sep, arg = pattern.partition(":")
-        if not sep or scheme not in KNOWN_SCHEMES or not arg:
-            raise ValueError(
-                "bad strip-list pattern %r: expected scheme:argument"
-                " with scheme in %s" % (pattern, list(KNOWN_SCHEMES))
-            )
-        compiled.append((scheme, arg))
-
-    def is_volatile(key):
-        for scheme, arg in compiled:
-            if scheme == "key" and key == arg:
-                return True
-            if scheme == "substr" and arg in key:
-                return True
-            if scheme == "suffix" and key.endswith(arg):
-                return True
-        return False
-
-    return is_volatile
-
-
-def strip_volatile(node, is_volatile):
-    """Recursively drop volatile keys from a decoded JSON value."""
-    if isinstance(node, dict):
-        return {
-            k: strip_volatile(v, is_volatile)
-            for k, v in node.items()
-            if not is_volatile(k)
-        }
-    if isinstance(node, list):
-        return [strip_volatile(v, is_volatile) for v in node]
-    return node
 
 
 def numbers_match(old, new, tolerance):
@@ -114,7 +56,7 @@ def is_number(value):
 
 
 def diff(path, old, new, out, tolerance=0.0):
-    """Collect human-readable differences between two stripped trees."""
+    """Collect human-readable differences between two JSON trees."""
     if is_number(old) and is_number(new):
         if not numbers_match(old, new, tolerance):
             out.append("  %s: %r -> %r" % (path, old, new))
@@ -153,8 +95,7 @@ def find_baseline(baseline_dir, name):
 
 
 def compare_dirs(baseline_dir, fresh_dir, names, tolerance=0.0):
-    """Compare the named artifacts; returns True when any drifted."""
-    is_volatile = compile_strip_list(STRIP_PATTERNS)
+    """Compare the named reports; returns True when any drifted."""
     drift = False
     for name in names:
         fresh_path = fresh_dir / name
@@ -166,15 +107,19 @@ def compare_dirs(baseline_dir, fresh_dir, names, tolerance=0.0):
             print("%-20s SKIP (no baseline artifact)" % name)
             continue
         try:
-            old = strip_volatile(
-                json.loads(base_path.read_text()), is_volatile)
-            new = strip_volatile(
-                json.loads(fresh_path.read_text()), is_volatile)
+            old = json.loads(base_path.read_text())
+            new = json.loads(fresh_path.read_text())
         except (OSError, ValueError) as err:
             print("%-20s SKIP (unreadable: %s)" % (name, err))
             continue
+        schema = new.get("schema")
+        if schema is None or old.get("schema") != schema:
+            print("%-20s SKIP (baseline schema %s, fresh schema %s)"
+                  % (name, old.get("schema"), schema))
+            continue
         lines = []
-        diff("", old, new, lines, tolerance)
+        diff("deterministic", old.get("deterministic"),
+             new.get("deterministic"), lines, tolerance)
         if lines:
             drift = True
             print("%-20s DRIFT (%d deterministic fields differ):"
@@ -192,65 +137,6 @@ def self_test():
     """The built-in unittest suite (ctest: test_check_bench_regression)."""
     import tempfile
     import unittest
-
-    class StripListTest(unittest.TestCase):
-        def test_known_schemes_match(self):
-            vol = compile_strip_list(
-                ["key:exact", "substr:wall", "suffix:_sec"])
-            self.assertTrue(vol("exact"))
-            self.assertFalse(vol("exact_not"))
-            self.assertTrue(vol("total_wall_time"))
-            self.assertTrue(vol("warmup_sec"))
-            self.assertFalse(vol("seconds"))
-            self.assertFalse(vol("caps_revoked"))
-
-        def test_unknown_scheme_rejected(self):
-            for bad in ("regex:.*_sec", "prefix", ":arg", "key:",
-                        "glob:*_sec"):
-                with self.assertRaises(ValueError):
-                    compile_strip_list([bad])
-
-        def test_default_patterns_compile(self):
-            vol = compile_strip_list(STRIP_PATTERNS)
-            self.assertTrue(vol("wall_sec"))
-            self.assertTrue(vol("ops_per_sec"))
-            self.assertTrue(vol("scan_rate"))
-            self.assertTrue(vol("hw_concurrency"))
-            self.assertTrue(vol("elapsed_ms"))
-            self.assertFalse(vol("caps_examined"))
-            # Deterministic fields the adaptive gate emits must
-            # never be stripped as noise.
-            self.assertFalse(vol("adaptive_ok"))
-            self.assertFalse(vol("best_static"))
-
-        def test_adaptive_artifact_shape(self):
-            # BENCH_adaptive.json: elapsed_ms is the only volatile
-            # field; the gate rows and verdicts survive the strip.
-            vol = compile_strip_list(STRIP_PATTERNS)
-            artifact = {
-                "bench": "policy_sweep",
-                "rows": [{"benchmark": "mcf", "adaptive": 1.01,
-                          "best_static": 1.01}],
-                "adaptive_ok": True,
-                "deterministic": True,
-                "elapsed_ms": 1234.5,
-            }
-            stripped = strip_volatile(artifact, vol)
-            self.assertNotIn("elapsed_ms", stripped)
-            self.assertEqual(
-                stripped["rows"],
-                [{"benchmark": "mcf", "adaptive": 1.01,
-                  "best_static": 1.01}])
-            self.assertTrue(stripped["adaptive_ok"])
-
-        def test_strip_recurses(self):
-            vol = compile_strip_list(["suffix:_sec"])
-            tree = {"a": 1,
-                    "wall_sec": 2.5,
-                    "nested": [{"x": 1, "warm_sec": 9}]}
-            self.assertEqual(
-                strip_volatile(tree, vol),
-                {"a": 1, "nested": [{"x": 1}]})
 
     class DiffTest(unittest.TestCase):
         def lines(self, old, new, tolerance=0.0):
@@ -303,27 +189,50 @@ def self_test():
             self.assertEqual(len(out), 1)
 
     class CompareDirsTest(unittest.TestCase):
-        def test_end_to_end_drift_and_skip(self):
+        def report(self, deterministic, timing=None, schema=1):
+            return json.dumps({"schema": schema, "bench": "x",
+                               "config": {}, "host": {},
+                               "deterministic": deterministic,
+                               "timing": timing or {}})
+
+        def run_compare(self, base, fresh, name="BENCH_x.json"):
             with tempfile.TemporaryDirectory() as tmp:
                 root = pathlib.Path(tmp)
                 (root / "base" / "sub").mkdir(parents=True)
                 (root / "fresh").mkdir()
-                (root / "base" / "sub" / "BENCH_x.json").write_text(
-                    '{"caps": 5, "wall_sec": 1.0}')
-                (root / "fresh" / "BENCH_x.json").write_text(
-                    '{"caps": 5, "wall_sec": 9.0}')
-                self.assertFalse(compare_dirs(
-                    root / "base", root / "fresh", ["BENCH_x.json"]))
-                (root / "fresh" / "BENCH_x.json").write_text(
-                    '{"caps": 6, "wall_sec": 1.0}')
-                self.assertTrue(compare_dirs(
-                    root / "base", root / "fresh", ["BENCH_x.json"]))
-                # No baseline: a skip, not a failure.
-                self.assertFalse(compare_dirs(
-                    root / "base", root / "fresh", ["BENCH_y.json"]))
+                (root / "base" / "sub" / "BENCH_x.json").write_text(base)
+                (root / "fresh" / name).write_text(fresh)
+                return compare_dirs(root / "base", root / "fresh",
+                                    [name])
+
+        def test_timing_is_never_compared(self):
+            self.assertFalse(self.run_compare(
+                self.report({"caps": 5}, {"wall_sec": 1.0}),
+                self.report({"caps": 5}, {"wall_sec": 9.0})))
+
+        def test_deterministic_change_drifts(self):
+            self.assertTrue(self.run_compare(
+                self.report({"caps": 5, "scan_rate": 1.5}),
+                self.report({"caps": 5, "scan_rate": 1.25})))
+
+        def test_schema_mismatch_skips(self):
+            # A report written before the schema field had its own
+            # top-level "deterministic" key: skip, never diff.
+            before = json.dumps({"bench": "x",
+                                 "deterministic": {"caps": 6}})
+            self.assertFalse(self.run_compare(
+                before, self.report({"caps": 5})))
+            self.assertFalse(self.run_compare(
+                self.report({"caps": 6}, schema=1),
+                self.report({"caps": 5}, schema=2)))
+
+        def test_missing_baseline_skips(self):
+            self.assertFalse(self.run_compare(
+                self.report({"caps": 5}), self.report({"caps": 5}),
+                name="BENCH_y.json"))
 
     suite = unittest.TestSuite()
-    for case in (StripListTest, DiffTest, CompareDirsTest):
+    for case in (DiffTest, CompareDirsTest):
         suite.addTests(
             unittest.TestLoader().loadTestsFromTestCase(case))
     result = unittest.TextTestRunner(verbosity=2).run(suite)
