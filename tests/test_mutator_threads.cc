@@ -39,17 +39,16 @@ makeBatch(unsigned producer, std::initializer_list<uint64_t> ids)
     return b;
 }
 
-/** A small alloc/free-heavy trace (~20k ops). */
+/** A small alloc/free-heavy trace (~40k ops at the defaults). */
 workload::Trace
-smallTrace(uint64_t seed)
+smallTrace(uint64_t seed, const char *profile = "dealII",
+           double scale = 1.0 / 512)
 {
-    workload::BenchmarkProfile profile =
-        workload::profileFor("dealII");
     workload::SynthConfig cfg;
-    cfg.scale = 1.0 / 512;
+    cfg.scale = scale;
     cfg.durationSec = 2.0;
     cfg.seed = seed;
-    return workload::synthesize(profile, cfg);
+    return workload::synthesize(workload::profileFor(profile), cfg);
 }
 
 /** Tenant tuned so smallTrace triggers several sweeps. */
@@ -398,6 +397,48 @@ TEST(MutatorRace, FingerprintsMatchPinnedValues)
     EXPECT_EQ(prefix.epochBarriers, 6u);
     EXPECT_GT(prefix.remoteFrees, 0u);
     EXPECT_EQ(prefix.fingerprint(), 0x793c0282681d01f7ULL);
+
+    // Batch capacities 1, 3 and 32; 3 and 16 threads; duplicate
+    // boundaries, one of them before the first op; boundaries at and
+    // past a prefix's end; and a second profile.
+    const workload::Trace omnetpp = smallTrace(3, "omnetpp", 1.0 / 256);
+    struct Case
+    {
+        const workload::Trace &trace;
+        unsigned threads;
+        unsigned remoteBatch;
+        size_t opsLimit;
+        std::vector<uint64_t> epochs;
+        uint64_t fingerprint;
+    };
+    const Case cases[] = {
+        {trace, 4, 1, SIZE_MAX, epochs, 0x9352f84f1f0f968cULL},
+        {trace, 3, 3, SIZE_MAX, epochs, 0x549bffb0004f424cULL},
+        {trace, 2, 32, SIZE_MAX, epochs, 0x7377a55ffa4e3a33ULL},
+        {trace, 16, 8, SIZE_MAX, epochs, 0xc205de023a2b1aa7ULL},
+        {trace, 16, 32, SIZE_MAX, epochs, 0x98ab3fbb30c0df02ULL},
+        {trace, 4, 8, SIZE_MAX, {0, 0, 1000, 1000, 5000, 12000, 12000},
+         0xd8a9cede83c16b68ULL},
+        {trace, 16, 1, 36000,
+         {3000, 30000, 36000, 36000, 37000, uint64_t{1} << 40},
+         0x1bad24cb738f5f95ULL},
+        {omnetpp, 1, 32, SIZE_MAX, {}, 0xce94b55bd64f41ceULL},
+        {omnetpp, 2, 3, SIZE_MAX, {2000, 9000}, 0xf728271c59a94a03ULL},
+        {omnetpp, 5, 1, SIZE_MAX, {500, 500, 7000}, 0x8c33f82a2eec24b5ULL},
+        {omnetpp, 16, 32, 10000, {4000, 9999, 10000, 12000},
+         0x24f731ae7917d99bULL},
+    };
+    for (const Case &c : cases) {
+        tenant::MutatorConfig cfg;
+        cfg.threads = c.threads;
+        cfg.remoteBatch = c.remoteBatch;
+        EXPECT_EQ(tenant::runMutatorRace(c.trace, c.opsLimit, cfg,
+                                         c.epochs)
+                      .fingerprint(),
+                  c.fingerprint)
+            << c.threads << " threads, batch " << c.remoteBatch
+            << ", " << c.trace.ops.size() << "-op trace";
+    }
 }
 
 TEST(MutatorRace, ThreadCountPreservesEffectiveTotals)
