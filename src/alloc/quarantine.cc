@@ -163,16 +163,6 @@ Quarantine::add(DlAllocator &dl, uint64_t addr, uint64_t size,
     return merged;
 }
 
-unsigned
-Quarantine::addBatch(DlAllocator &dl,
-                     const std::vector<QuarantineRun> &chunks)
-{
-    unsigned merged = 0;
-    for (const QuarantineRun &c : chunks)
-        merged += add(dl, c.addr, c.size, c.birth);
-    return merged;
-}
-
 void
 Quarantine::eraseSlot(uint32_t slot)
 {

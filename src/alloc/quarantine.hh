@@ -120,17 +120,6 @@ class Quarantine
     unsigned add(DlAllocator &dl, uint64_t addr, uint64_t size,
                  uint32_t birth = 0);
 
-    /**
-     * Quarantine a whole drained batch of chunks — the remote-free
-     * handoff path: a mutator thread draining its remote-free inbox
-     * hands every entry to its quarantine in one call. Exactly
-     * equivalent to add()ing the entries one by one in batch order
-     * (same merges, same runs, same rewritten run headers).
-     * @return total merges performed across the batch
-     */
-    unsigned addBatch(DlAllocator &dl,
-                      const std::vector<QuarantineRun> &chunks);
-
     /** Total quarantined bytes (chunk sizes, headers included). */
     uint64_t totalBytes() const { return total_bytes_; }
 

@@ -464,8 +464,8 @@ RevocationEngine::beginEpoch()
         epoch_, domainPolicy(epoch_domain_).needsLoadBarrier());
 
     // The revocation set is now frozen: let observers (the mutator
-    // front-end's epoch-boundary recorder) mark the spot where their
-    // threads must flush and drain remote-free traffic.
+    // front-end's epoch-boundary recorder) mark the spot where its
+    // modelled threads flush and drain remote-free batches.
     if (epoch_open_hook_)
         epoch_open_hook_(epoch_domain_);
 

@@ -401,10 +401,10 @@ class RevocationEngine
     /**
      * Observe every epoch open: @p hook fires inside beginEpoch()
      * (after the revocation set is frozen) with the epoch's domain
-     * index. The multi-threaded mutator front-end uses this to record
-     * epoch boundaries in each tenant's replay, where its threads
-     * must flush and drain their remote-free queues — no remote free
-     * may be in flight against a frozen revocation set.
+     * index. The tenant manager uses this to record epoch boundaries
+     * in each tenant's replay: the flush points where the mutator
+     * front-end's count (tenant/mutator_threads.hh) sends every
+     * partial remote-free batch and drains every inbox.
      */
     void setEpochOpenHook(std::function<void(size_t domain)> hook)
     {

@@ -11,14 +11,6 @@
 namespace cherivoke {
 namespace sim {
 
-uint64_t
-approxSweepDramBytes(const revoke::SweepStats &stats)
-{
-    const uint64_t swept = stats.bytesSwept();
-    return swept + swept / 128 +
-           stats.capsRevoked / kCapsPerLine * kLineBytes;
-}
-
 namespace {
 
 /** Calibrated §6.1.1 quarantine cache-effect model. */
@@ -340,18 +332,17 @@ runMultiTenantBenchmark(const workload::BenchmarkProfile &profile,
                         const std::vector<workload::Trace> *traces)
 {
     CHERIVOKE_ASSERT(config.tenants >= 1);
-    if (!config.tenantWeights.empty() &&
-        config.tenantWeights.size() != config.tenants)
-        fatal("tenantWeights has %zu entries for %u tenants",
-              config.tenantWeights.size(), config.tenants);
-    if (!config.tenantPolicies.empty() &&
-        config.tenantPolicies.size() != config.tenants)
-        fatal("tenantPolicies has %zu entries for %u tenants",
-              config.tenantPolicies.size(), config.tenants);
-    if (!config.tenantBackends.empty() &&
-        config.tenantBackends.size() != config.tenants)
-        fatal("tenantBackends has %zu entries for %u tenants",
-              config.tenantBackends.size(), config.tenants);
+    // Each per-tenant list is empty or has one entry per tenant.
+    auto check_list = [&](const char *knob, size_t entries) {
+        if (entries != 0 && entries != config.tenants)
+            fatal("%s: expected one entry per tenant (%u), got %zu",
+                  knob, config.tenants, entries);
+    };
+    check_list("CHERIVOKE_TENANT_WEIGHTS", config.tenantWeights.size());
+    check_list("CHERIVOKE_TENANT_POLICIES",
+               config.tenantPolicies.size());
+    check_list("CHERIVOKE_TENANT_BACKENDS",
+               config.tenantBackends.size());
 
     MultiTenantBenchResult result;
     result.name = profile.name;

@@ -100,14 +100,15 @@ struct ExperimentConfig
     unsigned tenantChurn = 0;
     /// @}
 
-    /** @name Multi-threaded mutator front-end
+    /** @name Mutator front-end traffic count
      *  (CHERIVOKE_MUTATOR_THREADS / CHERIVOKE_REMOTE_BATCH) */
     /// @{
-    /** Mutator threads per tenant; 1 = the classic serial
-     *  front-end. Modelled statistics are bit-identical across
-     *  thread counts (gated in tests and bench/mutator_contention). */
+    /** Modelled mutator threads per tenant; 1 = the classic serial
+     *  front-end. They change only the counted message traffic
+     *  (tenant/mutator_threads.hh), never a modelled statistic
+     *  (gated in test_mutator_threads and test_mutator_fuzz). */
     unsigned mutatorThreads = 1;
-    /** Remote frees per batch message on the MPSC queues. */
+    /** Remote frees per batch message between mutator threads. */
     unsigned remoteBatch = 32;
     /// @}
 
@@ -287,9 +288,6 @@ runMultiTenantBenchmark(const workload::BenchmarkProfile &profile,
                             MachineProfile::x86(),
                         const std::vector<workload::Trace> *traces =
                             nullptr);
-
-/** DRAM bytes a sweep moves (shared approximation). */
-uint64_t approxSweepDramBytes(const revoke::SweepStats &stats);
 
 } // namespace sim
 } // namespace cherivoke

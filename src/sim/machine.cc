@@ -58,19 +58,13 @@ MachineProfile::cheriFpga()
     return profile;
 }
 
-namespace {
-
 uint64_t
-approximateDramBytes(const revoke::SweepStats &stats)
+approxSweepDramBytes(const revoke::SweepStats &stats)
 {
-    // Swept lines + shadow-map traffic (1/128 of swept bytes) +
-    // write-back of revoked lines.
     const uint64_t swept = stats.bytesSwept();
     return swept + swept / 128 +
            stats.capsRevoked / kCapsPerLine * kLineBytes;
 }
-
-} // namespace
 
 double
 sweepSeconds(const MachineProfile &machine,
@@ -79,7 +73,7 @@ sweepSeconds(const MachineProfile &machine,
 {
     CHERIVOKE_ASSERT(scale > 0);
     if (dram_bytes == 0)
-        dram_bytes = approximateDramBytes(stats);
+        dram_bytes = approxSweepDramBytes(stats);
     const double compute =
         stats.kernelCycles * machine.kernelCostScale / machine.cpuHz;
     const double stream = static_cast<double>(dram_bytes) /

@@ -48,11 +48,16 @@ struct MachineProfile
     static const MachineProfile &cheriFpga();
 };
 
+/** DRAM bytes a sweep moves without a cache model: swept lines,
+ *  shadow-map traffic (1/128 of swept bytes) and the write-back of
+ *  revoked lines. */
+uint64_t approxSweepDramBytes(const revoke::SweepStats &stats);
+
 /**
  * Seconds a sweep spends given its statistics.
  * @param stats aggregated sweep statistics (cycles + lines)
  * @param dram_bytes total DRAM traffic of the sweeps; pass 0 to use
- *        the built-in approximation (swept lines + shadow traffic)
+ *        approxSweepDramBytes()
  * @param epochs number of sweeps the stats aggregate (for startup)
  * @param scale workload scale factor: simulated bytes/cycles
  *        represent 1/scale real ones (rate terms divide by scale,

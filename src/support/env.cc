@@ -36,8 +36,9 @@ knobTable()
          "sweep_hotpath minimum timing window per configuration, s"},
         {"CHERIVOKE_BG_SWEEPER", Int, "0", false,
          "non-zero runs a background sweeper thread per engine"},
+        // cap::kMaxColors - 1: color 0 marks an uncolored capability.
         {"CHERIVOKE_COLORS", Unsigned, "16", true,
-         "color-pool size of the color backend (at most 63)"},
+         "color-pool size of the color backend", 63},
         {"CHERIVOKE_EPOCH_DEADLINE_MS", Real, "0", false,
          "per-epoch background-sweeper deadline, ms; 0 = derive it "
          "from the sweep-cost model"},
@@ -50,12 +51,8 @@ knobTable()
          "non-zero runs only fault_matrix's supervision cells"},
         {"CHERIVOKE_ID_COMPACT", Int, "4096", true,
          "retired object IDs that trigger a table-compaction epoch"},
-        {"CHERIVOKE_MSGPASS_ENTRIES", Int, "50000", true,
-         "mutator_contention entries per msgpass producer"},
-        {"CHERIVOKE_MUTATOR_OPS", Int, "40000", true,
-         "mutator_contention trace ops for the race phases"},
         {"CHERIVOKE_MUTATOR_THREADS", Unsigned, "1", true,
-         "mutator threads per tenant"},
+         "modelled mutator threads per tenant"},
         {"CHERIVOKE_PAGE_BUDGET_MIB", Real, "0", false,
          "soft resident-page budget over shared tenant memory, MiB; "
          "0 = off"},
@@ -67,7 +64,7 @@ knobTable()
         {"CHERIVOKE_RECYCLE_FRACTION", Real, "0.5", true,
          "retired-color fraction that triggers a recycling scan"},
         {"CHERIVOKE_REMOTE_BATCH", Unsigned, "32", true,
-         "remote frees per batch message on the MPSC queues"},
+         "remote frees per batch message between mutator threads"},
         {"CHERIVOKE_SWEEPER_RETRIES", Unsigned, "2", false,
          "watchdog retries before the degradation ladder fires"},
         {"CHERIVOKE_TENANT_AGG_ALLOCS", Int, "1000000", true,
@@ -134,20 +131,23 @@ effectiveText(const KnobSpec &spec)
     return value;
 }
 
-const char *
+std::string
 boundText(const KnobSpec &spec)
 {
-    return spec.positive ? "> 0" : ">= 0";
+    if (spec.max == KnobSpec{}.max)
+        return spec.positive ? "> 0" : ">= 0";
+    return (spec.positive ? "1.." : "0..") + std::to_string(spec.max);
 }
 
-/** fatal() unless a number parsed from @p text meets the bound. */
+/** fatal() unless @p value, parsed from @p text, meets the bound. */
+template <typename T>
 void
-checkBound(const KnobSpec &spec, const std::string &text,
-           bool non_negative, bool zero)
+checkBound(const KnobSpec &spec, const std::string &text, T value)
 {
-    if (!non_negative || (spec.positive && zero))
+    if (!(value >= 0) || (spec.positive && value == 0) ||
+        value > spec.max)
         fatal("%s: %s is out of range (must be %s)", spec.name,
-              text.c_str(), boundText(spec));
+              text.c_str(), boundText(spec).c_str());
 }
 
 int64_t
@@ -158,7 +158,7 @@ integer(const KnobSpec &spec)
     if (!parseI64(text, value))
         fatal("%s: expected an integer, got '%s'", spec.name,
               text.c_str());
-    checkBound(spec, text, value >= 0, value == 0);
+    checkBound(spec, text, value);
     return value;
 }
 
@@ -169,7 +169,7 @@ real(const KnobSpec &spec, const std::string &text)
     if (!parseF64(text, value))
         fatal("%s: expected a number, got '%s'", spec.name,
               text.c_str());
-    checkBound(spec, text, value >= 0, value == 0);
+    checkBound(spec, text, value);
     return value;
 }
 
@@ -346,7 +346,7 @@ printKnobTable(std::FILE *out)
                      spec.help);
         if (spec.type != KnobType::Text &&
             spec.type != KnobType::TextList)
-            std::fprintf(out, " (%s)", boundText(spec));
+            std::fprintf(out, " (%s)", boundText(spec).c_str());
         std::fputc('\n', out);
     }
 }

@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -41,6 +42,8 @@ struct KnobSpec
     /** Numbers and list items must be > 0; otherwise >= 0. */
     bool positive;
     const char *help;     //!< one line, printed by printKnobTable
+    /** Largest value an integer knob accepts. */
+    int64_t max = std::numeric_limits<int64_t>::max();
 };
 
 /** Every CHERIVOKE_* knob any binary reads, sorted by name. */

@@ -1,28 +1,14 @@
 #include "tenant/mutator_threads.hh"
 
 #include <algorithm>
-#include <barrier>
-#include <chrono>
-#include <exception>
-#include <mutex>
-#include <thread>
-#include <unordered_set>
+#include <unordered_map>
 
-#include "alloc/thread_context.hh"
 #include "support/logging.hh"
 
 namespace cherivoke {
 namespace tenant {
 
 namespace {
-
-double
-wallNow()
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
 
 /** FNV-1a accumulation. */
 inline uint64_t
@@ -48,7 +34,7 @@ mutatorExecutorOf(const workload::TraceOp &op, uint64_t index,
         return mutatorOwnerOf(op.id, threads);
       case workload::OpKind::Free:
         // Frees rotate across threads, so a share of (M-1)/M of
-        // them is genuinely remote.
+        // them is remote.
         return static_cast<unsigned>(index % threads);
       case workload::OpKind::StorePtr:
       case workload::OpKind::StoreData:
@@ -72,237 +58,6 @@ checkMutatorConfig(const MutatorConfig &config)
     if (config.remoteBatch == 0)
         fatal("remote-free batch capacity must be positive");
 }
-
-RacePlan
-planMutatorRace(const workload::Trace &trace, size_t opsLimit,
-                const MutatorConfig &config,
-                const std::vector<uint64_t> &epoch_ops)
-{
-    checkMutatorConfig(config);
-    CHERIVOKE_ASSERT(
-        std::is_sorted(epoch_ops.begin(), epoch_ops.end()),
-        "(epoch boundaries must be in op order)");
-
-    const unsigned m = config.threads;
-    RacePlan plan;
-    plan.config = config;
-    plan.ops =
-        trace.ops.prefix(std::min(opsLimit, trace.ops.size()));
-    plan.opsPlanned = plan.ops.size();
-    // Back-to-back epochs at one op need only one flush.
-    std::vector<uint64_t> &bounds = plan.epochBoundaries;
-    bounds = epoch_ops;
-    bounds.erase(std::unique(bounds.begin(), bounds.end()),
-                 bounds.end());
-    plan.epochMarks = bounds.size();
-    plan.effective.resize(plan.ops.size());
-
-    // Mirror the serial replay's liveness semantics so effectiveness
-    // — hence ownership transfer — is a pure function of the trace.
-    std::unordered_set<uint64_t> live;
-    live.reserve(plan.ops.size() / 4 + 16);
-    for (size_t i = 0; i < plan.ops.size(); ++i) {
-        const workload::TraceOp &op = plan.ops[i];
-        switch (op.kind) {
-          case workload::OpKind::Malloc:
-            // The replayer's emplace keeps the first mapping: a
-            // second malloc of a live id leaks (never freed by id).
-            if (live.insert(op.id).second) {
-                plan.effective[i] = true;
-                ++plan.effectiveMallocs;
-            }
-            break;
-          case workload::OpKind::Free:
-            if (live.erase(op.id) != 0) {
-                plan.effective[i] = true;
-                ++plan.effectiveFrees;
-                if (mutatorExecutorOf(op, i, m) !=
-                    mutatorOwnerOf(op.id, m))
-                    ++plan.remoteFrees;
-            }
-            break;
-          default:
-            break; // stores/roots/lifecycle: no allocator effect
-        }
-    }
-    return plan;
-}
-
-namespace {
-
-/** Shared race state plus the per-thread worker body. */
-struct Race
-{
-    const RacePlan &plan;
-    std::vector<std::unique_ptr<RemoteFreeQueue>> queues;
-    std::barrier<> barrier;
-    std::vector<MutatorThreadStats> stats;
-    std::mutex error_mutex;
-    std::exception_ptr error;
-
-    explicit Race(const RacePlan &p)
-        : plan(p), barrier(static_cast<ptrdiff_t>(p.config.threads)),
-          stats(p.config.threads)
-    {
-        for (unsigned t = 0; t < p.config.threads; ++t)
-            queues.push_back(std::make_unique<RemoteFreeQueue>());
-    }
-
-    void fail(std::exception_ptr e)
-    {
-        std::lock_guard<std::mutex> lock(error_mutex);
-        if (!error)
-            error = e;
-    }
-
-    /** One inbox drain pass; @p to_empty spins until the queue's
-     *  counters agree (legal only when producers are quiesced). */
-    void drainInbox(unsigned t, alloc::ThreadAllocContext &ctx,
-                    MutatorThreadStats &st, bool to_empty)
-    {
-        ++st.drains;
-        uint64_t got = 0;
-        for (;;) {
-            std::unique_ptr<FreeBatch> batch =
-                queues[t]->tryDequeue();
-            if (!batch) {
-                if (to_empty && !queues[t]->drained())
-                    continue; // producer mid-publish: spin
-                break;
-            }
-            ++got;
-            ++st.batchesDrained;
-            for (const RemoteFree &f : batch->entries) {
-                ctx.noteRemoteFree(f.id);
-                ++st.remoteApplied;
-            }
-        }
-        st.maxBatchesPerDrain =
-            std::max(st.maxBatchesPerDrain, got);
-    }
-
-    void work(unsigned t)
-    {
-        const unsigned m = plan.config.threads;
-        alloc::ThreadAllocContext ctx(t);
-        MutatorThreadStats st;
-        st.thread = t;
-        const double t0 = wallNow();
-
-        // One sender per remote owner (own slot stays empty).
-        std::vector<std::unique_ptr<RemoteSender>> senders(m);
-        for (unsigned o = 0; o < m; ++o) {
-            if (o != t) {
-                senders[o] = std::make_unique<RemoteSender>(
-                    t, *queues[o], plan.config.remoteBatch);
-            }
-        }
-        auto flush_all = [&]() {
-            for (unsigned o = 0; o < m; ++o) {
-                if (senders[o])
-                    senders[o]->flush();
-            }
-        };
-
-        // Epoch/drain contract: nothing may be in flight while the
-        // revocation set freezes. Flush, meet every thread, drain to
-        // provably empty, and only then let anyone produce again.
-        auto epoch_mark = [&]() {
-            flush_all();
-            barrier.arrive_and_wait();
-            drainInbox(t, ctx, st, /*to_empty=*/true);
-            CHERIVOKE_ASSERT(queues[t]->drained(),
-                             "(remote frees in flight at an epoch "
-                             "boundary)");
-            CHERIVOKE_ASSERT(ctx.earlyFreeCount() == 0,
-                             "(early free past its epoch barrier)");
-            st.ownedLiveBytesAtEpoch.push_back(ctx.ownedLiveBytes());
-            ++st.epochFlushes;
-            barrier.arrive_and_wait();
-        };
-
-        // Every thread walks the whole prefix and executes its share.
-        const workload::TraceOps &ops = plan.ops;
-        size_t i = 0;
-        auto run_until = [&](size_t end) {
-            for (; i < end; ++i) {
-                const workload::TraceOp &op = ops[i];
-                if (mutatorExecutorOf(op, i, m) != t)
-                    continue;
-                ++st.ops;
-                switch (op.kind) {
-                  case workload::OpKind::Malloc:
-                    // The malloc slow path is the owner's natural
-                    // drain point (snmalloc: allocation looks at the
-                    // remote queue before refilling).
-                    drainInbox(t, ctx, st, /*to_empty=*/false);
-                    ++st.mallocs;
-                    if (plan.effective[i])
-                        ctx.noteMalloc(op.id, op.size);
-                    break;
-                  case workload::OpKind::Free: {
-                    if (!plan.effective[i])
-                        break;
-                    const unsigned owner = mutatorOwnerOf(op.id, m);
-                    if (owner == t) {
-                        ctx.noteLocalFree(op.id);
-                        ++st.localFrees;
-                    } else {
-                        senders[owner]->send(RemoteFree{op.id});
-                        ++st.remoteSent;
-                    }
-                    break;
-                  }
-                  default:
-                    break; // modelled elsewhere; the race only times it
-                }
-            }
-        };
-        for (uint64_t boundary : plan.epochBoundaries) {
-            // Boundary b meets after ops [0, b) were applied; one at
-            // or past the end (an epoch opened by the very last op)
-            // still meets once.
-            run_until(std::min<uint64_t>(boundary, ops.size()));
-            epoch_mark();
-        }
-        run_until(ops.size());
-
-        // Teardown: flush stragglers, meet every thread, then drain
-        // what is addressed to us — nobody produces after the
-        // barrier, so "drained" is exact and final.
-        flush_all();
-        barrier.arrive_and_wait();
-        drainInbox(t, ctx, st, /*to_empty=*/true);
-        CHERIVOKE_ASSERT(queues[t]->drained(),
-                         "(remote frees lost in teardown)");
-        CHERIVOKE_ASSERT(ctx.earlyFreeCount() == 0,
-                         "(remote free without a matching malloc)");
-
-        for (unsigned o = 0; o < m; ++o) {
-            if (senders[o])
-                st.batchesSent += senders[o]->sentBatches();
-        }
-        st.quarantinedChunks = ctx.quarantinedChunks();
-        st.quarantinedBytes = ctx.quarantinedBytes();
-        st.ownedLiveBytesEnd = ctx.ownedLiveBytes();
-        st.wallSec = wallNow() - t0;
-        stats[t] = std::move(st);
-    }
-
-    void workGuarded(unsigned t)
-    {
-        try {
-            work(t);
-        } catch (...) {
-            fail(std::current_exception());
-            // Leave the barrier so surviving threads cannot wait
-            // forever on a participant that threw.
-            barrier.arrive_and_drop();
-        }
-    }
-};
-
-} // namespace
 
 uint64_t
 MutatorRaceResult::fingerprint() const
@@ -340,73 +95,120 @@ MutatorRaceResult::fingerprint() const
 }
 
 MutatorRaceResult
-runMutatorRace(const RacePlan &plan)
+countMutatorTraffic(const workload::Trace &trace, size_t opsLimit,
+                    const MutatorConfig &config,
+                    const std::vector<uint64_t> &epoch_ops)
 {
-    const unsigned m = plan.config.threads;
-    Race race(plan);
+    checkMutatorConfig(config);
+    CHERIVOKE_ASSERT(
+        std::is_sorted(epoch_ops.begin(), epoch_ops.end()),
+        "(epoch boundaries must be in op order)");
 
-    const double t0 = wallNow();
-    if (m == 1) {
-        // Degenerate front-end: no peers to race, run inline (the
-        // barrier has one participant and never blocks).
-        race.workGuarded(0);
-    } else {
-        std::vector<std::thread> threads;
-        threads.reserve(m);
-        for (unsigned t = 0; t < m; ++t)
-            threads.emplace_back([&race, t] {
-                race.workGuarded(t);
-            });
-        for (std::thread &th : threads)
-            th.join();
+    const unsigned m = config.threads;
+    const workload::TraceOps ops =
+        trace.ops.prefix(std::min(opsLimit, trace.ops.size()));
+    // Back-to-back epochs at one op need only one flush.
+    std::vector<uint64_t> bounds = epoch_ops;
+    bounds.erase(std::unique(bounds.begin(), bounds.end()),
+                 bounds.end());
+
+    MutatorRaceResult r;
+    r.config = config;
+    r.opsExecuted = ops.size();
+    r.epochBarriers = bounds.size();
+    std::vector<MutatorThreadStats> &st = r.perThread;
+    st.resize(m);
+    for (unsigned t = 0; t < m; ++t)
+        st[t].thread = t;
+    std::vector<uint64_t> owned_live(m, 0);
+    // Remote frees batched by executor e for owner o and not yet
+    // sent, at [e * m + o].
+    std::vector<uint64_t> pending(size_t{m} * m, 0);
+
+    auto send = [&](unsigned from, unsigned to) {
+        ++st[from].batchesSent;
+        ++st[to].batchesDrained;
+    };
+    // A flush point: every partial batch goes out, then every owner
+    // drains its inbox.
+    auto flush = [&] {
+        for (size_t k = 0; k < pending.size(); ++k) {
+            if (pending[k] != 0) {
+                send(static_cast<unsigned>(k / m),
+                     static_cast<unsigned>(k % m));
+                pending[k] = 0;
+            }
+        }
+        for (MutatorThreadStats &s : st)
+            ++s.drains;
+    };
+    auto meet_boundary = [&] {
+        flush();
+        for (unsigned t = 0; t < m; ++t) {
+            st[t].ownedLiveBytesAtEpoch.push_back(owned_live[t]);
+            ++st[t].epochFlushes;
+        }
+    };
+
+    // Ids live in the serial replay, with their modelled sizes.
+    std::unordered_map<uint64_t, uint64_t> live;
+    auto bound = bounds.begin();
+    for (size_t i = 0; i < ops.size(); ++i) {
+        for (; bound != bounds.end() && *bound <= i; ++bound)
+            meet_boundary();
+        const workload::TraceOp &op = ops[i];
+        const unsigned exec = mutatorExecutorOf(op, i, m);
+        ++st[exec].ops;
+        if (op.kind == workload::OpKind::Malloc) {
+            // The malloc slow path drains the owner's inbox (snmalloc:
+            // allocation looks at the remote queue before refilling).
+            ++st[exec].drains;
+            ++st[exec].mallocs;
+            // As the replayer's emplace: a second malloc of a live id
+            // keeps the first mapping and leaks.
+            if (live.emplace(op.id, op.size).second) {
+                ++r.effectiveMallocs;
+                owned_live[exec] += op.size;
+            }
+        } else if (op.kind == workload::OpKind::Free) {
+            const auto it = live.find(op.id);
+            if (it == live.end())
+                continue; // free of a dead id
+            const uint64_t size = it->second;
+            live.erase(it);
+            ++r.effectiveFrees;
+            const unsigned owner = mutatorOwnerOf(op.id, m);
+            owned_live[owner] -= size;
+            ++st[owner].quarantinedChunks;
+            st[owner].quarantinedBytes += size;
+            if (exec == owner) {
+                ++st[owner].localFrees;
+                continue;
+            }
+            ++st[exec].remoteSent;
+            ++st[owner].remoteApplied;
+            uint64_t &batch = pending[size_t{exec} * m + owner];
+            if (++batch == config.remoteBatch) {
+                send(exec, owner);
+                batch = 0;
+            }
+        }
     }
-    if (race.error)
-        std::rethrow_exception(race.error);
+    // Boundaries at or past the end meet after the last op.
+    for (; bound != bounds.end(); ++bound)
+        meet_boundary();
+    flush(); // teardown
 
-    MutatorRaceResult result;
-    result.config = plan.config;
-    result.hwConcurrency = std::thread::hardware_concurrency();
-    result.wallSec = wallNow() - t0;
-    result.perThread = std::move(race.stats);
-
-    uint64_t sent = 0, applied = 0, batches_sent = 0,
-             batches_drained = 0;
-    for (const MutatorThreadStats &st : result.perThread) {
-        result.opsExecuted += st.ops;
-        result.localFrees += st.localFrees;
-        result.remoteFrees += st.remoteSent;
-        result.batches += st.batchesSent;
-        result.drains += st.drains;
-        result.quarantinedBytes += st.quarantinedBytes;
-        sent += st.remoteSent;
-        applied += st.remoteApplied;
-        batches_sent += st.batchesSent;
-        batches_drained += st.batchesDrained;
+    for (unsigned t = 0; t < m; ++t) {
+        MutatorThreadStats &s = st[t];
+        s.ownedLiveBytesEnd = owned_live[t];
+        r.localFrees += s.localFrees;
+        r.remoteFrees += s.remoteSent;
+        r.batches += s.batchesSent;
+        r.drains += s.drains;
+        r.quarantinedBytes += s.quarantinedBytes;
     }
-    result.effectiveMallocs = plan.effectiveMallocs;
-    result.effectiveFrees = plan.effectiveFrees;
-    result.epochBarriers = plan.epochMarks;
-
-    // Conservation: message passing loses nothing and invents
-    // nothing, whatever the interleaving was.
-    CHERIVOKE_ASSERT(result.opsExecuted == plan.opsPlanned);
-    CHERIVOKE_ASSERT(sent == applied,
-                     "(remote frees sent != applied)");
-    CHERIVOKE_ASSERT(batches_sent == batches_drained,
-                     "(free batches published != drained)");
-    CHERIVOKE_ASSERT(sent == plan.remoteFrees);
-    CHERIVOKE_ASSERT(result.localFrees + sent ==
-                     plan.effectiveFrees);
-    return result;
-}
-
-MutatorRaceResult
-runMutatorRace(const workload::Trace &trace, size_t opsLimit,
-               const MutatorConfig &config,
-               const std::vector<uint64_t> &epoch_ops)
-{
-    return runMutatorRace(
-        planMutatorRace(trace, opsLimit, config, epoch_ops));
+    return r;
 }
 
 } // namespace tenant

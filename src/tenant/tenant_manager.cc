@@ -89,7 +89,7 @@ TenantManager::TenantManager(TenantManagerConfig config)
     : config_(std::move(config))
 {
     // Fail before any replay, not when the first tenant's result is
-    // captured and its race planned.
+    // captured and its mutator traffic counted.
     checkMutatorConfig(config_.mutator);
     memory_.setSoftPageBudget(config_.pageBudgetPages);
 }
@@ -152,7 +152,7 @@ TenantManager::activate(uint64_t id, const TenantConfig &config,
             t->allocator(), t->space(), config_.engine);
         // Route every epoch open to the owning tenant's replayer:
         // the recorded boundary is where that tenant's mutator
-        // threads must flush + drain their remote-free queues
+        // threads flush and drain their remote-free batches
         // (domain index == slot index by construction).
         engine_->setEpochOpenHook([this](size_t domain) {
             if (domain < slots_.size() && slots_[domain].replayer)
@@ -272,12 +272,13 @@ TenantManager::captureResult(size_t slot, bool retired_mid_run)
     tr.retiredMidRun = retired_mid_run;
     tr.run = s.replayer->finish(hierarchy_);
     tr.run.revoker = engine_->domainTotals(slot);
-    // Race the applied prefix across the configured mutator threads
-    // with the epoch boundaries this replay actually hit. Purely
-    // additive: the modelled statistics above never depend on it.
-    tr.mutator = runMutatorRace(s.tenant->trace(), tr.opsApplied,
-                                config_.mutator,
-                                s.replayer->epochOpenOps());
+    // Count the configured mutator threads' traffic over the applied
+    // prefix with the epoch boundaries this replay actually hit.
+    // Purely additive: the modelled statistics above never depend
+    // on it.
+    tr.mutator = countMutatorTraffic(s.tenant->trace(), tr.opsApplied,
+                                     config_.mutator,
+                                     s.replayer->epochOpenOps());
     if (containing_) {
         tr.faulted = true;
         tr.faultKind = containing_->kind;
@@ -635,10 +636,9 @@ TenantManager::run(cache::Hierarchy *hierarchy)
             static_cast<double>(tr.run.peakLiveAllocs));
         result.mutatorLocalFrees += tr.mutator.localFrees;
         result.mutatorRemoteFrees += tr.mutator.remoteFrees;
-        result.mutatorBatches += tr.mutator.batches;
         result.mutatorEpochBarriers += tr.mutator.epochBarriers;
     }
-    // Fold the per-tenant race fingerprints (FNV-1a over the
+    // Fold the per-tenant traffic fingerprints (FNV-1a over the
     // result-order sequence, seeded with the offset basis).
     result.mutatorFingerprint = 0xcbf29ce484222325ULL;
     for (const TenantResult &tr : result.tenants) {

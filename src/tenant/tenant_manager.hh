@@ -178,11 +178,11 @@ struct TenantResult
     /** Per-tenant driver statistics; .revoker holds this tenant's
      *  domain totals, not the engine-wide aggregate. */
     workload::DriverResult run;
-    /** The multi-threaded mutator front-end's race over this
-     *  tenant's applied trace prefix (config.mutator threads,
-     *  epoch boundaries from the replay). The race never feeds back
-     *  into `run`: modelled statistics are bit-identical across
-     *  thread counts by construction. */
+    /** The mutator front-end's message traffic over this tenant's
+     *  applied trace prefix (config.mutator threads, epoch
+     *  boundaries from the replay). It never feeds back into `run`:
+     *  modelled statistics are bit-identical across thread counts
+     *  by construction. */
     MutatorRaceResult mutator;
 
     /** @name Fault containment (set when the tenant was retired by
@@ -255,12 +255,12 @@ struct MultiTenantResult
 
     /** @name Mutator front-end aggregates (sum over tenants).
      *  Deterministic functions of traces + MutatorConfig; the
-     *  fingerprint folds every tenant's race fingerprint in result
-     *  order, so two runs of one configuration must match exactly. */
+     *  fingerprint folds every tenant's traffic fingerprint in
+     *  result order, so two runs of one configuration must match
+     *  exactly. */
     /// @{
     uint64_t mutatorLocalFrees = 0;
     uint64_t mutatorRemoteFrees = 0;
-    uint64_t mutatorBatches = 0;
     uint64_t mutatorEpochBarriers = 0;
     uint64_t mutatorFingerprint = 0;
     /// @}
@@ -332,9 +332,9 @@ struct TenantManagerConfig
 {
     revoke::EngineConfig engine{};
     RevocationScope scope = RevocationScope::PerTenant;
-    /** Mutator front-end fan-out applied to every tenant's replay
+    /** Mutator front-end fan-out counted over every tenant's replay
      *  (threads == 1: the classic serial front-end, no message
-     *  traffic, race run inline). */
+     *  traffic). */
     MutatorConfig mutator{};
 
     /** Deterministic chaos schedule (CHERIVOKE_FAULT_PLAN /

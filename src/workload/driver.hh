@@ -150,8 +150,8 @@ class TraceReplayer
      * Record a revocation-epoch boundary at the current replay
      * position (called from the engine's epoch-open hook, so the
      * recorded value is the number of ops applied when the epoch's
-     * revocation set froze). The multi-threaded mutator front-end
-     * replays these as flush+drain barriers.
+     * revocation set froze). The mutator front-end's traffic count
+     * treats these as flush-and-drain points.
      */
     void noteEpochBoundary() { epoch_ops_.push_back(next_); }
 

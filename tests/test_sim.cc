@@ -15,6 +15,7 @@
 #include "revoke/sweep_loop.hh"
 #include "sim/experiment.hh"
 #include "sim/machine.hh"
+#include "support/logging.hh"
 #include "support/units.hh"
 #include "workload/synth.hh"
 
@@ -292,6 +293,22 @@ TEST_F(TenantTracesTest, ParallelSynthesisMatchesSerial)
                 "tenant " + std::to_string(i) + " of " +
                     std::to_string(tenants));
         }
+    }
+}
+
+TEST_F(TenantTracesTest, ListLengthErrorNamesTheKnob)
+{
+    // The run fails before synthesis, naming the knob a bench user
+    // set rather than the config field it fills.
+    config.tenants = 8;
+    config.tenantPolicies = {revoke::PolicyKind::StopTheWorld};
+    try {
+        runMultiTenantBenchmark(profile, config);
+        ADD_FAILURE() << "a 1-entry policy list ran 8 tenants";
+    } catch (const FatalError &err) {
+        EXPECT_STREQ(err.what(),
+                     "fatal: CHERIVOKE_TENANT_POLICIES: expected one "
+                     "entry per tenant (8), got 1");
     }
 }
 

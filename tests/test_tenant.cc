@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "cap/capability.hh"
 #include "support/env.hh"
 #include "support/logging.hh"
 #include "tenant/tenant_manager.hh"
@@ -417,6 +418,21 @@ TEST(EnvParsing, StrictIntegerAndFloat)
     setenv("CHERIVOKE_SWEEPER_RETRIES", "0", 1); // bound >= 0
     EXPECT_EQ(knobUnsigned("CHERIVOKE_SWEEPER_RETRIES"), 0u);
     unsetenv("CHERIVOKE_SWEEPER_RETRIES");
+
+    // An upper bound: the color backend has cap::kMaxColors - 1
+    // usable colors, so a larger pool fails instead of running
+    // clamped under the number the knob dump and reports print.
+    setenv("CHERIVOKE_COLORS", "63", 1);
+    EXPECT_EQ(knobUnsigned("CHERIVOKE_COLORS"), cap::kMaxColors - 1);
+    setenv("CHERIVOKE_COLORS", "64", 1);
+    try {
+        knobUnsigned("CHERIVOKE_COLORS");
+        ADD_FAILURE() << "64 colors were accepted";
+    } catch (const FatalError &err) {
+        EXPECT_STREQ(err.what(), "fatal: CHERIVOKE_COLORS: 64 is out "
+                                 "of range (must be 1..63)");
+    }
+    unsetenv("CHERIVOKE_COLORS");
 
     setenv("CHERIVOKE_TENANT_WEIGHTS", "2,1,1", 1);
     const std::vector<double> w = knobRealList("CHERIVOKE_TENANT_WEIGHTS");
