@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "alloc/cherivoke_alloc.hh"
@@ -38,15 +39,16 @@ using alloc::CherivokeAllocator;
  */
 support::FakeClock frozen_clock;
 
-/** A trace sized to trigger a dozen-odd epochs. */
+/** A trace sized to trigger a dozen-odd epochs (fewer when
+ *  @p duration_sec is cut below the default 10 s). */
 workload::Trace
-sweepTrace(uint64_t seed = 7)
+sweepTrace(uint64_t seed = 7, double duration_sec = 10.0)
 {
     workload::BenchmarkProfile profile =
         workload::profileFor("dealII");
     workload::SynthConfig cfg;
     cfg.scale = 1.0 / 512;
-    cfg.durationSec = 10.0;
+    cfg.durationSec = duration_sec;
     cfg.seed = seed;
     return workload::synthesize(profile, cfg);
 }
@@ -433,6 +435,196 @@ TEST(SweeperContainment, ThirdStrikeRetiresOnlyTheVictim)
             EXPECT_FALSE(t.faulted);
             EXPECT_EQ(t.opsApplied, t.opsTotal);
         }
+    }
+}
+
+// ---------------------------------------------------------------
+// The event stream itself, line for line.
+// ---------------------------------------------------------------
+
+/** One pinned supervision scenario and the exact stream it emits. */
+struct PinnedStream
+{
+    const char *name = "";
+    std::vector<SweeperInjection> plan;
+    unsigned retries = 2;
+    BackendKind backend = BackendKind::Sweep;
+    /** Run two tenants (seeds 21 and 22) under a TenantManager
+     *  instead of one engine over seed 7. */
+    bool twoTenants = false;
+    /** Every sweeperEventLine, in order, newline-terminated. */
+    std::string events{};
+    /** The HeapFault text the single-engine run ends with, if any. */
+    std::string fault{};
+};
+
+/** Trace length for the pinned streams: a few epochs each, so the
+ *  expected text stays short enough to read. */
+constexpr double kPinnedSec = 4.0;
+
+/** The full event text of one scenario, plus the fault it raised. */
+std::pair<std::string, std::string>
+pinnedStreamOf(const PinnedStream &c)
+{
+    EngineConfig cfg = injectedConfig(c.plan);
+    cfg.sweeperRetries = c.retries;
+    cfg.backend = c.backend;
+    if (c.twoTenants) {
+        tenant::TenantManagerConfig mgr_cfg;
+        mgr_cfg.engine = cfg;
+        tenant::TenantManager manager(mgr_cfg);
+        manager.addTenant(smallTenant("t0"),
+                          sweepTrace(21, kPinnedSec));
+        manager.addTenant(smallTenant("t1"),
+                          sweepTrace(22, kPinnedSec));
+        return {eventsText(manager.run().sweeperEvents), ""};
+    }
+    mem::AddressSpace space;
+    alloc::CherivokeConfig acfg;
+    acfg.quarantineFraction = 0.05;
+    acfg.minQuarantineBytes = 16 * KiB;
+    CherivokeAllocator allocator(space, acfg);
+    RevocationEngine engine(allocator, space, cfg);
+    workload::TraceDriver driver(space, allocator, &engine);
+    std::string fault;
+    try {
+        driver.run(sweepTrace(7, kPinnedSec), nullptr);
+    } catch (const HeapFault &err) {
+        fault = err.what();
+    }
+    return {eventsText(engine.sweeperEvents()), fault};
+}
+
+/**
+ * The ladder's exact output for each injected state, retry budget
+ * and rung, recorded from the threaded supervisor: every domain,
+ * epoch ordinal, page count and attempt, and the containment text.
+ */
+TEST(SweeperLadder, EventLinesArePinned)
+{
+    // Seed 7's four epochs, healthy; each case below afflicts one
+    // or more of epochs 1-3 between dispatch and close.
+    const std::string e0 = "dispatch@d0:e0 pages=396 attempt=0\n"
+                           "completed@d0:e0 pages=396 attempt=0\n";
+    const std::string open1 = "dispatch@d0:e1 pages=397 attempt=0\n";
+    const std::string close1 =
+        "completed@d0:e1 pages=397 attempt=0\n";
+    const std::string e2 = "dispatch@d0:e2 pages=439 attempt=0\n"
+                           "completed@d0:e2 pages=439 attempt=0\n";
+    const std::string e3 = "dispatch@d0:e3 pages=465 attempt=0\n"
+                           "completed@d0:e3 pages=465 attempt=0\n";
+    const std::string stall1 =
+        "stall-detected@d0:e1 pages=0 attempt=0\n"
+        "retry@d0:e1 pages=0 attempt=1\n"
+        "retry@d0:e1 pages=0 attempt=2\n"
+        "reassign-to-assist@d0:e1 pages=0 attempt=2\n";
+
+    const std::vector<PinnedStream> cases = {
+        {.name = "crash",
+         .plan = {{SweeperFaultKind::Crash, 0, 1, 1}},
+         .events = e0 + open1 +
+                   "crash@d0:e1 pages=0 attempt=0\n"
+                   "reassign-to-assist@d0:e1 pages=0 attempt=0\n" +
+                   e2 + e3},
+        {.name = "stall",
+         .plan = {{SweeperFaultKind::Stall, 0, 1, 1}},
+         .events = e0 + open1 + stall1 + e2 + e3},
+        {.name = "slow-1",
+         .plan = {{SweeperFaultKind::Slow, 0, 1, 1}},
+         .events = e0 + open1 +
+                   "stall-detected@d0:e1 pages=0 attempt=0\n"
+                   "retry@d0:e1 pages=0 attempt=1\n"
+                   "completed@d0:e1 pages=397 attempt=1\n" +
+                   e2 + e3},
+        {.name = "slow-2",
+         .plan = {{SweeperFaultKind::Slow, 0, 1, 2}},
+         .events = e0 + open1 +
+                   "stall-detected@d0:e1 pages=0 attempt=0\n"
+                   "retry@d0:e1 pages=0 attempt=1\n"
+                   "retry@d0:e1 pages=0 attempt=2\n"
+                   "completed@d0:e1 pages=397 attempt=2\n" +
+                   e2 + e3},
+        {.name = "slow-3",
+         .plan = {{SweeperFaultKind::Slow, 0, 1, 3}},
+         .events = e0 + open1 + stall1 + e2 + e3},
+        {.name = "stall-r0",
+         .plan = {{SweeperFaultKind::Stall, 0, 1, 1}},
+         .retries = 0,
+         .events = e0 + open1 +
+                   "stall-detected@d0:e1 pages=0 attempt=0\n"
+                   "reassign-to-assist@d0:e1 pages=0 attempt=0\n" +
+                   e2 + e3},
+        {.name = "stall-r3",
+         .plan = {{SweeperFaultKind::Stall, 0, 1, 1}},
+         .retries = 3,
+         .events = e0 + open1 +
+                   "stall-detected@d0:e1 pages=0 attempt=0\n"
+                   "retry@d0:e1 pages=0 attempt=1\n"
+                   "retry@d0:e1 pages=0 attempt=2\n"
+                   "retry@d0:e1 pages=0 attempt=3\n"
+                   "reassign-to-assist@d0:e1 pages=0 attempt=3\n" +
+                   e2 + e3},
+        {.name = "two-strikes",
+         .plan = {{SweeperFaultKind::Stall, 0, 1, 1},
+                  {SweeperFaultKind::Stall, 0, 2, 1}},
+         .events = e0 + open1 + stall1 +
+                   "dispatch@d0:e2 pages=439 attempt=0\n"
+                   "stall-detected@d0:e2 pages=0 attempt=0\n"
+                   "retry@d0:e2 pages=0 attempt=1\n"
+                   "retry@d0:e2 pages=0 attempt=2\n"
+                   "stw-catchup@d0:e2 pages=0 attempt=2\n" +
+                   e3},
+        {.name = "three-strikes",
+         .plan = {{SweeperFaultKind::Stall, 0, 1, 1},
+                  {SweeperFaultKind::Stall, 0, 2, 1},
+                  {SweeperFaultKind::Stall, 0, 3, 1}},
+         .events = e0 + open1 + stall1 +
+                   "dispatch@d0:e2 pages=439 attempt=0\n"
+                   "stall-detected@d0:e2 pages=0 attempt=0\n"
+                   "retry@d0:e2 pages=0 attempt=1\n"
+                   "retry@d0:e2 pages=0 attempt=2\n"
+                   "stw-catchup@d0:e2 pages=0 attempt=2\n"
+                   "dispatch@d0:e3 pages=465 attempt=0\n"
+                   "stall-detected@d0:e3 pages=0 attempt=0\n"
+                   "retry@d0:e3 pages=0 attempt=1\n"
+                   "retry@d0:e3 pages=0 attempt=2\n"
+                   "containment@d0:e3 pages=0 attempt=2\n",
+         .fault = "heap fault (sweeper-failure): domain 0 background "
+                  "sweeper failed 3 epochs (stalled at page 0/465 of "
+                  "epoch 3)"},
+        {.name = "domain-1",
+         .plan = {{SweeperFaultKind::Stall, 1, 1, 1}},
+         .twoTenants = true,
+         .events = "dispatch@d1:e0 pages=370 attempt=0\n"
+                   "completed@d1:e0 pages=370 attempt=0\n"
+                   "dispatch@d0:e0 pages=441 attempt=0\n"
+                   "completed@d0:e0 pages=441 attempt=0\n"
+                   "dispatch@d1:e1 pages=411 attempt=0\n"
+                   "stall-detected@d1:e1 pages=0 attempt=0\n"
+                   "retry@d1:e1 pages=0 attempt=1\n"
+                   "retry@d1:e1 pages=0 attempt=2\n"
+                   "reassign-to-assist@d1:e1 pages=0 attempt=2\n"
+                   "dispatch@d1:e2 pages=421 attempt=0\n"
+                   "completed@d1:e2 pages=421 attempt=0\n"
+                   "dispatch@d0:e1 pages=475 attempt=0\n"
+                   "completed@d0:e1 pages=475 attempt=0\n"
+                   "dispatch@d1:e3 pages=419 attempt=0\n"
+                   "completed@d1:e3 pages=419 attempt=0\n"
+                   "dispatch@d0:e2 pages=490 attempt=0\n"
+                   "completed@d0:e2 pages=490 attempt=0\n"
+                   "dispatch@d0:e3 pages=489 attempt=0\n"
+                   "completed@d0:e3 pages=489 attempt=0\n"},
+        {.name = "never-opens",
+         .plan = {{SweeperFaultKind::Stall, 0, 1000, 1}},
+         .events = e0 + open1 + close1 + e2 + e3},
+        {.name = "objid",
+         .plan = {{SweeperFaultKind::Stall, 0, 1, 1}},
+         .backend = BackendKind::ObjectId},
+    };
+    for (const PinnedStream &c : cases) {
+        const auto [events, fault] = pinnedStreamOf(c);
+        EXPECT_EQ(events, c.events) << c.name;
+        EXPECT_EQ(fault, c.fault) << c.name;
     }
 }
 
