@@ -111,7 +111,6 @@ defaultConfig()
     cfg.faultSeed = knobInt("CHERIVOKE_FAULT_SEED");
     cfg.pageBudgetMiB = knobReal("CHERIVOKE_PAGE_BUDGET_MIB");
     cfg.bgSweeper = knobInt("CHERIVOKE_BG_SWEEPER") != 0;
-    cfg.epochDeadlineMs = knobReal("CHERIVOKE_EPOCH_DEADLINE_MS");
     cfg.sweeperRetries = knobUnsigned("CHERIVOKE_SWEEPER_RETRIES");
     return cfg;
 }

@@ -37,13 +37,6 @@
  * policy and plan per cell (they are the experiment, not
  * configuration), so CHERIVOKE_FAULT_PLAN / CHERIVOKE_PAGE_BUDGET_MIB
  * are ignored here while CHERIVOKE_FAULT_SEED seeds the seeded phase.
- *
- * CHERIVOKE_FAULT_SUPERVISION_ONLY=1 runs just the supervision
- * matrix (control + sweeper stall/crash/slow cells, both
- * determinism passes) and skips the kind matrix, pressure ladder,
- * seeded phase, and JSON emission — the reduced configuration CI's
- * TSan leg runs so the racing sweeper gets sanitizer coverage
- * without the full matrix's wall-clock under instrumentation.
  */
 
 #include <cstdio>
@@ -301,10 +294,6 @@ runSupervisionCell(SupervisionCell cell,
     sim::ExperimentConfig cfg = base;
     cfg.bgSweeper = true;
     cfg.sweeperRetries = 2; // the expected counts assume this
-    // A deadline no run reaches: only the injected states drive the
-    // ladder (an injected stall is walked with the watchdog's own
-    // deadline as "now"), never a slow host's real clock.
-    cfg.epochDeadlineMs = 1e9;
     cfg.faultPlanText = cell.plan;
     const sim::MultiTenantBenchResult res =
         sim::runMultiTenantBenchmark(profile, cfg,
@@ -389,8 +378,8 @@ runSupervisionCell(SupervisionCell cell,
     } else {
         // Every other rung recovers the run: all tenants finish and
         // every per-tenant statistic is bit-identical to the
-        // sweeper-off control — the headline guarantee that the
-        // racing background thread never perturbs modelled results.
+        // sweeper-off control — supervision never perturbs modelled
+        // results.
         for (const tenant::TenantResult &t : m.tenants)
             cell.survivorMatch &= t.opsApplied == t.opsTotal;
         cell.survivorMatch &= survivorsMatch(m, control, UINT64_MAX);
@@ -564,16 +553,13 @@ struct Pass
 Pass
 runPass(uint64_t seed, const workload::BenchmarkProfile &profile,
         const sim::ExperimentConfig &base,
-        const std::vector<workload::Trace> &traces,
-        bool supervision_only)
+        const std::vector<workload::Trace> &traces)
 {
     Pass pass;
-    if (!supervision_only) {
-        for (size_t k = 0; k < kNumHeapFaultKinds; ++k) {
-            pass.cells.push_back(runCell(static_cast<HeapFaultKind>(k),
-                                         profile, base, traces));
-            pass.ok &= pass.cells.back().ok;
-        }
+    for (size_t k = 0; k < kNumHeapFaultKinds; ++k) {
+        pass.cells.push_back(runCell(static_cast<HeapFaultKind>(k),
+                                     profile, base, traces));
+        pass.ok &= pass.cells.back().ok;
     }
     // The sweeper-off control every supervision cell diffs against.
     const sim::MultiTenantBenchResult control =
@@ -585,12 +571,10 @@ runPass(uint64_t seed, const workload::BenchmarkProfile &profile,
             cell, profile, base, traces, control.run));
         pass.ok &= pass.supervision.back().ok;
     }
-    if (!supervision_only) {
-        pass.pressure = runPressure(profile, base, traces);
-        pass.ok &= pass.pressure.ok;
-        pass.seeded = runSeeded(seed, profile, base, traces);
-        pass.ok &= pass.seeded.ok;
-    }
+    pass.pressure = runPressure(profile, base, traces);
+    pass.ok &= pass.pressure.ok;
+    pass.seeded = runSeeded(seed, profile, base, traces);
+    pass.ok &= pass.seeded.ok;
     return pass;
 }
 
@@ -650,8 +634,6 @@ benchMain()
     const workload::BenchmarkProfile profile = faultProfile();
     const sim::ExperimentConfig shared = bench::defaultConfig();
     const sim::ExperimentConfig base = baseConfig(shared);
-    const bool supervision_only =
-        knobInt("CHERIVOKE_FAULT_SUPERVISION_ONLY") != 0;
     announceEnvKnobs();
     const uint64_t seed =
         shared.faultSeed ? shared.faultSeed : 0xC0FFEEULL;
@@ -661,11 +643,9 @@ benchMain()
     const std::vector<workload::Trace> traces = bench::codecRoundTrip(
         sim::synthesizeTenantTraces(profile, base));
 
-    const Pass a = runPass(seed, profile, base, traces,
-                           supervision_only);
+    const Pass a = runPass(seed, profile, base, traces);
     bench::Report report{"fault_matrix", passJson(a)};
-    const Pass b = runPass(seed, profile, base, traces,
-                           supervision_only);
+    const Pass b = runPass(seed, profile, base, traces);
     bool ok = a.ok && b.ok;
 
     const bool rerun_identical = report.deterministic == passJson(b);
@@ -675,19 +655,16 @@ benchMain()
                     "statistics\n");
         ok = false;
     }
-    if (!supervision_only) {
-        std::printf("%-18s %-10s %9s %14s %12s %12s\n", "kind",
-                    "contained", "fault op", "pages released",
-                    "contain ms", "survivors");
-        for (const Cell &c : a.cells) {
-            std::printf(
-                "%-18s %-10s %9llu %14llu %12.3f %12s\n",
-                heapFaultKindName(c.kind), c.ok ? "yes" : "NO",
-                static_cast<unsigned long long>(c.faultOp),
-                static_cast<unsigned long long>(c.pagesReleased),
-                c.containSec * 1e3,
-                c.survivorMatch ? "bit-identical" : "DIVERGED");
-        }
+    std::printf("%-18s %-10s %9s %14s %12s %12s\n", "kind",
+                "contained", "fault op", "pages released",
+                "contain ms", "survivors");
+    for (const Cell &c : a.cells) {
+        std::printf("%-18s %-10s %9llu %14llu %12.3f %12s\n",
+                    heapFaultKindName(c.kind), c.ok ? "yes" : "NO",
+                    static_cast<unsigned long long>(c.faultOp),
+                    static_cast<unsigned long long>(c.pagesReleased),
+                    c.containSec * 1e3,
+                    c.survivorMatch ? "bit-identical" : "DIVERGED");
     }
     std::printf("\n%-15s %-42s %-6s %s\n", "supervision",
                 "plan", "ok", "events s/r/c/a/w/x");
@@ -704,51 +681,37 @@ benchMain()
                     static_cast<unsigned long long>(c.containments));
     }
 
-    if (!supervision_only) {
-        std::printf(
-            "\npressure: budget %.2f MiB, %llu ladder events, "
-            "%llu pages reclaimed, %llu OOM-kill(s), %u "
-            "survivor(s)\n",
-            a.pressure.budgetMiB,
-            static_cast<unsigned long long>(
-                a.pressure.pressureEvents),
-            static_cast<unsigned long long>(
-                a.pressure.pagesReclaimed),
-            static_cast<unsigned long long>(a.pressure.oomKills),
-            a.pressure.survivors);
-        std::printf(
-            "seeded: seed %llu -> plan %s (%llu contained)\n\n",
-            static_cast<unsigned long long>(seed),
-            a.seeded.planText.c_str(),
-            static_cast<unsigned long long>(
-                a.seeded.faultsContained));
-    }
+    std::printf("\npressure: budget %.2f MiB, %llu ladder events, "
+                "%llu pages reclaimed, %llu OOM-kill(s), %u "
+                "survivor(s)\n",
+                a.pressure.budgetMiB,
+                static_cast<unsigned long long>(
+                    a.pressure.pressureEvents),
+                static_cast<unsigned long long>(
+                    a.pressure.pagesReclaimed),
+                static_cast<unsigned long long>(a.pressure.oomKills),
+                a.pressure.survivors);
+    std::printf("seeded: seed %llu -> plan %s (%llu contained)\n\n",
+                static_cast<unsigned long long>(seed),
+                a.seeded.planText.c_str(),
+                static_cast<unsigned long long>(
+                    a.seeded.faultsContained));
 
-    // The reduced TSan configuration emits no artifact: a subset
-    // run must never become the regression baseline.
-    if (!supervision_only) {
-        Json cells = Json::array();
-        for (const Cell &c : a.cells) {
-            cells.push(Json()
-                           .set("kind", heapFaultKindName(c.kind))
-                           .set("containment_sec", c.containSec)
-                           .set("faulted_ops_per_sec", c.faultedOpsPerSec)
-                           .set("control_ops_per_sec",
-                                c.controlOpsPerSec));
-        }
-        report.deterministic.set("rerun_identical", rerun_identical)
-            .set("ok", ok);
-        report.timing.set("cells", std::move(cells))
-            .set("pressure_wall_sec", a.pressure.wallSec);
-        report.write("BENCH_fault.json");
+    Json cells = Json::array();
+    for (const Cell &c : a.cells) {
+        cells.push(Json()
+                       .set("kind", heapFaultKindName(c.kind))
+                       .set("containment_sec", c.containSec)
+                       .set("faulted_ops_per_sec", c.faultedOpsPerSec)
+                       .set("control_ops_per_sec", c.controlOpsPerSec));
     }
+    report.deterministic.set("rerun_identical", rerun_identical)
+        .set("ok", ok);
+    report.timing.set("cells", std::move(cells))
+        .set("pressure_wall_sec", a.pressure.wallSec);
+    report.write("BENCH_fault.json");
 
-    if (ok && supervision_only) {
-        std::printf("OK: %zu supervision rungs fired as planned "
-                    "(reduced supervision-only run), deterministic "
-                    "replay\n",
-                    a.supervision.size());
-    } else if (ok) {
+    if (ok) {
         std::printf("OK: %zu fault kinds contained, %zu supervision "
                     "rungs fired as planned, pressure ladder "
                     "killed %llu and spared %u, deterministic "

@@ -157,7 +157,7 @@ benchMain()
                 ok = false;
             }
             // Background-sweeper parity gate: the same traces with
-            // a true sweeper thread racing the mutators must
+            // the supervision ladder walked every epoch must
             // reproduce every modelled statistic bit for bit.
             sim::ExperimentConfig bg_cfg = cfg;
             bg_cfg.bgSweeper = true;

@@ -3,12 +3,11 @@
  * Adaptive, hierarchical revocation scheduling (ROADMAP item; paper
  * §6.1.3 as the control law). The pieces:
  *
- *  - CostModelClock: the injectable model-time source the controller
- *    consumes instead of wall clock. The trace drivers advance it by
- *    each operation's virtual duration, so every statistic the
- *    controller sees is a deterministic function of the trace —
- *    adaptive runs replay bit-identically (the FakeClock discipline,
- *    applied to scheduling).
+ *  - CostModelClock: the model-time source the controller consumes
+ *    instead of wall clock. The trace drivers advance it by each
+ *    operation's virtual duration, so every statistic the controller
+ *    sees is a deterministic function of the trace — adaptive runs
+ *    replay bit-identically.
  *
  *  - AdaptiveController: a pure, deterministic state machine. It
  *    samples free rate, pointer density (sweep-time tag counts) and
@@ -48,7 +47,6 @@
 #include <memory>
 #include <unordered_map>
 
-#include "support/clock.hh"
 #include "support/units.hh"
 
 namespace cherivoke {
@@ -64,14 +62,12 @@ class RevocationPolicy;
 /**
  * Deterministic model-time clock: advanced by the trace drivers in
  * lock-step with modelled virtual seconds, read by the adaptive
- * controller. Mirrors support::FakeClock, but is its own type so a
- * wall-clock source can never be injected where model time is
- * required.
+ * controller. Nothing here reads a host clock, so wall time can
+ * never reach a scheduling decision.
  */
-class CostModelClock final : public support::Clock
+class CostModelClock
 {
   public:
-    uint64_t nowNs() override { return now_ns_; }
     uint64_t peekNs() const { return now_ns_; }
 
     void set(uint64_t ns) { now_ns_ = ns; }

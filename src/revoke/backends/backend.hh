@@ -197,9 +197,10 @@ class RevocationBackend : public alloc::AllocObserver
     virtual size_t pagesRemaining() const { return 0; }
 
     /** The open epoch's frozen page worklist, for backends that
-     *  sweep page-granular memory (the background sweeper snapshots
-     *  it at dispatch). nullptr for backends with no such worklist
-     *  (objid) — the engine then skips background dispatch. */
+     *  sweep page-granular memory (the engine's sweeper supervision
+     *  records its size at dispatch). nullptr for backends with no
+     *  such worklist (objid): the engine then records no sweeper
+     *  event for the epoch and leaves its injection unfired. */
     virtual const std::vector<uint64_t> *frozenWorklist() const
     {
         return nullptr;

@@ -1,8 +1,8 @@
 #include "revoke/revocation_engine.hh"
 
 #include <algorithm>
+#include <utility>
 
-#include "revoke/background_sweeper.hh"
 #include "support/logging.hh"
 #include "support/units.hh"
 
@@ -188,6 +188,10 @@ RevocationEngine::RevocationEngine(
 {
     CHERIVOKE_ASSERT(config_.pagesPerSlice > 0);
     CHERIVOKE_ASSERT(config_.paintShards > 0);
+    if (!sweeper_plan_.empty() && !config_.backgroundSweeper)
+        fatal("%zu sweeper fault injection(s) need the background "
+              "sweeper: set CHERIVOKE_BG_SWEEPER=1",
+              sweeper_plan_.size());
     domains_.push_back(Domain{&allocator, &space, EngineTotals{},
                               nullptr, nullptr, false});
     attachBackend(0, config_.backend);
@@ -202,11 +206,6 @@ RevocationEngine::RevocationEngine(
 
 RevocationEngine::~RevocationEngine()
 {
-    // The background worker may still hold the open epoch's frozen
-    // snapshot and be probing its shadow: join it before any
-    // barrier/shadow teardown below.
-    if (bg_)
-        bg_->cancel();
     // Never leave a dangling barrier behind, and detach from every
     // allocator that may outlive the engine.
     for (Domain &dom : domains_) {
@@ -470,233 +469,99 @@ RevocationEngine::beginEpoch()
         epoch_open_hook_(epoch_domain_);
 
     if (config_.backgroundSweeper)
-        dispatchBackgroundSweep();
-}
-
-support::Clock &
-RevocationEngine::clock()
-{
-    return config_.clock ? *config_.clock : steady_clock_;
+        openSweeperWalk();
 }
 
 void
-RevocationEngine::dispatchBackgroundSweep()
+RevocationEngine::noteSweeper(SweeperEventKind kind, uint64_t pages)
+{
+    supervisor_.record(
+        {kind, epoch_domain_, bg_epoch_seq_, pages, bg_retries_});
+}
+
+void
+RevocationEngine::openSweeperWalk()
 {
     bg_active_ = false;
-    stw_catchup_ = false;
+    bg_inject_ = nullptr;
     Domain &dom = epochDomain();
     const std::vector<uint64_t> *worklist =
         dom.backend->frozenWorklist();
     if (!worklist)
         return; // backend with no page-granular sweep (objid)
-    if (!bg_)
-        bg_ = std::make_unique<BackgroundSweeper>();
-
+    bg_active_ = true;
+    bg_total_ = worklist->size();
     // Domain-local epoch ordinal, the unit sweeper injections are
     // keyed on (finishEpoch increments dom.totals.epochs).
     bg_epoch_seq_ = dom.totals.epochs;
-    auto inject = BackgroundSweeper::Inject::None;
-    uint64_t slow_factor = 1;
+    bg_retries_ = 0;
+    noteSweeper(SweeperEventKind::Dispatch, bg_total_);
     for (SweeperInjection &si : sweeper_plan_) {
-        if (si.fired || si.domain != epoch_domain_ ||
-            si.epoch != bg_epoch_seq_)
-            continue;
-        si.fired = true;
-        switch (si.kind) {
-          case SweeperFaultKind::Stall:
-            inject = BackgroundSweeper::Inject::Stall;
+        if (!si.fired && si.domain == epoch_domain_ &&
+            si.epoch == bg_epoch_seq_) {
+            si.fired = true;
+            bg_inject_ = &si;
             break;
-          case SweeperFaultKind::Crash:
-            inject = BackgroundSweeper::Inject::Crash;
-            break;
-          case SweeperFaultKind::Slow:
-            inject = BackgroundSweeper::Inject::Slow;
-            break;
-        }
-        slow_factor = si.factor;
-        break;
-    }
-
-    FrozenWorklist snapshot =
-        buildFrozenWorklist(dom.space->memory(), *worklist);
-    bg_total_ = snapshot.pages.size();
-
-    supervisor_.record({SweeperEventKind::Dispatch, epoch_domain_,
-                        bg_epoch_seq_, bg_total_, 0});
-
-    // Per-epoch deadline: the configured override, or the §6.1.3
-    // sweep-cost estimate for this worklist. The assumed scan rate
-    // is the paper's commodity-DRAM order of magnitude; the derived
-    // deadline carries generous slack on top.
-    constexpr double kAssumedScanRate = 1024.0 * 1024 * 1024;
-    const uint64_t window =
-        config_.epochDeadlineMs > 0
-            ? static_cast<uint64_t>(config_.epochDeadlineMs * 1e6)
-            : derivedEpochDeadlineNs(bg_total_, kAssumedScanRate);
-    supervisor_.watchdog().arm(clock().nowNs(), window,
-                               config_.sweeperRetries);
-
-    bg_->dispatch(std::move(snapshot),
-                  &dom.allocator->shadowMap(),
-                  config_.pagesPerSlice, inject, slow_factor);
-    bg_active_ = true;
-}
-
-void
-RevocationEngine::rendezvousBackgroundSweep(size_t max_pages)
-{
-    const size_t remaining = epochDomain().backend->pagesRemaining();
-    const uint64_t target =
-        bg_total_ - remaining +
-        std::min<uint64_t>(max_pages, remaining);
-    Watchdog &wd = supervisor_.watchdog();
-    bool stall_recorded = false;
-    uint64_t hb_seen = bg_->heartbeats();
-
-    // Poll chunk for the real-clock path: long enough not to spin,
-    // far below any deadline window.
-    constexpr uint64_t kPollNs = 1'000'000;
-
-    while (true) {
-        if (bg_->watermark() >= target) {
-            wd.heartbeat(clock().nowNs());
-            return;
-        }
-        const BackgroundSweeper::State state = bg_->state();
-        if (state == BackgroundSweeper::State::Done)
-            return; // watermark covers the whole worklist
-        if (state == BackgroundSweeper::State::Crashed) {
-            // Dead worker: no retry can help — straight to the
-            // ladder.
-            supervisor_.record({SweeperEventKind::Crash,
-                                epoch_domain_, bg_epoch_seq_,
-                                bg_->watermark(), wd.retries()});
-            failSweeperEpisode();
-            return;
-        }
-        if (state == BackgroundSweeper::State::Stalled) {
-            // Injected no-progress state: drive the same watchdog
-            // machinery, but with its own deadline as "now" so the
-            // retry/backoff walk is wall-time-free and
-            // deterministic.
-            if (!stall_recorded) {
-                supervisor_.record({SweeperEventKind::StallDetected,
-                                    epoch_domain_, bg_epoch_seq_,
-                                    bg_->watermark(), wd.retries()});
-                stall_recorded = true;
-            }
-            const Watchdog::Verdict verdict =
-                wd.poll(wd.deadlineNs());
-            if (verdict == Watchdog::Verdict::Retry) {
-                supervisor_.record({SweeperEventKind::Retry,
-                                    epoch_domain_, bg_epoch_seq_,
-                                    bg_->watermark(), wd.retries()});
-                // One retry credit: a Slow job whose credits run
-                // out resumes synchronously inside nudge().
-                bg_->nudge();
-                continue;
-            }
-            failSweeperEpisode();
-            return;
-        }
-        // Running: genuinely wait for progress, feeding heartbeats
-        // to the watchdog; a real overrun (never hit by the
-        // deterministic suites) walks the same retry path.
-        bg_->waitProgress(target, kPollNs);
-        const uint64_t hb = bg_->heartbeats();
-        if (hb != hb_seen) {
-            hb_seen = hb;
-            wd.heartbeat(clock().nowNs());
-        }
-        const Watchdog::Verdict verdict = wd.poll(clock().nowNs());
-        if (verdict == Watchdog::Verdict::Retry) {
-            if (!stall_recorded) {
-                supervisor_.record({SweeperEventKind::StallDetected,
-                                    epoch_domain_, bg_epoch_seq_,
-                                    bg_->watermark(),
-                                    wd.retries() - 1});
-                stall_recorded = true;
-            }
-            supervisor_.record({SweeperEventKind::Retry,
-                                epoch_domain_, bg_epoch_seq_,
-                                bg_->watermark(), wd.retries()});
-            bg_->nudge();
-        } else if (verdict == Watchdog::Verdict::Escalate) {
-            failSweeperEpisode();
-            return;
         }
     }
 }
 
-void
-RevocationEngine::failSweeperEpisode()
+bool
+RevocationEngine::walkSweeperInjection()
 {
-    bg_->cancel();
-    supervisor_.watchdog().disarm();
+    const SweeperInjection &si = *std::exchange(bg_inject_, nullptr);
+    if (si.kind == SweeperFaultKind::Crash) {
+        // A dead sweeper: no retry can help, straight to the ladder.
+        noteSweeper(SweeperEventKind::Crash);
+    } else {
+        // A stall is granted every retry and never recovers; a slow
+        // sweeper recovers after `factor` of them.
+        noteSweeper(SweeperEventKind::StallDetected);
+        const uint64_t retries = config_.sweeperRetries;
+        const uint64_t granted = si.kind == SweeperFaultKind::Stall
+                                     ? retries
+                                     : std::min(si.factor, retries);
+        while (bg_retries_ < granted) {
+            ++bg_retries_;
+            noteSweeper(SweeperEventKind::Retry);
+        }
+        if (si.kind == SweeperFaultKind::Slow && si.factor <= retries)
+            return false;
+    }
+
+    // The episode failed: one more strike against this domain.
     bg_active_ = false;
-    const uint64_t watermark = bg_->watermark();
     const unsigned strikes = supervisor_.addStrike(epoch_domain_);
     if (strikes >= 3) {
-        // Rung 3: the domain's sweeper failed three epochs running —
-        // contain it through the standard teardown path. The job is
-        // already cancelled, so the containment drain completes the
-        // epoch via plain mutator-assist.
-        supervisor_.record({SweeperEventKind::Containment,
-                            epoch_domain_, bg_epoch_seq_, watermark,
-                            supervisor_.watchdog().retries()});
+        // Rung 3: contain the domain through the standard teardown
+        // path, whose drain completes the epoch by mutator-assist.
+        noteSweeper(SweeperEventKind::Containment);
         heapFault(HeapFaultKind::SweeperFailure,
                   "domain %zu background sweeper failed %u epochs "
-                  "(stalled at page %llu/%llu of epoch %llu)",
+                  "(stalled at page 0/%llu of epoch %llu)",
                   epoch_domain_, strikes,
-                  static_cast<unsigned long long>(watermark),
                   static_cast<unsigned long long>(bg_total_),
                   static_cast<unsigned long long>(bg_epoch_seq_));
     }
-    if (strikes == 2) {
-        // Rung 2: besides falling back to assist, the next modelled
-        // step drains the whole worklist in one stop-the-world
-        // catch-up pause so the domain regains revocation cadence.
-        supervisor_.record({SweeperEventKind::StwCatchup,
-                            epoch_domain_, bg_epoch_seq_, watermark,
-                            supervisor_.watchdog().retries()});
-        stw_catchup_ = true;
-        return;
-    }
-    // Rung 1: the epoch simply continues on the unchanged modelled
-    // mutator-assist path — which is where all modelled statistics
-    // come from anyway, so the fallback is bit-exact.
-    supervisor_.record({SweeperEventKind::ReassignToAssist,
-                        epoch_domain_, bg_epoch_seq_, watermark,
-                        supervisor_.watchdog().retries()});
-}
-
-void
-RevocationEngine::joinBackgroundSweep()
-{
-    if (!bg_active_)
-        return;
-    // The rendezvous before every modelled slice guarantees the
-    // worker's watermark already covers the whole worklist; cancel()
-    // doubles as the join (it returns once the worker has let go).
-    bg_->cancel();
-    supervisor_.watchdog().disarm();
-    supervisor_.record({SweeperEventKind::Completed, epoch_domain_,
-                        bg_epoch_seq_, bg_->watermark(),
-                        supervisor_.watchdog().retries()});
-    bg_active_ = false;
+    // Rung 1 hands the epoch to the mutator-assist slices, where the
+    // modelled statistics come from anyway; rung 2 also drains the
+    // whole worklist in this step, a stop-the-world catch-up.
+    noteSweeper(strikes == 2 ? SweeperEventKind::StwCatchup
+                             : SweeperEventKind::ReassignToAssist);
+    return strikes == 2;
 }
 
 size_t
 RevocationEngine::step(size_t max_pages, cache::Hierarchy *hierarchy)
 {
     CHERIVOKE_ASSERT(open_, "(step without an open epoch)");
-    if (bg_active_)
-        rendezvousBackgroundSweep(max_pages);
-    if (stw_catchup_) {
-        stw_catchup_ = false;
+    RevocationBackend &backend = *epochDomain().backend;
+    // The injected state shows at the first step that needs a page.
+    if (bg_inject_ &&
+        std::min(max_pages, backend.pagesRemaining()) > 0 &&
+        walkSweeperInjection())
         max_pages = SIZE_MAX;
-    }
-    return epochDomain().backend->step(epoch_, max_pages, hierarchy);
+    return backend.step(epoch_, max_pages, hierarchy);
 }
 
 void
@@ -707,9 +572,9 @@ RevocationEngine::finishEpoch()
     CHERIVOKE_ASSERT(dom.backend->pagesRemaining() == 0,
                      "(worklist not drained: call step() to "
                      "completion first)");
-    // Join the racing worker before the backend releases the
-    // barrier and unpaints the shadow it is probing.
-    joinBackgroundSweep();
+    if (bg_active_)
+        noteSweeper(SweeperEventKind::Completed, bg_total_);
+    bg_active_ = false;
     dom.backend->finishEpoch(epoch_);
     open_ = false;
 

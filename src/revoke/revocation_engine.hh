@@ -67,13 +67,10 @@
 #include "revoke/backends/backend.hh"
 #include "revoke/supervisor.hh"
 #include "revoke/sweeper.hh"
-#include "support/clock.hh"
 #include "support/fault.hh"
 
 namespace cherivoke {
 namespace revoke {
-
-class BackgroundSweeper;
 
 /** Cumulative statistics across all epochs. */
 struct EngineTotals
@@ -130,33 +127,26 @@ struct EngineConfig
     BackendKind backend = BackendKind::Sweep;
     /** Tunables for the metadata-bearing backends. */
     BackendConfig backendConfig{};
-    /** Run a true background sweeper thread: each epoch's frozen
-     *  worklist is snapshotted at open and raced off-thread under
-     *  watchdog supervision, with the modelled statistics still
-     *  produced by the (unchanged) mutator-assist replay — a bg-on
-     *  run is bit-identical to bg-off by construction. */
+    /** Supervise each epoch's sweep as a background sweeper would
+     *  be: record its dispatch and completion, and walk the
+     *  degradation ladder for every injection in sweeperPlan (see
+     *  supervisor.hh). The modelled statistics still come from the
+     *  mutator-assist slices, so they do not depend on this flag. */
     bool backgroundSweeper = false;
-    /** Watchdog deadline per epoch in milliseconds; 0 derives it
-     *  from the §6.1.3 sweep-cost model (worklist bytes over the
-     *  assumed scan rate, with slack). */
+    /** Read by nothing: the ladder is walked at step points, never
+     *  against a clock. Kept because perfbench/bench.cc assigns it. */
     double epochDeadlineMs = 0;
-    /** Bounded watchdog retries (exponential backoff: the deadline
-     *  window doubles per retry) before the degradation ladder
-     *  fires. */
+    /** Retries a stalled sweeper is granted before it takes a
+     *  strike. */
     unsigned sweeperRetries = 2;
-    /** Injectable clock for the watchdog (null → a steady clock
-     *  owned by the engine). An injected stall is a state, observed
-     *  at rendezvous points and walked through the retries without
-     *  reading the clock; but every running worker, injected or
-     *  not, is polled on it, so a run that must see only its
-     *  injected events passes a clock that never advances. */
-    support::Clock *clock = nullptr;
     /** Adaptive-policy tunables (used when any domain runs
      *  PolicyKind::Adaptive; inert otherwise). */
     AdaptiveConfig adaptive{};
     /** Deterministic sweeper fault injections
      *  (`sweeper-stall@domain:epoch` and friends), consumed as
-     *  matching epochs open. */
+     *  matching epochs open. A non-empty plan needs
+     *  backgroundSweeper: the constructor throws FatalError
+     *  otherwise. */
     std::vector<SweeperInjection> sweeperPlan;
 };
 
@@ -469,25 +459,17 @@ class RevocationEngine
      *  it as the allocator's observer. */
     void attachBackend(size_t index, BackendKind kind);
 
-    /** @name Background-sweeper supervision (see supervisor.hh) */
+    /** @name Sweeper supervision (see supervisor.hh) */
     /// @{
-    /** Snapshot the frozen worklist and hand it to the worker
-     *  thread (beginEpoch tail, bg mode only). */
-    void dispatchBackgroundSweep();
-    /** Before a modelled slice over the next @p max_pages pages:
-     *  wait for the worker's watermark to cover them, driving the
-     *  watchdog; on overrun/stall/crash walk the retry loop and, if
-     *  the episode fails, the degradation ladder (may throw
-     *  HeapFaultKind::SweeperFailure at rung 3). */
-    void rendezvousBackgroundSweep(size_t max_pages);
-    /** A failed episode: cancel the job, take a strike, fire the
-     *  ladder rung for the strike count. */
-    void failSweeperEpisode();
-    /** Join the worker at epoch close (finishEpoch head), before
-     *  the backend releases barrier + shadow. */
-    void joinBackgroundSweep();
-    /** The watchdog clock (config override or the owned steady). */
-    support::Clock &clock();
+    /** beginEpoch tail: record the dispatch and take this epoch's
+     *  injection from the plan. */
+    void openSweeperWalk();
+    /** The first step that needs a page: walk the injected state.
+     *  @return true when that step must drain the worklist (rung 2);
+     *  throws HeapFaultKind::SweeperFailure at rung 3. */
+    bool walkSweeperInjection();
+    /** Record @p kind for the open epoch, at the retries so far. */
+    void noteSweeper(SweeperEventKind kind, uint64_t pages = 0);
     /// @}
 
     /** The active domain's allocator (pressure checks, new epochs). */
@@ -513,17 +495,17 @@ class RevocationEngine
     EpochStats epoch_;
     bool open_ = false;
 
-    /** @name Background-sweeper state */
+    /** @name Sweeper supervision state */
     /// @{
-    std::unique_ptr<BackgroundSweeper> bg_;
     SweeperSupervisor supervisor_;
-    support::SteadyClock steady_clock_;
     /** Engine-owned copy of config().sweeperPlan (fired flags). */
     std::vector<SweeperInjection> sweeper_plan_;
-    bool bg_active_ = false;  //!< a job covers the open epoch
-    bool stw_catchup_ = false; //!< rung 2: next step drains all
-    uint64_t bg_total_ = 0;    //!< worklist pages at dispatch
+    bool bg_active_ = false; //!< dispatched, no strike taken yet
+    /** The open epoch's injection, until a step needs a page. */
+    const SweeperInjection *bg_inject_ = nullptr;
+    uint64_t bg_total_ = 0;     //!< worklist pages at dispatch
     uint64_t bg_epoch_seq_ = 0; //!< domain-local ordinal at open
+    uint64_t bg_retries_ = 0;   //!< retries granted this epoch
     /// @}
 };
 

@@ -1,9 +1,5 @@
 #include "revoke/supervisor.hh"
 
-#include <algorithm>
-
-#include "support/units.hh"
-
 namespace cherivoke {
 namespace revoke {
 
@@ -37,23 +33,6 @@ sweeperEventLine(const SweeperEvent &event)
     out += " attempt=";
     out += std::to_string(event.attempt);
     return out;
-}
-
-uint64_t
-derivedEpochDeadlineNs(uint64_t worklist_pages,
-                       double scan_rate_bytes_per_sec,
-                       double slack)
-{
-    // Floor: even an empty worklist gets 10 ms so thread dispatch
-    // latency on a loaded machine cannot masquerade as a stall.
-    constexpr uint64_t kFloorNs = 10'000'000;
-    if (scan_rate_bytes_per_sec <= 0)
-        return kFloorNs;
-    const double bytes =
-        static_cast<double>(worklist_pages) * kPageBytes;
-    const double seconds = bytes / scan_rate_bytes_per_sec * slack;
-    const double ns = seconds * 1e9;
-    return std::max(kFloorNs, static_cast<uint64_t>(ns));
 }
 
 } // namespace revoke

@@ -1,25 +1,24 @@
 /**
  * @file
- * The supervision layer over the background sweeper: a passive
- * Watchdog state machine (armed with a per-epoch deadline derived
- * from the §6.1.3 sweep-cost model, refreshed by sweeper heartbeats,
- * doubling its window on each bounded retry), the typed SweeperEvent
- * taxonomy every supervision transition is recorded as, and the
- * per-domain strike ledger that drives the degradation ladder:
+ * Supervision of the background sweeper, as the engine walks it
+ * serially (RevocationEngine, EngineConfig::backgroundSweeper): the
+ * typed SweeperEvent taxonomy every transition is recorded as, and
+ * the per-domain strike ledger that drives the degradation ladder.
  *
- *     strike 1: cancel the sweeper, re-dispatch the frozen worklist
- *               to mutator-assist (ReassignToAssist)
- *     strike 2: assist plus a stop-the-world catch-up epoch
- *               (StwCatchup) so the domain regains cadence
- *     strike 3: the domain is beyond rescue — contain it through
- *               the PR-7 teardown path (Containment raises
- *               HeapFaultKind::SweeperFailure)
+ * An injected sweeper fault (SweeperInjection) is a *state*, walked
+ * at the first step of its epoch that needs a page: a crash takes a
+ * strike at once; a stall is granted EngineConfig::sweeperRetries
+ * retries and then takes one; a slow sweeper recovers once it has
+ * had `factor` retries, and takes a strike only when the budget runs
+ * out first. Each strike fires the rung for the domain's count:
  *
- * The Watchdog never reads a clock: callers pass timestamps, so
- * production uses SteadyClock while tests drive a FakeClock and the
- * deterministic chaos matrix bypasses wall time entirely (injected
- * sweeper faults are *states*, observed at deterministic rendezvous
- * points).
+ *     strike 1:  ReassignToAssist - the epoch carries on in the
+ *                mutator-assist slices
+ *     strike 2:  StwCatchup - that step drains the whole worklist in
+ *                one stop-the-world pause
+ *     strike 3+: Containment - the engine raises
+ *                HeapFaultKind::SweeperFailure and the domain is
+ *                retired through the standard teardown path
  */
 
 #ifndef CHERIVOKE_REVOKE_SUPERVISOR_HH
@@ -35,13 +34,13 @@ namespace revoke {
 /** Every supervision transition, in the order the ladder fires. */
 enum class SweeperEventKind : uint8_t
 {
-    Dispatch,         //!< worklist handed to the background thread
-    Completed,        //!< sweeper finished the epoch's worklist
-    StallDetected,    //!< watchdog saw no progress past a deadline
-    Retry,            //!< bounded retry with doubled deadline window
-    Crash,            //!< sweeper thread died (heartbeat stopped)
+    Dispatch,         //!< epoch opened with a page worklist
+    Completed,        //!< epoch closed without a strike
+    StallDetected,    //!< injected stall or slow sweeper seen
+    Retry,            //!< one bounded retry granted
+    Crash,            //!< injected sweeper crash seen
     ReassignToAssist, //!< rung 1: worklist back to mutator-assist
-    StwCatchup,       //!< rung 2: stop-the-world catch-up epoch
+    StwCatchup,       //!< rung 2: stop-the-world catch-up pause
     Containment,      //!< rung 3: domain contained via teardown
 };
 
@@ -51,97 +50,23 @@ constexpr size_t kNumSweeperEventKinds = 8;
 const char *sweeperEventKindName(SweeperEventKind kind);
 
 /**
- * One supervision transition. Every field is deterministic under
- * the chaos matrix (epoch ordinals and page counts, never wall
- * time), so event sequences are gated byte-identical across runs.
+ * One supervision transition. Every field is a function of the
+ * trace, the plan and the retry budget (epoch ordinals and page
+ * counts, never wall time), so event sequences are gated
+ * byte-identical across runs.
  */
 struct SweeperEvent
 {
     SweeperEventKind kind = SweeperEventKind::Dispatch;
     uint64_t domain = 0;   //!< engine domain index
     uint64_t epochSeq = 0; //!< domain-local epoch ordinal
-    uint64_t pages = 0;    //!< worklist pages (Dispatch/Completed)
-                           //!< or progress watermark at the event
-    uint64_t attempt = 0;  //!< retry attempt count at the event
+    uint64_t pages = 0;    //!< worklist pages (Dispatch/Completed);
+                           //!< 0 for every other kind
+    uint64_t attempt = 0;  //!< retries granted so far this epoch
 };
 
 /** Canonical one-line rendering for fingerprints and logs. */
 std::string sweeperEventLine(const SweeperEvent &event);
-
-/**
- * The watchdog proper: a timestamp-consuming state machine. arm()
- * sets a deadline window; heartbeat() pushes the deadline out by the
- * current window; poll() fires when now reaches the deadline,
- * granting up to max_retries bounded retries with exponential
- * backoff (window doubles per retry) before escalating. poll() at
- * deadline-1 never fires.
- */
-class Watchdog
-{
-  public:
-    enum class Verdict : uint8_t
-    {
-        None,     //!< deadline not reached (or not armed)
-        Retry,    //!< overrun; a doubled window was granted
-        Escalate, //!< retries exhausted; ladder must take over
-    };
-
-    /** Arm with deadline = @p now_ns + @p window_ns. */
-    void arm(uint64_t now_ns, uint64_t window_ns,
-             unsigned max_retries)
-    {
-        armed_ = true;
-        window_ = window_ns;
-        deadline_ = now_ns + window_ns;
-        max_retries_ = max_retries;
-        retries_ = 0;
-    }
-
-    /** Progress signal: deadline moves to now + current window. */
-    void heartbeat(uint64_t now_ns)
-    {
-        if (armed_)
-            deadline_ = now_ns + window_;
-    }
-
-    Verdict poll(uint64_t now_ns)
-    {
-        if (!armed_ || now_ns < deadline_)
-            return Verdict::None;
-        if (retries_ >= max_retries_) {
-            armed_ = false;
-            return Verdict::Escalate;
-        }
-        ++retries_;
-        window_ *= 2;
-        deadline_ = now_ns + window_;
-        return Verdict::Retry;
-    }
-
-    void disarm() { armed_ = false; }
-
-    bool armed() const { return armed_; }
-    unsigned retries() const { return retries_; }
-    uint64_t windowNs() const { return window_; }
-    uint64_t deadlineNs() const { return deadline_; }
-
-  private:
-    bool armed_ = false;
-    uint64_t window_ = 0;
-    uint64_t deadline_ = 0;
-    unsigned max_retries_ = 0;
-    unsigned retries_ = 0;
-};
-
-/**
- * Per-epoch deadline from the §6.1.3 sweep-cost model: the time the
- * sweep *should* take (worklist bytes over the memory system's scan
- * rate) times a generous slack factor, floored so tiny worklists on
- * loaded CI machines do not trip spurious overruns.
- */
-uint64_t derivedEpochDeadlineNs(uint64_t worklist_pages,
-                                double scan_rate_bytes_per_sec,
-                                double slack = 8.0);
 
 /**
  * The strike ledger + event log the engine's degradation ladder
@@ -181,12 +106,9 @@ class SweeperSupervisor
         return events_;
     }
 
-    Watchdog &watchdog() { return watchdog_; }
-
   private:
     std::vector<unsigned> strikes_;
     std::vector<SweeperEvent> events_;
-    Watchdog watchdog_;
 };
 
 } // namespace revoke

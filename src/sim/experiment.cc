@@ -98,7 +98,6 @@ engineConfigFor(const ExperimentConfig &config)
     engine_cfg.backend = config.backend;
     engine_cfg.backendConfig = config.backendConfig;
     engine_cfg.backgroundSweeper = config.bgSweeper;
-    engine_cfg.epochDeadlineMs = config.epochDeadlineMs;
     engine_cfg.sweeperRetries = config.sweeperRetries;
     return engine_cfg;
 }

@@ -130,21 +130,18 @@ struct ExperimentConfig
     /// @}
 
     /** @name Supervised background revocation
-     *  (CHERIVOKE_BG_SWEEPER / CHERIVOKE_EPOCH_DEADLINE_MS /
-     *  CHERIVOKE_SWEEPER_RETRIES; bench/fault_matrix supervision
-     *  matrix) */
+     *  (CHERIVOKE_BG_SWEEPER / CHERIVOKE_SWEEPER_RETRIES;
+     *  bench/fault_matrix supervision matrix) */
     /// @{
-    /** Run a true background sweeper thread per engine, racing the
-     *  mutators over a frozen worklist snapshot. Modelled statistics
-     *  stay bit-identical to the mutator-assist build (gated in
-     *  tests and the bench harness). */
+    /** Walk the background sweeper's supervision ladder each epoch
+     *  (revoke::EngineConfig::backgroundSweeper). Modelled
+     *  statistics are the same either way (gated in tests and the
+     *  bench harness). */
     bool bgSweeper = false;
-    /** Explicit per-epoch sweeper deadline in milliseconds; 0 =
-     *  derive from the §6.1.3 sweep-cost model (worklist bytes over
-     *  an assumed scan rate, with slack). */
+    /** Read by nothing: the ladder reads no clock. Kept because
+     *  perfbench/bench.cc assigns it. */
     double epochDeadlineMs = 0;
-    /** Bounded watchdog retries (exponential backoff) before the
-     *  degradation ladder takes over. */
+    /** Retries a stalled sweeper gets before it takes a strike. */
     unsigned sweeperRetries = 2;
     /// @}
 };

@@ -35,20 +35,16 @@ knobTable()
         {"CHERIVOKE_BENCH_SECS", Real, "0.2", true,
          "sweep_hotpath minimum timing window per configuration, s"},
         {"CHERIVOKE_BG_SWEEPER", Int, "0", false,
-         "non-zero runs a background sweeper thread per engine"},
+         "non-zero walks the background sweeper's supervision ladder "
+         "each epoch; a plan's sweeper-* injections need it"},
         // cap::kMaxColors - 1: color 0 marks an uncolored capability.
         {"CHERIVOKE_COLORS", Unsigned, "16", true,
          "color-pool size of the color backend", 63},
-        {"CHERIVOKE_EPOCH_DEADLINE_MS", Real, "0", false,
-         "per-epoch background-sweeper deadline, ms; 0 = derive it "
-         "from the sweep-cost model"},
         {"CHERIVOKE_FAULT_PLAN", Text, "", false,
          "chaos schedule kind@tenant:op[,...]; empty = none"},
         {"CHERIVOKE_FAULT_SEED", Int, "0", false,
          "seed of a generated fault plan (one injection per kind); "
          "0 = none. An explicit plan wins"},
-        {"CHERIVOKE_FAULT_SUPERVISION_ONLY", Int, "0", false,
-         "non-zero runs only fault_matrix's supervision cells"},
         {"CHERIVOKE_ID_COMPACT", Int, "4096", true,
          "retired object IDs that trigger a table-compaction epoch"},
         {"CHERIVOKE_MUTATOR_THREADS", Unsigned, "1", true,
@@ -66,7 +62,7 @@ knobTable()
         {"CHERIVOKE_REMOTE_BATCH", Unsigned, "32", true,
          "remote frees per batch message between mutator threads"},
         {"CHERIVOKE_SWEEPER_RETRIES", Unsigned, "2", false,
-         "watchdog retries before the degradation ladder fires"},
+         "retries a stalled sweeper gets before it takes a strike"},
         {"CHERIVOKE_TENANT_AGG_ALLOCS", Int, "1000000", true,
          "aggregate live-allocation target of the tenant benches"},
         {"CHERIVOKE_TENANT_BACKENDS", TextList, "", false,

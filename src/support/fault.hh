@@ -111,7 +111,7 @@ struct FaultInjection
 enum class SweeperFaultKind : uint8_t
 {
     Stall, //!< sweeper stops making progress, never recovers
-    Crash, //!< sweeper thread dies mid-epoch (heartbeat stops)
+    Crash, //!< sweeper dies before its first slice
     Slow,  //!< sweeper stalls, but recovers after `factor` retries
 };
 
@@ -128,7 +128,7 @@ bool parseSweeperFaultKind(const std::string &name,
  * One planned sweeper injection: afflict the background sweeper of
  * @p domain on its @p epoch-th revocation epoch (0-based ordinal of
  * completed epochs at open time). For Slow, @p factor is how many
- * watchdog retries it takes before the sweeper recovers.
+ * retries it takes before the sweeper recovers.
  */
 struct SweeperInjection
 {

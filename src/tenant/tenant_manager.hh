@@ -296,7 +296,7 @@ struct MultiTenantResult
     uint64_t sweeperDispatches = 0;
     uint64_t sweeperCompletions = 0;
     uint64_t sweeperStalls = 0;  //!< stall detections
-    uint64_t sweeperRetries = 0; //!< watchdog retries granted
+    uint64_t sweeperRetries = 0; //!< sweeper retries granted
     uint64_t sweeperCrashes = 0;
     uint64_t sweeperReassigns = 0;   //!< ladder rung 1
     uint64_t sweeperStwCatchups = 0; //!< ladder rung 2

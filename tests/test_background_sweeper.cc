@@ -1,13 +1,11 @@
 /**
  * @file
- * The supervised background revocation thread: the BackgroundSweeper
- * state machine in isolation (dispatch/slice/cancel/crash/stall/slow
- * transitions, watermark and heartbeat publication), the headline
- * modelled-statistics parity guarantee (a run with the sweeper
- * genuinely racing the mutators is bit-identical to the
- * mutator-assist build), deterministic per-slice logs, the injected
- * degradation-ladder walks through the engine, and containment of a
- * terminally failing domain through the TenantManager.
+ * Background-sweeper supervision: the strike ledger and event
+ * rendering, the modelled-statistics parity guarantee (a run with
+ * the sweeper on is bit-identical to the mutator-assist build), the
+ * injected degradation-ladder walks through the engine, pinned line
+ * for line, and containment of a terminally failing domain through
+ * the TenantManager.
  */
 
 #include <gtest/gtest.h>
@@ -17,9 +15,8 @@
 #include <vector>
 
 #include "alloc/cherivoke_alloc.hh"
-#include "revoke/background_sweeper.hh"
 #include "revoke/revocation_engine.hh"
-#include "support/clock.hh"
+#include "revoke/supervisor.hh"
 #include "support/fault.hh"
 #include "tenant/tenant_manager.hh"
 #include "workload/driver.hh"
@@ -31,13 +28,6 @@ namespace revoke {
 namespace {
 
 using alloc::CherivokeAllocator;
-
-/**
- * The watchdog clock for every engine here. It never advances, so a
- * running worker can never overrun its deadline however loaded the
- * host is: only the injected sweeper states drive the ladder.
- */
-support::FakeClock frozen_clock;
 
 /** A trace sized to trigger a dozen-odd epochs (fewer when
  *  @p duration_sec is cut below the default 10 s). */
@@ -105,110 +95,42 @@ countKind(const std::vector<SweeperEvent> &events,
 }
 
 // ---------------------------------------------------------------
-// BackgroundSweeper state machine in isolation.
+// The strike ledger and event rendering.
 // ---------------------------------------------------------------
 
-TEST(BackgroundSweeperUnit, EmptyWorklistCompletesImmediately)
+TEST(SweeperSupervisor, StrikesAccumulateAndReset)
 {
-    BackgroundSweeper bg;
-    // No caps anywhere, so the shadow map is never consulted and a
-    // null shadow is safe.
-    bg.dispatch(FrozenWorklist{}, nullptr, 4,
-                BackgroundSweeper::Inject::None, 1);
-    bg.cancel(); // doubles as join
-    EXPECT_EQ(bg.state(), BackgroundSweeper::State::Done);
-    EXPECT_EQ(bg.watermark(), 0u);
-    EXPECT_TRUE(bg.sliceLogs().empty());
+    SweeperSupervisor sup;
+    EXPECT_EQ(sup.strikes(3), 0u);
+    EXPECT_EQ(sup.addStrike(3), 1u);
+    EXPECT_EQ(sup.addStrike(3), 2u);
+    EXPECT_EQ(sup.addStrike(1), 1u);
+    EXPECT_EQ(sup.strikes(3), 2u);
+    sup.resetStrikes(3); // slot reuse: a new tenant starts clean
+    EXPECT_EQ(sup.strikes(3), 0u);
+    EXPECT_EQ(sup.strikes(1), 1u);
+    EXPECT_EQ(sup.addStrike(3), 1u);
 }
 
-TEST(BackgroundSweeperUnit, CapFreePagesSliceDeterministically)
+TEST(SweeperSupervisor, EventLogAndRendering)
 {
-    FrozenWorklist wl;
-    for (int i = 0; i < 10; ++i)
-        wl.pages.push_back({static_cast<uint64_t>(i) * kPageBytes,
-                            0, 0}); // no caps: shadow never touched
-
-    BackgroundSweeper bg;
-    bg.dispatch(std::move(wl), nullptr, 4,
-                BackgroundSweeper::Inject::None, 1);
-    EXPECT_TRUE(bg.waitProgress(10, 1'000'000'000));
-    bg.cancel();
-    EXPECT_EQ(bg.state(), BackgroundSweeper::State::Done);
-    EXPECT_EQ(bg.watermark(), 10u);
-    // 10 pages in slices of 4: [0,4) [4,8) [8,10), always.
-    ASSERT_EQ(bg.sliceLogs().size(), 3u);
-    EXPECT_EQ(bg.sliceLogs()[0].firstPage, 0u);
-    EXPECT_EQ(bg.sliceLogs()[0].pages, 4u);
-    EXPECT_EQ(bg.sliceLogs()[1].firstPage, 4u);
-    EXPECT_EQ(bg.sliceLogs()[2].pages, 2u);
-    EXPECT_GE(bg.heartbeats(), 3u);
+    SweeperSupervisor sup;
+    sup.record({SweeperEventKind::Dispatch, 1, 4, 77, 0});
+    sup.record({SweeperEventKind::ReassignToAssist, 1, 4, 12, 2});
+    ASSERT_EQ(sup.events().size(), 2u);
+    EXPECT_EQ(sweeperEventLine(sup.events()[0]),
+              "dispatch@d1:e4 pages=77 attempt=0");
+    EXPECT_EQ(sweeperEventLine(sup.events()[1]),
+              "reassign-to-assist@d1:e4 pages=12 attempt=2");
 }
 
-TEST(BackgroundSweeperUnit, CrashInjectionDiesBeforeAnySlice)
+TEST(SweeperSupervisor, EveryEventKindHasAName)
 {
-    FrozenWorklist wl;
-    wl.pages.push_back({0, 0, 0});
-    BackgroundSweeper bg;
-    bg.dispatch(std::move(wl), nullptr, 1,
-                BackgroundSweeper::Inject::Crash, 1);
-    // The corpse is observable without any timeout machinery: the
-    // worker transitions before releasing its first progress notify.
-    EXPECT_FALSE(bg.waitProgress(1, 1'000'000'000));
-    EXPECT_EQ(bg.state(), BackgroundSweeper::State::Crashed);
-    EXPECT_EQ(bg.watermark(), 0u);
-}
-
-TEST(BackgroundSweeperUnit, StallHoldsUntilCancel)
-{
-    FrozenWorklist wl;
-    wl.pages.push_back({0, 0, 0});
-    BackgroundSweeper bg;
-    bg.dispatch(std::move(wl), nullptr, 1,
-                BackgroundSweeper::Inject::Stall, 1);
-    EXPECT_FALSE(bg.waitProgress(1, 1'000'000'000));
-    EXPECT_EQ(bg.state(), BackgroundSweeper::State::Stalled);
-    bg.nudge(); // nudges never rescue a hard stall
-    EXPECT_EQ(bg.state(), BackgroundSweeper::State::Stalled);
-    bg.cancel();
-    EXPECT_EQ(bg.state(), BackgroundSweeper::State::Cancelled);
-    EXPECT_EQ(bg.watermark(), 0u);
-}
-
-TEST(BackgroundSweeperUnit, SlowRecoversAfterFactorNudges)
-{
-    FrozenWorklist wl;
-    for (int i = 0; i < 3; ++i)
-        wl.pages.push_back({static_cast<uint64_t>(i) * kPageBytes,
-                            0, 0});
-    BackgroundSweeper bg;
-    bg.dispatch(std::move(wl), nullptr, 8,
-                BackgroundSweeper::Inject::Slow, 2);
-    EXPECT_FALSE(bg.waitProgress(1, 1'000'000'000));
-    EXPECT_EQ(bg.state(), BackgroundSweeper::State::Stalled);
-    bg.nudge(); // credit 1 of 2
-    EXPECT_EQ(bg.state(), BackgroundSweeper::State::Stalled);
-    bg.nudge(); // final credit: resumes synchronously
-    EXPECT_NE(bg.state(), BackgroundSweeper::State::Stalled);
-    EXPECT_TRUE(bg.waitProgress(3, 1'000'000'000));
-    bg.cancel();
-    EXPECT_EQ(bg.state(), BackgroundSweeper::State::Done);
-}
-
-TEST(BackgroundSweeperUnit, RedispatchAfterEveryTerminalState)
-{
-    BackgroundSweeper bg;
-    for (int round = 0; round < 3; ++round) {
-        FrozenWorklist wl;
-        wl.pages.push_back({0, 0, 0});
-        bg.dispatch(std::move(wl), nullptr, 1,
-                    round == 1 ? BackgroundSweeper::Inject::Crash
-                               : BackgroundSweeper::Inject::None,
-                    1);
-        bg.cancel();
-        const BackgroundSweeper::State state = bg.state();
-        EXPECT_TRUE(state == BackgroundSweeper::State::Done ||
-                    state == BackgroundSweeper::State::Crashed ||
-                    state == BackgroundSweeper::State::Cancelled);
+    for (size_t k = 0; k < kNumSweeperEventKinds; ++k) {
+        const char *name =
+            sweeperEventKindName(static_cast<SweeperEventKind>(k));
+        EXPECT_NE(name, nullptr);
+        EXPECT_GT(std::string(name).size(), 0u);
     }
 }
 
@@ -228,7 +150,6 @@ TEST(BackgroundSweeperParity, ModeledStatsBitIdentical)
         EngineConfig off;
         off.policy = policy;
         off.pagesPerSlice = 8;
-        off.clock = &frozen_clock;
         EngineConfig on = off;
         on.backgroundSweeper = true;
 
@@ -268,7 +189,6 @@ TEST(BackgroundSweeperParity, EventLogIsDeterministic)
     on.policy = PolicyKind::Incremental;
     on.pagesPerSlice = 8;
     on.backgroundSweeper = true;
-    on.clock = &frozen_clock;
     const RunOutput a = runWithEngine(on, trace);
     const RunOutput b = runWithEngine(on, trace);
     EXPECT_FALSE(a.events.empty());
@@ -288,14 +208,13 @@ injectedConfig(std::vector<SweeperInjection> plan)
     cfg.backgroundSweeper = true;
     cfg.sweeperRetries = 2;
     cfg.sweeperPlan = std::move(plan);
-    cfg.clock = &frozen_clock;
     return cfg;
 }
 
 TEST(SweeperLadder, SlowEpisodeRecoversOnRetries)
 {
     const workload::Trace trace = sweepTrace();
-    // Two retry credits, two watchdog retries: recovers in-episode.
+    // Slow for two retries, two retries granted: recovers in-episode.
     const RunOutput out = runWithEngine(
         injectedConfig({{SweeperFaultKind::Slow, 0, 1, 2}}), trace);
     EXPECT_EQ(countKind(out.events, SweeperEventKind::StallDetected),
@@ -401,7 +320,6 @@ TEST(SweeperContainment, ThirdStrikeRetiresOnlyTheVictim)
     tenant::TenantManagerConfig mgr_cfg;
     mgr_cfg.engine.backgroundSweeper = true;
     mgr_cfg.engine.sweeperRetries = 2;
-    mgr_cfg.engine.clock = &frozen_clock;
     mgr_cfg.faultPlan.sweeper = {
         {SweeperFaultKind::Stall, 1, 1, 1},
         {SweeperFaultKind::Stall, 1, 2, 1},

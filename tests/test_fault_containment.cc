@@ -43,7 +43,9 @@ raisedKind(Fn &&fn)
     return std::nullopt;
 }
 
-/** A small alloc/free-heavy trace (~20k ops, ~1.6 MiB live). */
+/** A small alloc/free-heavy trace (~40k ops, ~1.6 MiB live). Its
+ *  first Free comes late, at op ~33k-37k for seeds 1-6, so a fault
+ *  meant to land after frees and an epoch must come later still. */
 workload::Trace
 smallTrace(uint64_t seed)
 {
@@ -337,7 +339,7 @@ TEST(FaultContainment, DoubleFreeLeavesSurvivorBitIdentical)
     // statistics bit-identical to a run where A's trace simply ends
     // at the fault op.
     tenant::TenantManagerConfig mcfg;
-    mcfg.faultPlan = parseFaultPlan("double-free@0:8000");
+    mcfg.faultPlan = parseFaultPlan("double-free@0:39000");
     tenant::TenantManager faulted(mcfg);
     faulted.addTenant(smallTenant("A"), smallTrace(1));
     faulted.addTenant(smallTenant("B"), smallTrace(2));
@@ -356,6 +358,9 @@ TEST(FaultContainment, DoubleFreeLeavesSurvivorBitIdentical)
     EXPECT_EQ(a->faultKind, HeapFaultKind::DoubleFree);
     EXPECT_EQ(a->faultOp, m.faults[0].opIndex);
     EXPECT_LT(a->opsApplied, a->opsTotal);
+    // The fault lands on a tenant that has freed and revoked.
+    EXPECT_GT(a->run.freeCalls, 0u);
+    EXPECT_GT(a->run.revoker.epochs, 0u);
 
     const tenant::TenantResult *b = findTenant(m, 1);
     ASSERT_NE(b, nullptr);
@@ -381,7 +386,7 @@ TEST(FaultContainment, EveryKindIsContained)
         const auto kind = static_cast<HeapFaultKind>(k);
         tenant::TenantManagerConfig mcfg;
         mcfg.faultPlan = parseFaultPlan(
-            std::string(heapFaultKindName(kind)) + "@0:5000");
+            std::string(heapFaultKindName(kind)) + "@0:39000");
         tenant::TenantManager mgr(mcfg);
         mgr.addTenant(smallTenant("A"), smallTrace(3));
         mgr.addTenant(smallTenant("B"), smallTrace(4));
@@ -392,6 +397,9 @@ TEST(FaultContainment, EveryKindIsContained)
         ASSERT_NE(a, nullptr);
         EXPECT_TRUE(a->faulted) << heapFaultKindName(kind);
         EXPECT_EQ(a->faultKind, kind);
+        EXPECT_GT(a->run.freeCalls, 0u) << heapFaultKindName(kind);
+        EXPECT_GT(a->run.revoker.epochs, 0u)
+            << heapFaultKindName(kind);
         const tenant::TenantResult *b = findTenant(m, 1);
         ASSERT_NE(b, nullptr);
         EXPECT_EQ(b->opsApplied, b->opsTotal)

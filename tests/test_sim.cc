@@ -2,8 +2,9 @@
  * @file
  * Tests for the machine timing model and the experiment runner:
  * kernel bandwidth calibration (figure 7 targets), scale invariance,
- * the shape of the headline results (figure 5 / 6 structure), and
- * the parallel synthesis of tenant traces.
+ * the shape of the headline results (figure 5 / 6 structure), the
+ * parallel synthesis of tenant traces, and the refusal of a sweeper
+ * fault plan with the background sweeper off.
  */
 
 #include <gtest/gtest.h>
@@ -329,6 +330,38 @@ TEST_F(TenantTracesTest, ChurnOpsLandWhereSerialInjectionPutsThem)
     EXPECT_EQ(traces[0].ops.size(), host_ops + 2 * config.tenantChurn);
     for (unsigned i = 1; i < traces.size(); ++i)
         EXPECT_FALSE(traces[i].hasLifecycleOps()) << "tenant " << i;
+}
+
+TEST(SweeperPlan, NeedsTheBackgroundSweeper)
+{
+    // Sweeper injections act only through the background sweeper's
+    // ladder. With the sweeper off the run refuses the plan, naming
+    // the knob, instead of dropping all three stalls.
+    const workload::BenchmarkProfile profile =
+        workload::profileFor("omnetpp");
+    ExperimentConfig config;
+    config.scale = 1.0 / 64;
+    config.durationSec = 0.5;
+    config.seed = 3;
+    config.tenants = 2;
+    config.policy = revoke::PolicyKind::Incremental;
+    config.tenantScope = tenant::RevocationScope::PerTenant;
+    config.faultPlanText =
+        "sweeper-stall@0:0,sweeper-stall@0:1,sweeper-stall@0:2";
+    try {
+        runMultiTenantBenchmark(profile, config);
+        ADD_FAILURE() << "a sweeper plan ran with the sweeper off";
+    } catch (const FatalError &err) {
+        EXPECT_STREQ(err.what(),
+                     "fatal: 3 sweeper fault injection(s) need the "
+                     "background sweeper: set CHERIVOKE_BG_SWEEPER=1");
+    }
+
+    config.bgSweeper = true;
+    const MultiTenantBenchResult on =
+        runMultiTenantBenchmark(profile, config);
+    EXPECT_EQ(on.run.sweeperStalls, 3u);
+    EXPECT_EQ(on.run.sweeperContainments, 1u);
 }
 
 } // namespace
