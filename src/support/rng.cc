@@ -1,5 +1,6 @@
 #include "support/rng.hh"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 
@@ -48,13 +49,16 @@ uint64_t
 Rng::nextBounded(uint64_t bound)
 {
     CHERIVOKE_ASSERT(bound != 0);
-    // Rejection sampling to avoid modulo bias.
-    const uint64_t threshold = (0 - bound) % bound;
-    for (;;) {
-        const uint64_t r = next();
-        if (r >= threshold)
-            return r % bound;
+    // Rejection sampling to avoid modulo bias: draws below the
+    // threshold are redrawn. The threshold is below bound, so a draw
+    // of at least bound is accepted without dividing for it.
+    uint64_t r = next();
+    if (r < bound) {
+        const uint64_t threshold = (0 - bound) % bound;
+        while (r < threshold)
+            r = next();
     }
+    return r % bound;
 }
 
 uint64_t
@@ -77,19 +81,30 @@ Rng::nextBool(double p)
     return nextDouble() < p;
 }
 
+LogUniform::LogUniform(uint64_t lo, uint64_t hi)
+    : lo_(lo), hi_(hi), llo_(std::log(static_cast<double>(lo))),
+      lhi_(std::log(static_cast<double>(hi)))
+{
+    CHERIVOKE_ASSERT(lo > 0 && lo <= hi);
+}
+
+uint64_t
+LogUniform::at(double u) const
+{
+    const double v = std::exp(llo_ + (lhi_ - llo_) * u);
+    return std::clamp(static_cast<uint64_t>(v), lo_, hi_);
+}
+
 uint64_t
 Rng::nextLogUniform(uint64_t lo, uint64_t hi)
 {
-    CHERIVOKE_ASSERT(lo > 0 && lo <= hi);
-    const double llo = std::log(static_cast<double>(lo));
-    const double lhi = std::log(static_cast<double>(hi));
-    const double v = std::exp(llo + (lhi - llo) * nextDouble());
-    uint64_t r = static_cast<uint64_t>(v);
-    if (r < lo)
-        r = lo;
-    if (r > hi)
-        r = hi;
-    return r;
+    return nextLogUniform(LogUniform(lo, hi));
+}
+
+uint64_t
+Rng::nextLogUniform(const LogUniform &law)
+{
+    return law.at(nextDouble());
 }
 
 double

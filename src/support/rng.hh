@@ -17,6 +17,24 @@
 
 namespace cherivoke {
 
+/**
+ * The log-uniform law between @p lo and @p hi with its two logarithms
+ * taken once, for a caller that draws from one law many times.
+ */
+class LogUniform
+{
+  public:
+    LogUniform(uint64_t lo, uint64_t hi);
+
+    /** The value at uniform variate @p u in [0, 1): exp(log lo + (log
+     *  hi - log lo) * u), truncated and clamped to [lo, hi]. */
+    uint64_t at(double u) const;
+
+  private:
+    uint64_t lo_, hi_;
+    double llo_, lhi_;
+};
+
 /** Deterministic xoshiro256** generator. */
 class Rng
 {
@@ -45,6 +63,8 @@ class Rng
      * allocation-intensive programs.
      */
     uint64_t nextLogUniform(uint64_t lo, uint64_t hi);
+    /** The same draw from a law whose logarithms are already taken. */
+    uint64_t nextLogUniform(const LogUniform &law);
 
     /** Exponentially distributed double with the given mean. */
     double nextExponential(double mean);

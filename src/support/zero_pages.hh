@@ -25,6 +25,19 @@ void *mapZeroPages(size_t bytes);
 void unmapZeroPages(void *addr, size_t bytes);
 
 /**
+ * Fault in, writable, the whole pages inside [@p addr, @p addr +
+ * @p bytes) with MADV_POPULATE_WRITE, in forkJoin tasks, so the
+ * caller's first write to them takes no page fault. Only page tables
+ * change: no byte is written, so the range keeps its contents. The
+ * split depends only on @p bytes: one task per full 4 MiB, at most
+ * four, and a range under 8 MiB is left to fault in on the thread
+ * that writes it. A kernel without the advice (before Linux 5.14)
+ * refuses it, and the writes then fault the pages in as they would
+ * anyway.
+ */
+void populatePages(void *addr, size_t bytes);
+
+/**
  * An owned array of @p count Ts whose every byte starts zero. T must
  * be a type whose all-zero bytes are its default state (pointers,
  * integers, flag structs), since no constructor runs.

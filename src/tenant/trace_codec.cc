@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -10,6 +11,7 @@
 #include "support/fault.hh"
 #include "support/fork_join.hh"
 #include "support/logging.hh"
+#include "support/zero_pages.hh"
 
 namespace cherivoke {
 namespace tenant {
@@ -178,8 +180,13 @@ encodeTrace(const workload::Trace &trace)
     const workload::TraceOps &ops = trace.ops;
     // The one serial pass: a std::vector cannot hand out
     // uninitialised bytes, and the zeros are the fields a record's
-    // kind leaves undefined.
-    std::vector<uint8_t> out(encodedTraceBytes(trace));
+    // kind leaves undefined. Faulting the reserved pages in first,
+    // in parallel, leaves the fill to run over resident memory.
+    const size_t bytes = encodedTraceBytes(trace);
+    std::vector<uint8_t> out;
+    out.reserve(bytes);
+    populatePages(out.data(), bytes);
+    out.resize(bytes);
     uint8_t *records = out.data() + kTraceHeaderBytes;
     const TaskRanges ranges(ops.size());
     // One flag per task (char, not vector<bool>, so each task
@@ -310,9 +317,17 @@ loadTraceFile(const std::string &path)
     std::ifstream is(path, std::ios::binary);
     if (!is)
         fatal("cannot open '%s'", path.c_str());
-    std::vector<uint8_t> bytes(
-        (std::istreambuf_iterator<char>(is)),
-        std::istreambuf_iterator<char>());
+    // One read of the file's size: a stream iterator would copy it a
+    // byte at a time.
+    std::error_code ec;
+    const uintmax_t size = std::filesystem::file_size(path, ec);
+    if (ec)
+        fatal("cannot read '%s': %s", path.c_str(),
+              ec.message().c_str());
+    std::vector<uint8_t> bytes(size);
+    if (!is.read(reinterpret_cast<char *>(bytes.data()),
+                 static_cast<std::streamsize>(size)))
+        fatal("short read from '%s'", path.c_str());
     if (isBinaryTrace(bytes.data(), bytes.size()))
         return decodeTrace(bytes);
     std::istringstream text(

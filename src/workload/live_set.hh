@@ -10,14 +10,16 @@
  * their source the same way, so the set must answer rank lookup and
  * erase-at-rank. Allocation ids are dense and assigned in allocation
  * order, so the live set is just the live ids in increasing order: a
- * slot array of sizes indexed by id - 1 plus a Fenwick tree of live
- * flags gives both in O(log n).
+ * slot array of sizes indexed by id - 1, a bitmap of live flags, and
+ * a Fenwick tree of each 64-id bitmap word's live count give both in
+ * O(log n). The tree holds 4 bytes per 64 allocations, so a
+ * 300k-allocation index is ~19 KiB and its descent stays in L1.
  *
  * While every free has taken the oldest object (FIFO lifetimes), the
  * live ids are the contiguous range [head, next id) and rank r is id
- * head + r. The tree is therefore built only on the first
- * out-of-order erase; a FIFO-only trace pays O(1) per op and never
- * allocates it.
+ * head + r. The bitmap and tree are therefore built only on the
+ * first out-of-order erase; a FIFO-only trace pays O(1) per op and
+ * never allocates them.
  */
 
 #ifndef CHERIVOKE_WORKLOAD_LIVE_SET_HH
@@ -49,12 +51,22 @@ class LiveSet
         const uint64_t id = sizes_.size();
         ++live_;
         if (!tree_.empty()) {
-            // Node id covers (id - lowbit(id), id]: the new flag plus
-            // the child nodes that partition the rest of that range.
-            uint32_t covered = 1;
-            for (uint64_t k = 1; k < (id & -id); k <<= 1)
-                covered += tree_[id - k];
-            tree_.push_back(covered);
+            const uint64_t word = (id - 1) / 64;
+            if (word == words_.size()) {
+                // A new word's node covers the new, empty word plus
+                // the child nodes that partition the rest of its
+                // range.
+                const uint64_t node = word + 1;
+                uint32_t covered = 0;
+                for (uint64_t k = 1; k < (node & -node); k <<= 1)
+                    covered += tree_[node - k];
+                words_.push_back(0);
+                tree_.push_back(covered);
+            }
+            // The newest word's node is the last, so no ancestor
+            // exists yet to update.
+            words_[word] |= uint64_t{1} << ((id - 1) % 64);
+            ++tree_[word + 1];
         }
         return id;
     }
@@ -88,26 +100,32 @@ class LiveSet
             build();
         }
         const uint64_t id = select(rank);
-        for (uint64_t i = id; i < tree_.size(); i += i & -i)
+        const uint64_t word = (id - 1) / 64;
+        words_[word] &= ~(uint64_t{1} << ((id - 1) % 64));
+        for (uint64_t i = word + 1; i < tree_.size(); i += i & -i)
             --tree_[i];
         return Object{id, sizes_[id - 1]};
     }
 
   private:
-    /** Fenwick tree over the FIFO state: ids >= head_ are live. */
+    /** Bitmap and tree over the FIFO state: ids >= head_ are live. */
     void
     build()
     {
         const uint64_t n = sizes_.size();
-        // Later pushes grow the tree with the slot array.
-        tree_.reserve(sizes_.capacity() + 1);
-        tree_.assign(n + 1, 0);
-        for (uint64_t i = head_; i <= n; ++i)
-            tree_[i] = 1;
-        for (uint64_t i = 1; i <= n; ++i) {
-            const uint64_t parent = i + (i & -i);
-            if (parent <= n)
-                tree_[parent] += tree_[i];
+        const uint64_t nwords = (n + 63) / 64;
+        // Later pushes grow both with the slot array.
+        words_.reserve(sizes_.capacity() / 64 + 1);
+        tree_.reserve(sizes_.capacity() / 64 + 2);
+        words_.assign(nwords, 0);
+        for (uint64_t i = head_ - 1; i < n; ++i)
+            words_[i / 64] |= uint64_t{1} << (i % 64);
+        tree_.assign(nwords + 1, 0);
+        for (uint64_t w = 1; w <= nwords; ++w) {
+            tree_[w] += static_cast<uint32_t>(std::popcount(words_[w - 1]));
+            const uint64_t parent = w + (w & -w);
+            if (parent <= nwords)
+                tree_[parent] += tree_[w];
         }
     }
 
@@ -115,6 +133,7 @@ class LiveSet
     uint64_t
     select(uint64_t rank) const
     {
+        // Descend the tree to the word that holds the rank...
         const uint64_t n = tree_.size() - 1;
         uint64_t pos = 0;
         for (uint64_t step = std::bit_floor(n); step != 0; step >>= 1) {
@@ -123,17 +142,25 @@ class LiveSet
                 rank -= tree_[pos];
             }
         }
-        return pos + 1;
+        // ...then clear the word's lower live bits, one at a time:
+        // ~20 ns a word, against ~70 ns for halving it by popcount.
+        uint64_t bits = words_[pos];
+        for (; rank != 0; --rank)
+            bits &= bits - 1;
+        return pos * 64 + static_cast<uint64_t>(std::countr_zero(bits)) + 1;
     }
 
     /** Size of allocation id, at index id - 1 (dead slots kept). */
     std::vector<uint64_t> sizes_;
-    /** 1-based Fenwick tree of live flags; empty until the first
-     *  out-of-order erase. Node i counts at most lowbit(i) ids, so
-     *  32 bits overflow only past 2^32 allocations, far more than a
-     *  trace in memory holds. */
+    /** Live flag of id at bit (id - 1) % 64 of word (id - 1) / 64;
+     *  empty until the first out-of-order erase. */
+    std::vector<uint64_t> words_;
+    /** 1-based Fenwick tree of the words' live counts; empty until
+     *  the first out-of-order erase. Node i counts at most 64 *
+     *  lowbit(i) ids, so 32 bits overflow only past 2^32
+     *  allocations, far more than a trace in memory holds. */
     std::vector<uint32_t> tree_;
-    /** Oldest live id while the tree is unbuilt. */
+    /** Oldest live id while the index is unbuilt. */
     uint64_t head_ = 1;
     uint64_t live_ = 0;
 };

@@ -1,7 +1,6 @@
 #include "workload/synth.hh"
 
 #include <algorithm>
-#include <cmath>
 
 #include "support/logging.hh"
 #include "support/rng.hh"
@@ -32,8 +31,8 @@ storesFor(uint64_t size, double line_density)
 }
 
 /** Mean size and mean pointer stores of one allocation drawn from
- *  Rng::nextLogUniform(lo, hi), by midpoint quadrature over the
- *  uniform variate the draw exponentiates. */
+ *  @p law, by midpoint quadrature over the uniform variate the draw
+ *  exponentiates. */
 struct SizeLawMeans
 {
     double bytes = 0;
@@ -41,17 +40,12 @@ struct SizeLawMeans
 };
 
 SizeLawMeans
-sizeLawMeans(uint64_t lo, uint64_t hi, double line_density)
+sizeLawMeans(const LogUniform &law, double line_density)
 {
     constexpr int kPoints = 64;
-    const double llo = std::log(static_cast<double>(lo));
-    const double lhi = std::log(static_cast<double>(hi));
     SizeLawMeans means;
     for (int k = 0; k < kPoints; ++k) {
-        const double u = (k + 0.5) / kPoints;
-        const uint64_t size = std::clamp<uint64_t>(
-            static_cast<uint64_t>(std::exp(llo + (lhi - llo) * u)), lo,
-            hi);
+        const uint64_t size = law.at((k + 0.5) / kPoints);
         means.bytes += static_cast<double>(size);
         means.stores +=
             static_cast<double>(storesFor(size, line_density));
@@ -106,6 +100,7 @@ synthesize(const BenchmarkProfile &profile, const SynthConfig &config)
         16, static_cast<uint64_t>(mean_alloc / 4));
     const uint64_t size_hi = std::max<uint64_t>(
         size_lo + 16, static_cast<uint64_t>(mean_alloc * 2.5));
+    const LogUniform size_law(size_lo, size_hi);
 
     const uint64_t steps =
         alloc_events_per_sec > 1.0
@@ -122,7 +117,7 @@ synthesize(const BenchmarkProfile &profile, const SynthConfig &config)
     // (sim::synthesizeTenantTraces) the freed growth buffers stay in
     // that thread's malloc arena, where no other thread reuses them.
     const SizeLawMeans per_alloc =
-        sizeLawMeans(size_lo, size_hi, line_density_within);
+        sizeLawMeans(size_law, line_density_within);
     const double expected_allocs =
         static_cast<double>(live_target) / per_alloc.bytes +
         static_cast<double>(steps);
@@ -140,7 +135,7 @@ synthesize(const BenchmarkProfile &profile, const SynthConfig &config)
     live.reserve(static_cast<size_t>(kMargin * expected_allocs));
 
     auto emit_alloc = [&](double dt) {
-        const uint64_t size = rng.nextLogUniform(size_lo, size_hi);
+        const uint64_t size = rng.nextLogUniform(size_law);
         const uint64_t id = live.push(size);
         TraceOp op;
         op.kind = OpKind::Malloc;

@@ -410,8 +410,15 @@ TEST(FaultContainment, EveryKindIsContained)
 TEST(FaultContainment, SeededPlanReplaysBitIdentically)
 {
     const workload::Trace ta = smallTrace(5), tb = smallTrace(6);
-    const FaultPlan plan = generateFaultPlan(
-        31, {0, 1}, {ta.ops.size(), tb.ops.size()});
+    // Drawn over each trace's last kTail ops and shifted there, so
+    // every fault lands after the tenant's first frees and epoch and
+    // the two replays have revocation to compare.
+    constexpr uint64_t kTail = 1000;
+    const uint64_t tail_start[] = {ta.ops.size() - kTail,
+                                   tb.ops.size() - kTail};
+    FaultPlan plan = generateFaultPlan(31, {0, 1}, {kTail, kTail});
+    for (FaultInjection &fi : plan.injections)
+        fi.opIndex += tail_start[fi.tenantId];
 
     auto replay = [&]() {
         tenant::TenantManagerConfig mcfg;
@@ -439,6 +446,11 @@ TEST(FaultContainment, SeededPlanReplaysBitIdentically)
         EXPECT_EQ(x.tenants[i].tenantId, y.tenants[i].tenantId);
         EXPECT_EQ(x.tenants[i].opsApplied, y.tenants[i].opsApplied);
         expectRunsBitIdentical(x.tenants[i].run, y.tenants[i].run);
+        // A faulted tenant had freed and revoked before its fault.
+        if (x.tenants[i].faulted) {
+            EXPECT_GT(x.tenants[i].run.freeCalls, 0u) << i;
+            EXPECT_GT(x.tenants[i].run.revoker.epochs, 0u) << i;
+        }
     }
 }
 

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
 
 #include "support/rng.hh"
@@ -25,13 +26,19 @@ class Differential
   public:
     explicit Differential(uint64_t seed) : rng_(seed) {}
 
+    void push() { pushMany(1); }
+
+    /** @p n pushes, compared once at the end: a full walk every few
+     *  pushes of a 200k-object set would dominate the run. */
     void
-    push()
+    pushMany(uint64_t n)
     {
-        const uint64_t size = rng_.nextRange(16, 4096);
-        const uint64_t id = index_.push(size);
-        ref_.push_back(Object{next_id_++, size});
-        EXPECT_EQ(id, ref_.back().id);
+        for (uint64_t i = 0; i < n; ++i) {
+            const uint64_t size = rng_.nextRange(16, 4096);
+            const uint64_t id = index_.push(size);
+            ref_.push_back(Object{next_id_++, size});
+            EXPECT_EQ(id, ref_.back().id);
+        }
         check();
     }
 
@@ -49,6 +56,20 @@ class Differential
     void eraseOldest() { erase(0); }
     void eraseNewest() { erase(ref_.size() - 1); }
     void eraseRandom() { erase(rng_.nextBounded(ref_.size())); }
+
+    /** Erase every live id of 64-id word @p w: ids 64w + 1 ... 64w +
+     *  64, the ids one LiveSet bitmap word holds. */
+    void
+    eraseWord(uint64_t w)
+    {
+        for (uint64_t id = 64 * w + 1; id <= 64 * w + 64; ++id) {
+            const auto it = std::lower_bound(
+                ref_.begin(), ref_.end(), id,
+                [](const Object &o, uint64_t v) { return o.id < v; });
+            if (it != ref_.end() && it->id == id)
+                erase(static_cast<uint64_t>(it - ref_.begin()));
+        }
+    }
 
     /** One random operation, weighted like synthesis. */
     void
@@ -73,6 +94,8 @@ class Differential
     }
 
     size_t size() const { return ref_.size(); }
+    /** The id the next push gets. */
+    uint64_t nextId() const { return next_id_; }
 
     /** Compare every live object, oldest first. */
     void
@@ -188,6 +211,41 @@ TEST(LiveSet, IndexedDrainToEmptyAndRefill)
         d.checkAll();
         for (int i = 0; i < 300; ++i)
             d.push();
+        d.checkAll();
+    }
+}
+
+TEST(LiveSet, WordEdgesAtScale)
+{
+    // The FIFO prefix ends mid-word (oldest live id 38) or on a word
+    // boundary (oldest live id 129) before the first out-of-order
+    // erase builds the index.
+    for (uint64_t fifo : {uint64_t{37}, uint64_t{128}}) {
+        SCOPED_TRACE(fifo);
+        Differential d(fifo);
+        // 200,021 ids: the newest word is partly filled.
+        d.pushMany(200021);
+        for (uint64_t i = 0; i < fifo; ++i)
+            d.eraseOldest();
+        // Ranks either side of the first word edge, then the last.
+        d.erase(63);
+        d.erase(64);
+        d.erase(65);
+        d.eraseNewest();
+        d.checkAll();
+        // Whole words drained to empty: one alone, then a run of
+        // them, so the descent must step over empty subtrees.
+        d.eraseWord(1000);
+        for (uint64_t w = 20; w < 36; ++w)
+            d.eraseWord(w);
+        d.checkAll();
+        // The newest word drained to empty, then refilled by pushes
+        // that run on into new words.
+        d.eraseWord((d.nextId() - 2) / 64);
+        d.pushMany(200);
+        d.checkAll();
+        for (int i = 0; i < 600; ++i)
+            d.randomStep();
         d.checkAll();
     }
 }

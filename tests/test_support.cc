@@ -173,6 +173,71 @@ TEST(Rng, LogUniformWithinBounds)
     }
 }
 
+/** Eight draws from Rng(2024), then the next raw value, which pins
+ *  how many raw draws the eight consumed. */
+struct PinnedDraws
+{
+    uint64_t bound;
+    uint64_t draws[8];
+    uint64_t nextRaw;
+};
+
+/**
+ * Every synthesised trace is a function of these draws, so a faster
+ * nextBounded must accept and reject exactly the raw values the
+ * rejection threshold does. Bound 2^63 + 1 rejects about half of its
+ * raw draws (sixteen raw draws for eight results here); 2^64 - 1
+ * rejects only zero.
+ */
+constexpr PinnedDraws kPinnedBounded[] = {
+    {0x1ull, {0, 0, 0, 0, 0, 0, 0, 0}, 0x8e897a69ce63c9d5ull},
+    {0x3ull, {1, 0, 2, 2, 0, 1, 0, 1}, 0x8e897a69ce63c9d5ull},
+    {0x1000ull,
+     {0x72e, 0x65, 0x1, 0x46b, 0xaa7, 0x4f5, 0x7a8, 0xb6c},
+     0x8e897a69ce63c9d5ull},
+    {0x100000001ull,
+     {0x58f05d4ull, 0xc2421c78ull, 0x37c1eb6ull, 0x82ff80c5ull,
+      0x9b5816f6ull, 0xfe1f6470ull, 0x4bb36f3ull, 0xfa86411aull},
+     0x8e897a69ce63c9d5ull},
+    {0x8000000000000001ull,
+     {0x4837f3ee8a7a1064ull, 0x460df3b261660aa6ull,
+      0x0e897a69ce63c9d4ull, 0x386885089f3803dfull,
+      0x6e85d22e08996b82ull, 0x61ca930597a23685ull,
+      0x45fe2bd783c51d0eull, 0x2719221294a6e2e5ull},
+     0xcf5faf71b2dda429ull},
+    {0xffffffffffffffffull,
+     {0x0e48715a13d7772eull, 0xc837f3ee8a7a1065ull,
+      0x1272314b15ee5001ull, 0x28e323a6abe2a46bull,
+      0xc60df3b261660aa7ull, 0x3eaff0863ccf54f5ull,
+      0x64f330b569ae67a8ull, 0x41cb3a533c517b6cull},
+     0x8e897a69ce63c9d5ull},
+};
+
+TEST(Rng, BoundedDrawsArePinned)
+{
+    for (const PinnedDraws &pin : kPinnedBounded) {
+        SCOPED_TRACE(pin.bound);
+        Rng rng(2024);
+        for (uint64_t want : pin.draws)
+            EXPECT_EQ(rng.nextBounded(pin.bound), want);
+        EXPECT_EQ(rng.next(), pin.nextRaw);
+    }
+}
+
+TEST(Rng, LogUniformDrawsArePinned)
+{
+    const uint64_t narrow[] = {21, 1223, 23, 38, 1167, 62, 142, 66};
+    const uint64_t wide[] = {4,          2614976643, 7,     83,
+                             2068611518, 888,        56011, 1243};
+    Rng a(2024), b(2024);
+    for (int i = 0; i < 8; ++i) {
+        EXPECT_EQ(a.nextLogUniform(16, 4096), narrow[i]) << i;
+        EXPECT_EQ(b.nextLogUniform(1, uint64_t{1} << 40), wide[i]) << i;
+    }
+    EXPECT_EQ(a.next(), 0x8e897a69ce63c9d5ull);
+    EXPECT_EQ(b.next(), 0x8e897a69ce63c9d5ull);
+}
+
 TEST(Rng, ExponentialMeanApproximate)
 {
     Rng rng(11);

@@ -10,6 +10,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <sstream>
 #include <string>
 
@@ -214,6 +215,22 @@ TEST(TraceCodec, RejectsMalformedInput)
     // Missing file.
     EXPECT_THROW(tenant::loadTraceFile("/nonexistent/x.cvt"),
                  FatalError);
+}
+
+TEST(TraceCodec, TruncatedOrUnreadableFileFails)
+{
+    const std::string path = testing::TempDir() + "codec_cut.cvt";
+    tenant::saveTraceFile(path, sampleTrace());
+    const uintmax_t whole = std::filesystem::file_size(path);
+    // A record cut short, and a header cut short after the magic:
+    // the magic still selects the binary decoder, which refuses both.
+    for (const uintmax_t size : {whole - 1, uintmax_t{8}}) {
+        std::filesystem::resize_file(path, size);
+        EXPECT_THROW(tenant::loadTraceFile(path), FatalError) << size;
+    }
+    std::remove(path.c_str());
+    // A directory opens but cannot be read as a file.
+    EXPECT_THROW(tenant::loadTraceFile(testing::TempDir()), FatalError);
 }
 
 // ---- In-memory layout and the text format ----------------------

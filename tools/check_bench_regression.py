@@ -1,17 +1,24 @@
 #!/usr/bin/env python3
-"""Diff the deterministic block of fresh BENCH_*.json reports against a
-previous run's artifacts.
+"""Diff the deterministic block of fresh BENCH_*.json reports against
+baselines: the committed ones or a previous run's artifacts.
 
 Usage:
     check_bench_regression.py BASELINE_DIR FRESH_DIR [NAME...]
     check_bench_regression.py [--tolerance REL] BASELINE_DIR FRESH_DIR
     check_bench_regression.py --self-test
 
-BASELINE_DIR holds the previous run's BENCH_*.json files (any nesting
-— artifact downloads place each file in its own subdirectory); the
-newest match wins when a name appears more than once. FRESH_DIR holds
-this run's files. NAMEs limit the comparison (e.g. "BENCH_tenant");
-default is every BENCH_*.json present in FRESH_DIR.
+For example, after the release benches have written their reports
+into build-release/:
+    check_bench_regression.py bench/baseline build-release
+
+BASELINE_DIR holds the baseline BENCH_*.json files, at any nesting
+(artifact downloads place each file in its own subdirectory); the
+newest match wins when a name appears more than once. bench/baseline/
+holds the committed ones: a release run's reports, written with the
+knobs CI's release leg sets, less their "host" and "timing" blocks. A
+change that moves a modelled number on purpose rewrites them the same
+way. FRESH_DIR holds this run's files. NAMEs limit the comparison (e.g.
+"BENCH_tenant"); default is every BENCH_*.json present in FRESH_DIR.
 
 Every report (bench/report.hh) carries a "schema" number and keeps
 what two same-seed runs reproduce in its "deterministic" block; host
@@ -266,9 +273,9 @@ def main(argv):
         return 0
 
     if compare_dirs(baseline_dir, fresh_dir, names, tolerance):
-        print("deterministic bench fields drifted from the previous "
-              "run; if intended, this run's artifacts become the new "
-              "baseline once merged")
+        print("deterministic bench fields drifted from the baseline; "
+              "if intended, this run's reports become the new "
+              "baseline")
         return 1
     return 0
 
