@@ -98,13 +98,7 @@ LogUniform::at(double u) const
 uint64_t
 Rng::nextLogUniform(uint64_t lo, uint64_t hi)
 {
-    return nextLogUniform(LogUniform(lo, hi));
-}
-
-uint64_t
-Rng::nextLogUniform(const LogUniform &law)
-{
-    return law.at(nextDouble());
+    return LogUniform(lo, hi).at(nextDouble());
 }
 
 double

@@ -63,8 +63,6 @@ class Rng
      * allocation-intensive programs.
      */
     uint64_t nextLogUniform(uint64_t lo, uint64_t hi);
-    /** The same draw from a law whose logarithms are already taken. */
-    uint64_t nextLogUniform(const LogUniform &law);
 
     /** Exponentially distributed double with the given mean. */
     double nextExponential(double mean);

@@ -18,12 +18,10 @@ namespace cherivoke {
 
 namespace {
 
-/** Bytes per populate task. A range under two tasks' worth is left
- *  to the writing thread. More than four tasks fault no faster: on
- *  a 4-vCPU x86-64 host, 32 MiB took ~8 ms in four tasks and ~12 ms
- *  in eight, against ~19 ms faulted in by the fill alone. */
+/** Bytes per populate task. More than four tasks fault no faster:
+ *  on a 4-vCPU x86-64 host, 32 MiB took ~8 ms in four tasks and
+ *  ~12 ms in eight, against ~19 ms faulted in by the fill alone. */
 constexpr size_t kPopulateTaskBytes = size_t{4} << 20;
-constexpr size_t kMinPopulateTasks = 2;
 constexpr size_t kMaxPopulateTasks = 4;
 
 } // namespace
@@ -53,15 +51,15 @@ unmapZeroPages(void *addr, size_t bytes)
 void
 populatePages(void *addr, size_t bytes)
 {
-    const size_t tasks =
-        std::min(bytes / kPopulateTaskBytes, kMaxPopulateTasks);
-    if (tasks < kMinPopulateTasks)
-        return;
     const auto page = static_cast<uintptr_t>(sysconf(_SC_PAGESIZE));
     const auto start = reinterpret_cast<uintptr_t>(addr);
     const uintptr_t first = (start + page - 1) & ~(page - 1);
-    const size_t pages =
-        (((start + bytes) & ~(page - 1)) - first) / page;
+    const uintptr_t last = (start + bytes) & ~(page - 1);
+    if (last <= first)
+        return; // no whole page inside the range
+    const size_t pages = (last - first) / page;
+    const size_t tasks = std::clamp(bytes / kPopulateTaskBytes,
+                                    size_t{1}, kMaxPopulateTasks);
     forkJoin(tasks, [&](size_t t) {
         const size_t begin = t * pages / tasks;
         const size_t end = (t + 1) * pages / tasks;

@@ -29,11 +29,11 @@ void unmapZeroPages(void *addr, size_t bytes);
  * @p bytes) with MADV_POPULATE_WRITE, in forkJoin tasks, so the
  * caller's first write to them takes no page fault. Only page tables
  * change: no byte is written, so the range keeps its contents. The
- * split depends only on @p bytes: one task per full 4 MiB, at most
- * four, and a range under 8 MiB is left to fault in on the thread
- * that writes it. A kernel without the advice (before Linux 5.14)
- * refuses it, and the writes then fault the pages in as they would
- * anyway.
+ * split depends only on @p bytes: one task per full 4 MiB, at least
+ * one and at most four; a single task runs on the calling thread. A
+ * page already resident costs a page-table walk and stays as it is. A
+ * kernel without the advice (before Linux 5.14) refuses it, and the
+ * writes then fault the pages in as they would anyway.
  */
 void populatePages(void *addr, size_t bytes);
 

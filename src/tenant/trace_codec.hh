@@ -71,11 +71,11 @@ size_t encodedTraceBytes(const workload::Trace &trace);
  *  contains no lifecycle ops (so pre-lifecycle traces keep their
  *  exact v1 byte image), version 2 otherwise. Every op encodes: the
  *  record's 32-bit aux field is as wide as TraceOp::offset. The
- *  image is reserved, an image of 8 MiB or more has its pages
- *  faulted in by forkJoin tasks (populatePages, which writes no
- *  byte), and only then is it zero-filled once, serially, over
- *  resident pages; a trace of 128 Ki records or more then writes its
- *  records in forkJoin tasks. */
+ *  image is reserved, its pages are faulted in (populatePages, which
+ *  writes no byte; forkJoin tasks for an image of 8 MiB or more),
+ *  and only then is it zero-filled once, serially, over resident
+ *  pages; a trace of 128 Ki records or more then writes its records
+ *  in forkJoin tasks. */
 std::vector<uint8_t> encodeTrace(const workload::Trace &trace);
 
 /** Decode a binary trace from an in-memory image (for example an

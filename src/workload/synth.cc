@@ -135,7 +135,7 @@ synthesize(const BenchmarkProfile &profile, const SynthConfig &config)
     live.reserve(static_cast<size_t>(kMargin * expected_allocs));
 
     auto emit_alloc = [&](double dt) {
-        const uint64_t size = rng.nextLogUniform(size_law);
+        const uint64_t size = size_law.at(rng.nextDouble());
         const uint64_t id = live.push(size);
         TraceOp op;
         op.kind = OpKind::Malloc;

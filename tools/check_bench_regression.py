@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Diff the deterministic block of fresh BENCH_*.json reports against
-baselines: the committed ones or a previous run's artifacts.
+baselines.
 
 Usage:
     check_bench_regression.py BASELINE_DIR FRESH_DIR [NAME...]
@@ -11,22 +11,25 @@ For example, after the release benches have written their reports
 into build-release/:
     check_bench_regression.py bench/baseline build-release
 
-BASELINE_DIR holds the baseline BENCH_*.json files, at any nesting
-(artifact downloads place each file in its own subdirectory); the
-newest match wins when a name appears more than once. bench/baseline/
-holds the committed ones: a release run's reports, written with the
-knobs CI's release leg sets, less their "host" and "timing" blocks. A
-change that moves a modelled number on purpose rewrites them the same
-way. FRESH_DIR holds this run's files. NAMEs limit the comparison (e.g.
-"BENCH_tenant"); default is every BENCH_*.json present in FRESH_DIR.
+BASELINE_DIR and FRESH_DIR each hold BENCH_*.json files directly.
+bench/baseline/ holds the committed baselines: a release run's
+reports, written with the knobs CI's release leg sets, less their
+"host" and "timing" blocks. A change that moves a modelled number on
+purpose rewrites them the same way. NAMEs limit the comparison (e.g.
+"BENCH_tenant"); default is every BENCH_*.json in either directory.
 
 Every report (bench/report.hh) carries a "schema" number and keeps
 what two same-seed runs reproduce in its "deterministic" block; host
 wall-clock readings live in "timing" and host facts in "host", and
 neither is compared. So any difference in "deterministic" is a real
-behaviour change, not noise. Two reports whose schemas differ — or a
-baseline written before reports had one — are skipped: their layouts
-differ, so a difference would say nothing about behaviour.
+behaviour change, not noise.
+
+A report that cannot be compared fails as drift does: one missing
+from either directory, one that cannot be read or parsed, and a pair
+whose schemas differ (a baseline written before reports had one
+included), since their layouts differ. So a change that renames a
+report, adds or drops a bench, or changes the schema must rewrite the
+baselines too; the check never passes by comparing nothing.
 
 --tolerance REL compares numeric leaves with the given relative
 tolerance instead of exact equality (default 0 = exact: the
@@ -36,10 +39,9 @@ slack is only for ad-hoc comparisons).
 --self-test runs the built-in unittest suite (registered with ctest
 as test_check_bench_regression).
 
-Exit status: 0 = no drift (or nothing to compare), 1 = drift,
-2 = usage error. A missing or older-schema baseline for a fresh file
-is a skip, not a failure, so the first run after adding a bench (or
-changing the schema) passes.
+Exit status: 0 = every report compared and none drifted, 1 = drift,
+a report that cannot be compared, or no report at all, 2 = usage
+error.
 """
 
 import json
@@ -91,37 +93,22 @@ def diff(path, old, new, out, tolerance=0.0):
         out.append("  %s: %r -> %r" % (path, old, new))
 
 
-def find_baseline(baseline_dir, name):
-    """Newest file called `name` anywhere under the baseline dir."""
-    matches = sorted(
-        baseline_dir.rglob(name),
-        key=lambda p: p.stat().st_mtime,
-        reverse=True,
-    )
-    return matches[0] if matches else None
-
-
 def compare_dirs(baseline_dir, fresh_dir, names, tolerance=0.0):
-    """Compare the named reports; returns True when any drifted."""
+    """Compare the named reports; returns True when any drifted or
+    could not be compared."""
     drift = False
     for name in names:
-        fresh_path = fresh_dir / name
-        if not fresh_path.is_file():
-            print("%-20s SKIP (not produced by this run)" % name)
-            continue
-        base_path = find_baseline(baseline_dir, name)
-        if base_path is None:
-            print("%-20s SKIP (no baseline artifact)" % name)
-            continue
         try:
-            old = json.loads(base_path.read_text())
-            new = json.loads(fresh_path.read_text())
+            old = json.loads((baseline_dir / name).read_text())
+            new = json.loads((fresh_dir / name).read_text())
         except (OSError, ValueError) as err:
-            print("%-20s SKIP (unreadable: %s)" % (name, err))
+            drift = True
+            print("%-20s FAIL (cannot read: %s)" % (name, err))
             continue
         schema = new.get("schema")
         if schema is None or old.get("schema") != schema:
-            print("%-20s SKIP (baseline schema %s, fresh schema %s)"
+            drift = True
+            print("%-20s FAIL (baseline schema %s, fresh schema %s)"
                   % (name, old.get("schema"), schema))
             continue
         lines = []
@@ -202,41 +189,66 @@ def self_test():
                                "deterministic": deterministic,
                                "timing": timing or {}})
 
-        def run_compare(self, base, fresh, name="BENCH_x.json"):
+        def run_main(self, base, fresh, names=()):
+            """main()'s exit status over a baseline and a fresh
+            directory that hold the {name: text} files given."""
             with tempfile.TemporaryDirectory() as tmp:
                 root = pathlib.Path(tmp)
-                (root / "base" / "sub").mkdir(parents=True)
-                (root / "fresh").mkdir()
-                (root / "base" / "sub" / "BENCH_x.json").write_text(base)
-                (root / "fresh" / name).write_text(fresh)
-                return compare_dirs(root / "base", root / "fresh",
-                                    [name])
+                dirs = []
+                for sub, files in (("base", base), ("fresh", fresh)):
+                    (root / sub).mkdir()
+                    for name, text in files.items():
+                        (root / sub / name).write_text(text)
+                    dirs.append(str(root / sub))
+                return main(["check"] + dirs + list(names))
+
+        def run_compare(self, base, fresh):
+            return self.run_main({"BENCH_x.json": base},
+                                 {"BENCH_x.json": fresh})
 
         def test_timing_is_never_compared(self):
-            self.assertFalse(self.run_compare(
+            self.assertEqual(self.run_compare(
                 self.report({"caps": 5}, {"wall_sec": 1.0}),
-                self.report({"caps": 5}, {"wall_sec": 9.0})))
+                self.report({"caps": 5}, {"wall_sec": 9.0})), 0)
 
         def test_deterministic_change_drifts(self):
-            self.assertTrue(self.run_compare(
+            self.assertEqual(self.run_compare(
                 self.report({"caps": 5, "scan_rate": 1.5}),
-                self.report({"caps": 5, "scan_rate": 1.25})))
+                self.report({"caps": 5, "scan_rate": 1.25})), 1)
 
-        def test_schema_mismatch_skips(self):
+        def test_schema_mismatch_fails(self):
             # A report written before the schema field had its own
-            # top-level "deterministic" key: skip, never diff.
+            # top-level "deterministic" key: never diffed, never
+            # passed.
             before = json.dumps({"bench": "x",
-                                 "deterministic": {"caps": 6}})
-            self.assertFalse(self.run_compare(
-                before, self.report({"caps": 5})))
-            self.assertFalse(self.run_compare(
-                self.report({"caps": 6}, schema=1),
-                self.report({"caps": 5}, schema=2)))
+                                 "deterministic": {"caps": 5}})
+            self.assertEqual(self.run_compare(
+                before, self.report({"caps": 5})), 1)
+            self.assertEqual(self.run_compare(
+                self.report({"caps": 5}, schema=1),
+                self.report({"caps": 5}, schema=2)), 1)
 
-        def test_missing_baseline_skips(self):
-            self.assertFalse(self.run_compare(
-                self.report({"caps": 5}), self.report({"caps": 5}),
-                name="BENCH_y.json"))
+        def test_unreadable_report_fails(self):
+            self.assertEqual(self.run_compare(
+                "{", self.report({"caps": 5})), 1)
+            self.assertEqual(self.run_compare(
+                self.report({"caps": 5}), "not json"), 1)
+
+        def test_report_missing_from_either_side_fails(self):
+            same = self.report({"caps": 5})
+            both = {"BENCH_x.json": same, "BENCH_y.json": same}
+            only_x = {"BENCH_x.json": same}
+            self.assertEqual(self.run_main(only_x, both), 1)
+            self.assertEqual(self.run_main(both, only_x), 1)
+            self.assertEqual(self.run_main(both, both), 0)
+            # A NAME limits the comparison to the reports it names.
+            self.assertEqual(
+                self.run_main(both, only_x, ["BENCH_x"]), 0)
+            self.assertEqual(
+                self.run_main(only_x, only_x, ["BENCH_y"]), 1)
+
+        def test_no_reports_fails(self):
+            self.assertEqual(self.run_main({}, {}), 1)
 
     suite = unittest.TestSuite()
     for case in (DiffTest, CompareDirsTest):
@@ -267,15 +279,17 @@ def main(argv):
     names = [n if n.endswith(".json") else n + ".json"
              for n in argv[3:]]
     if not names:
-        names = sorted(p.name for p in fresh_dir.glob("BENCH_*.json"))
+        names = sorted({p.name for d in (baseline_dir, fresh_dir)
+                        for p in d.glob("BENCH_*.json")})
     if not names:
-        print("no BENCH_*.json in %s; nothing to compare" % fresh_dir)
-        return 0
+        print("no BENCH_*.json in %s or %s; nothing compared"
+              % (baseline_dir, fresh_dir))
+        return 1
 
     if compare_dirs(baseline_dir, fresh_dir, names, tolerance):
-        print("deterministic bench fields drifted from the baseline; "
-              "if intended, this run's reports become the new "
-              "baseline")
+        print("reports drifted from %s or could not be compared; "
+              "if the change is intended, rewrite the baselines from "
+              "this run's reports" % baseline_dir)
         return 1
     return 0
 
