@@ -11,7 +11,8 @@
  *   deterministic  everything two same-seed runs reproduce exactly;
  *                  tools/check_bench_regression.py diffs this block
  *                  and nothing else
- *   timing         host wall-clock readings, never compared
+ *   timing         host wall-clock readings and the process's peak
+ *                  RSS so far (peak_rss_mib), never compared
  *
  * Doubles render with %.17g, which round-trips every IEEE double, so
  * a two-pass determinism gate compares its passes' rendered blocks
@@ -22,6 +23,8 @@
 
 #ifndef CHERIVOKE_BENCH_REPORT_HH
 #define CHERIVOKE_BENCH_REPORT_HH
+
+#include <sys/resource.h>
 
 #include <cmath>
 #include <cstdio>
@@ -148,13 +151,20 @@ struct Report
     Json deterministic = Json();
     Json timing = Json();
 
-    /** Write the report to @p path and say so on stdout. */
+    /** Write the report to @p path and say so on stdout; the
+     *  timing block gains the process's peak RSS so far. */
     void
     write(const char *path) const
     {
         Json config;
         for (const EnvKnob &knob : envKnobs())
             config.set(knob.name, knob.value);
+        rusage usage{};
+        getrusage(RUSAGE_SELF, &usage);
+        Json timed = timing;
+        // Linux reports ru_maxrss in KiB.
+        timed.set("peak_rss_mib",
+                  static_cast<double>(usage.ru_maxrss) / 1024);
         Json doc;
         doc.set("schema", kReportSchema)
             .set("bench", bench)
@@ -162,7 +172,7 @@ struct Report
             .set("host", Json().set("hw_concurrency",
                                     std::thread::hardware_concurrency()))
             .set("deterministic", deterministic)
-            .set("timing", timing);
+            .set("timing", std::move(timed));
         std::FILE *out = std::fopen(path, "w");
         if (!out)
             fatal("cannot write %s", path);

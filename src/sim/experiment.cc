@@ -284,7 +284,7 @@ injectChurnOps(workload::Trace &host, const TenantChurnPlan &plan)
         schedule.emplace_back(cycle.retireAt, retire);
     }
 
-    std::vector<workload::TraceOp> merged;
+    workload::OpVector merged;
     merged.reserve(host.ops.size() + schedule.size());
     size_t next_event = 0;
     for (size_t i = 0; i < host.ops.size(); ++i) {

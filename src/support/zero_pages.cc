@@ -24,10 +24,10 @@ namespace {
 constexpr size_t kPopulateTaskBytes = size_t{4} << 20;
 constexpr size_t kMaxPopulateTasks = 4;
 
-} // namespace
-
+/** Map @p bytes of zero pages with @p advice; mmap refuses a zero
+ *  length, so 0 bytes map nothing. A refused advice is ignored. */
 void *
-mapZeroPages(size_t bytes)
+mapAnonymous(size_t bytes, int advice)
 {
     if (bytes == 0)
         return nullptr;
@@ -35,10 +35,24 @@ mapZeroPages(size_t bytes)
                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
     if (addr == MAP_FAILED)
         throw std::bad_alloc();
+    madvise(addr, bytes, advice);
+    return addr;
+}
+
+} // namespace
+
+void *
+mapZeroPages(size_t bytes)
+{
     // One touched entry should cost a 4 KiB page, not a 2 MiB huge
     // page, on hosts whose transparent huge pages are "always" on.
-    madvise(addr, bytes, MADV_NOHUGEPAGE);
-    return addr;
+    return mapAnonymous(bytes, MADV_NOHUGEPAGE);
+}
+
+void *
+mapHugePages(size_t bytes)
+{
+    return mapAnonymous(bytes, MADV_HUGEPAGE);
 }
 
 void

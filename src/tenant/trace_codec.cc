@@ -251,16 +251,17 @@ decodeTrace(const uint8_t *data, size_t size)
         version >= kTraceVersionLifecycle
             ? workload::kMaxOpKind
             : static_cast<uint8_t>(OpKind::RootPtr);
-    // Uninitialised storage, owned before any task starts, so a
-    // task's throw unwinds through the owner and frees it. Each op
-    // is constructed once, by the task that decodes its record;
-    // TraceOp is trivially destructible, so a partly written buffer
-    // needs no destruction.
+    // Uninitialised storage on a huge-page mapping, owned before any
+    // task starts, so a task's throw unwinds through the owner and
+    // unmaps it. Each op is constructed once, by the task that
+    // decodes its record, whose first write faults in a 2 MiB page
+    // where the advice holds; TraceOp is trivially destructible, so a
+    // partly written buffer needs no destruction.
     static_assert(std::is_trivially_destructible_v<TraceOp>);
     const size_t n = count;
     std::shared_ptr<TraceOp> ops(
-        std::allocator<TraceOp>().allocate(n), [n](TraceOp *p) {
-            std::allocator<TraceOp>().deallocate(p, n);
+        HugePageAllocator<TraceOp>().allocate(n), [n](TraceOp *p) {
+            HugePageAllocator<TraceOp>().deallocate(p, n);
         });
     const uint8_t *records = data + kTraceHeaderBytes;
     const TaskRanges ranges(n);

@@ -79,8 +79,9 @@ size_t encodedTraceBytes(const workload::Trace &trace);
 std::vector<uint8_t> encodeTrace(const workload::Trace &trace);
 
 /** Decode a binary trace from an in-memory image (for example an
- *  mmap'ed file) into a fresh op buffer, writing each op once; a
- *  trace of 128 Ki records or more decodes in forkJoin tasks.
+ *  mmap'ed file) into a fresh op buffer on its own huge-page mapping
+ *  (HugePageAllocator), writing each op once; a trace of 128 Ki
+ *  records or more decodes in forkJoin tasks.
  *  Accepts versions 1 and 2. Throws FatalError on bad magic,
  *  version, stride, truncation, an unknown op kind, or a lifecycle
  *  record inside a v1 stream; a bad record's fault names the lowest

@@ -118,7 +118,7 @@ TraceReplayer::indexObjects()
         return;
     }
     std::unordered_map<uint64_t, uint64_t> dense;
-    std::vector<TraceOp> ops(ops_.begin(), ops_.end());
+    OpVector ops(ops_.begin(), ops_.end());
     for (TraceOp &op : ops) {
         forEachObjectId(op, [&](uint64_t &id) {
             id = dense.try_emplace(id, dense.size()).first->second;

@@ -29,6 +29,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "support/zero_pages.hh"
+
 namespace cherivoke {
 namespace workload {
 
@@ -150,8 +152,9 @@ class LiveSet
         return pos * 64 + static_cast<uint64_t>(std::countr_zero(bits)) + 1;
     }
 
-    /** Size of allocation id, at index id - 1 (dead slots kept). */
-    std::vector<uint64_t> sizes_;
+    /** Size of allocation id, at index id - 1 (dead slots kept):
+     *  as large as the trace, so a huge-page mapping. */
+    std::vector<uint64_t, HugePageAllocator<uint64_t>> sizes_;
     /** Live flag of id at bit (id - 1) % 64 of word (id - 1) / 64;
      *  empty until the first out-of-order erase. */
     std::vector<uint64_t> words_;

@@ -60,7 +60,7 @@ sizeLawMeans(const LogUniform &law, double line_density)
 Trace
 synthesize(const BenchmarkProfile &profile, const SynthConfig &config)
 {
-    std::vector<TraceOp> ops;
+    OpVector ops;
     Rng rng(config.seed);
 
     const double s = config.scale;
@@ -113,9 +113,10 @@ synthesize(const BenchmarkProfile &profile, const SynthConfig &config)
     // growing them by doubling. Each allocation emits a Malloc, a
     // RootPtr at kRootChance and, in a pointer phase, its stores;
     // each steady-state step adds a Free and, at kDataWriteChance, a
-    // StoreData. Growth copies cost time, and on a worker thread
-    // (sim::synthesizeTenantTraces) the freed growth buffers stay in
-    // that thread's malloc arena, where no other thread reuses them.
+    // StoreData. Both buffers are huge-page mappings, so growing one
+    // would map a new buffer and copy every entry. The margin costs
+    // address space, plus at most the rest of the last 2 MiB page
+    // written: pages synthesis never reaches are never faulted in.
     const SizeLawMeans per_alloc =
         sizeLawMeans(size_law, line_density_within);
     const double expected_allocs =

@@ -78,14 +78,6 @@ columnsOf(OpKind kind)
 
 } // namespace
 
-TraceOps::TraceOps(std::vector<TraceOp> &&ops)
-{
-    auto owner = std::make_shared<std::vector<TraceOp>>(std::move(ops));
-    data_ = std::shared_ptr<const TraceOp>(owner, owner->data());
-    size_ = owner->size();
-    capacity_ = owner->capacity();
-}
-
 TraceOps
 TraceOps::prefix(size_t n) const
 {
@@ -137,7 +129,7 @@ Trace::save(std::ostream &os) const
 Trace
 Trace::load(std::istream &is)
 {
-    std::vector<TraceOp> ops;
+    OpVector ops;
     std::string line;
     while (std::getline(is, line)) {
         if (line.empty() || line[0] == '#')

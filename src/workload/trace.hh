@@ -14,6 +14,8 @@
 #include <memory>
 #include <vector>
 
+#include "support/zero_pages.hh"
+
 namespace cherivoke {
 namespace workload {
 
@@ -75,24 +77,36 @@ struct TraceOp
 };
 static_assert(sizeof(TraceOp) == 32);
 
+/** A trace-sized op vector: its buffer is its own huge-page mapping
+ *  (HugePageAllocator), not a glibc block. */
+using OpVector = std::vector<TraceOp, HugePageAllocator<TraceOp>>;
+
 /**
  * An immutable op sequence: a cheap-copy handle to one
  * reference-counted buffer, held as an aliasing pointer plus a
  * size. Copying it, and so copying a Trace into a TenantManager, a
  * tenant definition or a TraceReplayer, bumps a reference count and
  * never copies an op; prefix() shares the buffer too. A buffer is
- * written once, before any handle to it exists, either as a
- * std::vector<TraceOp> (synthesis, Trace::load, churn injection) or
- * as raw storage (the binary decoder), and never changes after.
+ * written once, before any handle to it exists, either as a vector
+ * (an OpVector wherever the library builds one) or as raw storage
+ * (the binary decoder), and never changes after.
  */
 class TraceOps
 {
   public:
     TraceOps() = default;
 
-    /** Adopt @p ops's buffer; implicit, so `trace.ops =
-     *  std::move(vec)` adopts without copying. */
-    TraceOps(std::vector<TraceOp> &&ops);
+    /** Adopt @p ops's buffer, whatever its allocator; implicit, so
+     *  `trace.ops = std::move(vec)` adopts without copying. */
+    template <typename Alloc>
+    TraceOps(std::vector<TraceOp, Alloc> &&ops)
+    {
+        auto owner = std::make_shared<std::vector<TraceOp, Alloc>>(
+            std::move(ops));
+        data_ = std::shared_ptr<const TraceOp>(owner, owner->data());
+        size_ = owner->size();
+        capacity_ = owner->capacity();
+    }
 
     /** Adopt @p size ops already written at @p data. */
     TraceOps(std::shared_ptr<const TraceOp> data, size_t size)

@@ -5,7 +5,8 @@
  * paths, and the end-to-end guarantee the multi-tenant benches rely
  * on — a decoded trace replays to *identical* allocator and
  * revocation statistics. TraceCodecTasks covers traces long enough
- * that the codec splits them into several threaded tasks.
+ * that the codec splits them into several threaded tasks, and
+ * TraceBuffers where op buffers live.
  */
 
 #include <cstdio>
@@ -14,11 +15,16 @@
 #include <sstream>
 #include <string>
 
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
+
 #include <gtest/gtest.h>
 
 #include "revoke/revocation_engine.hh"
 #include "support/fault.hh"
 #include "support/logging.hh"
+#include "support/units.hh"
 #include "tenant/trace_codec.hh"
 #include "workload/driver.hh"
 #include "workload/spec_profiles.hh"
@@ -571,4 +577,62 @@ TEST(TraceCodecTasks, LowestBadRecordIsReported)
     cut.resize(cut.size() - tenant::kTraceRecordBytes);
     EXPECT_NE(decodeFault(cut).find("truncated"), std::string::npos)
         << decodeFault(cut);
+}
+
+// ---- Where op buffers live -------------------------------------
+
+TEST(TraceBuffers, EmptyTraceEncodesToAHeaderAndDecodesToNoOps)
+{
+    // mmap refuses a zero length, so an empty buffer maps nothing.
+    const Trace empty{workload::OpVector{}};
+    const std::vector<uint8_t> bytes = tenant::encodeTrace(empty);
+    EXPECT_EQ(bytes.size(), tenant::kTraceHeaderBytes);
+    EXPECT_EQ(headerVersion(bytes), tenant::kTraceVersionClassic);
+    const Trace decoded = tenant::decodeTrace(bytes);
+    EXPECT_EQ(decoded.ops.size(), 0u);
+    EXPECT_EQ(decoded.ops.begin(), decoded.ops.end());
+    EXPECT_EQ(tenant::encodeTrace(decoded), bytes);
+}
+
+TEST(TraceBuffers, MappedVectorGrownPastItsReservationKeepsEveryOp)
+{
+    // Each growth maps a new buffer, copies the ops and unmaps the
+    // old one; 262k ops (8 MiB) span several 2 MiB pages.
+    const Trace source = longTrace(kLongOps, true);
+    workload::OpVector ops;
+    ops.reserve(1000);
+    for (const TraceOp &op : source.ops)
+        ops.push_back(op);
+    EXPECT_GT(ops.capacity(), size_t{1000});
+    const Trace grown{std::move(ops)};
+    EXPECT_TRUE(opsIdentical(source, grown));
+}
+
+TEST(TraceBuffers, LiveTracesStayOutOfGlibcHeaps)
+{
+#ifndef __GLIBC__
+    GTEST_SKIP() << "mallinfo2 is glibc's";
+#else
+    const auto glibc_bytes = [] {
+        const struct mallinfo2 info = mallinfo2();
+        return info.arena + info.hblkhd;
+    };
+    const size_t before = glibc_bytes();
+    workload::SynthConfig cfg;
+    cfg.scale = 1.0 / 8;
+    cfg.durationSec = 0.4;
+    cfg.seed = 42;
+    const Trace trace =
+        workload::synthesize(workload::profileFor("omnetpp"), cfg);
+    ASSERT_EQ(trace.ops.size(), 466208u);
+    const std::vector<uint8_t> image = tenant::encodeTrace(trace);
+    const Trace decoded = tenant::decodeTrace(image);
+    ASSERT_EQ(decoded.ops.size(), trace.ops.size());
+    // The synthesised ops, the live set's slots and the decoded ops
+    // are mappings of their own; only the encoded image is glibc's.
+    const size_t after = glibc_bytes();
+    EXPECT_LE(after, before + image.size() + MiB)
+        << "glibc heaps grew by " << (after - before) << " bytes for a "
+        << image.size() << "-byte image";
+#endif
 }
