@@ -86,7 +86,6 @@ defaultConfig()
     cfg.durationSec = 0.4;
     cfg.policy = namedKnob("CHERIVOKE_POLICY", revoke::parsePolicy);
     cfg.threads = knobUnsigned("CHERIVOKE_THREADS");
-    cfg.paintShards = knobUnsigned("CHERIVOKE_PAINT_SHARDS");
     cfg.tenantScope =
         namedKnob("CHERIVOKE_TENANT_SCOPE", tenant::parseScope);
     cfg.tenantHeapMiB = knobReal("CHERIVOKE_TENANT_HEAP_MIB");

@@ -5,12 +5,13 @@
  * never be silently skipped — ctest runs `--list-policies` to gate
  * coverage. Three passes:
  *
- *  1. Every policy × sweep thread count over the worst-case
+ *  1. Every policy × thread count over the worst-case
  *     allocation-heavy workloads with traffic modelling on,
  *     checking that the thread count leaves the DRAM totals
- *     unchanged. A modelled sweep feeds its hierarchy on one
- *     thread, so this holds by construction; the column guards
- *     that construction.
+ *     unchanged. Under a cache model the thread count drives the
+ *     paint only: a modelled sweep feeds its hierarchy on one
+ *     thread, so the totals hold by construction; the column
+ *     guards that construction.
  *
  *  2. The adaptive gate: over *all* SPEC profiles (table 2), the
  *     adaptive policy must match or beat every static policy's
@@ -83,7 +84,7 @@ benchMain(int argc, char **argv)
 
     const bench::Stopwatch elapsed;
     bench::printSystems("Policy sweep: registered RevocationEngine "
-                        "policies x sweep threads, + adaptive gate");
+                        "policies x threads, + adaptive gate");
 
     const std::vector<revoke::PolicyKind> &policies =
         revoke::allPolicies();
@@ -133,9 +134,9 @@ benchMain(int argc, char **argv)
     }
     std::printf("%s\n", table.render().c_str());
     std::printf("pauses = bounded sweep slices (stop-the-world runs "
-                "each epoch as one pause).\ntraffic=1T: threaded "
-                "sweep reproduces the serial sweep's DRAM totals "
-                "exactly.\n\n");
+                "each epoch as one pause).\ntraffic=1T: the sweep "
+                "DRAM totals equal the 1-thread run's exactly (the "
+                "threads paint; a modelled sweep runs on one).\n\n");
 
     // --- Pass 2: the adaptive gate over every SPEC profile --------
     // One global default configuration; adaptive must match or beat

@@ -4,8 +4,10 @@
  * *simulator itself* run, independent of the modelled cycle counts?
  *
  * Measures, on one deterministic pointered heap image:
- *  - paint throughput (granules painted per second), serial vs
- *    concurrent sharded painting (shards in {1, 2, 4, 8});
+ *  - paint throughput (granules painted per second), a serial loop
+ *    vs alloc::paintRuns on {1, 2, 4, 8} threads (the JSON report
+ *    keeps its `shards` keys for the thread count, so reports stay
+ *    comparable with earlier ones and bench/baseline);
  *  - sweep throughput (pages swept per second), serial vs threaded
  *    (threads in {1, 2, 4, 8}) — steady-state scans after a warmup
  *    pass performs the revocations, isolating the page-directory and
@@ -18,11 +20,15 @@
  * into BENCH_sweep.json so the perf trajectory is tracked across
  * changes.
  *
- * The two wall-clock gates (4-shard paint, 4-thread sweep, each
+ * The two wall-clock gates (4-thread paint, 4-thread sweep, each
  * within 25% of serial) are timed apart from the table: every sample
- * repeats the work kGatePasses times, so one ~1.5 ms paint pass no
- * longer lets thread start-up decide the result, and serial and
- * threaded samples alternate so both see the same host load.
+ * repeats the work kGatePasses times, so one ~1.5 ms paint pass does
+ * not let thread start-up decide the result, and serial and threaded
+ * samples alternate so both see the same host load. The threaded
+ * paint sample calls paintRuns once per pass: a sample that painted
+ * the run list repeated kGatePasses times in one call would hand two
+ * threads copies of the same runs, and their whole-byte fills would
+ * race.
  *
  * Knobs: CHERIVOKE_BENCH_ALLOCS (image size) and
  * CHERIVOKE_BENCH_SECS (timing window per configuration).
@@ -64,13 +70,6 @@ shadowBytes(mem::AddressSpace &space)
     return bytes;
 }
 
-bool
-paintEqual(const alloc::PaintStats &a, const alloc::PaintStats &b)
-{
-    return a.bitOps == b.bitOps && a.byteOps == b.byteOps &&
-           a.wordOps == b.wordOps && a.dwordOps == b.dwordOps;
-}
-
 /** Alternating serial/threaded samples per wall-clock gate. */
 constexpr int kGateSamples = 15;
 /** Times each gate sample repeats its paint or sweep. */
@@ -102,7 +101,7 @@ gateRatio(const std::function<double()> &serial,
 
 struct PaintRow
 {
-    unsigned shards = 0; //!< 0 = serial (unsharded) reference
+    unsigned threads = 0; //!< 0 = the serial loop, the reference
     double secPerIter = 0;
     double granulesPerSec = 0;
     bool equal = true;
@@ -164,37 +163,34 @@ benchMain()
                          run.size - alloc::kChunkHeader);
     };
 
-    // ---- Paint: serial reference, then concurrent shards --------
+    // ---- Paint: serial reference, then paintRuns -----------------
     bool all_equal = true;
     std::vector<PaintRow> paint_rows;
     alloc::PaintStats ref_stats;
     std::vector<uint8_t> ref_bytes;
-    for (const unsigned shards : {0u, 1u, 2u, 4u, 8u}) {
-        const auto sharded =
-            shards ? heap.quarantine().shardedRuns(shards)
-                   : std::vector<alloc::QuarantineShard>{};
+    auto paintSerial = [&] {
+        alloc::PaintStats st;
+        for (const alloc::QuarantineRun &run : runs)
+            st += shadow.paint(run.addr + alloc::kChunkHeader,
+                               run.size - alloc::kChunkHeader);
+        return st;
+    };
+    for (const unsigned threads : {0u, 1u, 2u, 4u, 8u}) {
         auto paintOnce = [&] {
-            alloc::PaintStats st;
-            if (shards == 0) {
-                for (const alloc::QuarantineRun &run : runs)
-                    st += shadow.paint(run.addr + alloc::kChunkHeader,
-                                       run.size - alloc::kChunkHeader);
-            } else {
-                st = alloc::paintShardsConcurrent(shadow, sharded);
-            }
-            return st;
+            return threads ? alloc::paintRuns(shadow, runs, threads)
+                           : paintSerial();
         };
 
         // Correctness first: identical shadow bytes + PaintStats.
         const alloc::PaintStats stats = paintOnce();
         PaintRow row;
-        row.shards = shards;
-        if (shards == 0) {
+        row.threads = threads;
+        if (threads == 0) {
             ref_stats = stats;
             ref_bytes = shadowBytes(space);
         } else {
-            row.equal = paintEqual(stats, ref_stats) &&
-                        shadowBytes(space) == ref_bytes;
+            row.equal =
+                stats == ref_stats && shadowBytes(space) == ref_bytes;
         }
         all_equal = all_equal && row.equal;
         clearAll();
@@ -217,30 +213,20 @@ benchMain()
     }
 
     // Paint gate: every run painted kGatePasses times per sample, by
-    // the serial loop or by four shards whose run lists repeat.
-    std::vector<alloc::QuarantineShard> gate_shards =
-        heap.quarantine().shardedRuns(4);
-    for (alloc::QuarantineShard &shard : gate_shards) {
-        const std::vector<alloc::QuarantineRun> once = shard.runs;
-        for (unsigned p = 1; p < kGatePasses; ++p)
-            shard.runs.insert(shard.runs.end(), once.begin(),
-                              once.end());
-    }
+    // the serial loop or by paintRuns on four threads.
     const double paint_ratio = gateRatio(
         [&] {
             const bench::Stopwatch t0;
-            for (unsigned p = 0; p < kGatePasses; ++p) {
-                for (const alloc::QuarantineRun &run : runs)
-                    shadow.paint(run.addr + alloc::kChunkHeader,
-                                 run.size - alloc::kChunkHeader);
-            }
+            for (unsigned p = 0; p < kGatePasses; ++p)
+                paintSerial();
             const double dt = t0.seconds();
             clearAll();
             return dt;
         },
         [&] {
             const bench::Stopwatch t0;
-            alloc::paintShardsConcurrent(shadow, gate_shards);
+            for (unsigned p = 0; p < kGatePasses; ++p)
+                alloc::paintRuns(shadow, runs, 4);
             const double dt = t0.seconds();
             clearAll();
             return dt;
@@ -309,8 +295,9 @@ benchMain()
         {"paint", "ms/iter", "Mgranules/s", "equal"});
     for (const PaintRow &r : paint_rows) {
         paint_table.addRow(
-            {r.shards ? std::to_string(r.shards) + " shards"
-                      : "serial",
+            {r.threads ? std::to_string(r.threads) + " thread" +
+                             (r.threads > 1 ? "s" : "")
+                       : "serial",
              stats::TextTable::num(r.secPerIter * 1e3, 3),
              stats::TextTable::num(r.granulesPerSec / 1e6, 2),
              r.equal ? "yes" : "NO"});
@@ -330,9 +317,9 @@ benchMain()
     std::printf("%s\n", sweep_table.render().c_str());
 
     const unsigned hw = std::thread::hardware_concurrency();
-    std::printf("paint speedup (4 shards vs serial): %.2fx\n",
+    std::printf("paint speedup (4 threads vs serial): %.2fx\n",
                 1 / paint_ratio);
-    std::printf("sweep speedup (4 threads vs 1):     %.2fx\n",
+    std::printf("sweep speedup (4 threads vs 1):      %.2fx\n",
                 1 / sweep_ratio);
     std::printf("hardware concurrency: %u%s\n", hw,
                 hw < 2 ? " (threaded configs cannot beat serial "
@@ -344,9 +331,9 @@ benchMain()
     Json paint_det = Json::array(), paint_time = Json::array();
     for (const PaintRow &r : paint_rows) {
         paint_det.push(
-            Json().set("shards", r.shards).set("equal", r.equal));
+            Json().set("shards", r.threads).set("equal", r.equal));
         paint_time.push(Json()
-                            .set("shards", r.shards)
+                            .set("shards", r.threads)
                             .set("sec_per_iter", r.secPerIter)
                             .set("granules_per_sec", r.granulesPerSec));
     }
@@ -380,7 +367,7 @@ benchMain()
     bool perf_ok = true;
     if (hw >= 4) {
         if (paint_ratio > 1.25) {
-            std::printf("FAILED: 4-shard paint took %.2fx the serial "
+            std::printf("FAILED: 4-thread paint took %.2fx the serial "
                         "time (>25%% past serial) on a %u-thread "
                         "host\n",
                         paint_ratio, hw);
@@ -396,7 +383,7 @@ benchMain()
     }
 
     std::printf(all_equal
-                    ? "OK: all shard/thread configurations match "
+                    ? "OK: all thread configurations match "
                       "the serial reference exactly\n"
                     : "FAILED: a configuration diverged from the "
                       "serial reference\n");

@@ -67,7 +67,7 @@ rowConfig(unsigned tenants)
     // come from sliceProfile, so the CHERIVOKE_TENANT_WEIGHTS /
     // _TENANT_HEAP_MIB / _TENANT_POLICIES / _TENANT_BACKENDS
     // overrides do not apply to the scaling rows (policy, backend,
-    // threads, shards, and _TENANT_SCOPE still do; churn has its own
+    // threads and _TENANT_SCOPE still do; churn has its own
     // phase below).
     cfg.tenants = tenants;
     cfg.tenantWeights.clear();

@@ -11,49 +11,27 @@
 namespace cherivoke {
 namespace alloc {
 
-namespace {
-
-/** Paint one shard's runs through a view widened to the shard's true
- *  extent (a run starting in the band may end past its upper bound —
- *  whole runs paint through exactly one view). */
 PaintStats
-paintOneShard(ShadowMap &shadow, const QuarantineShard &shard)
+paintRuns(ShadowMap &shadow, const std::vector<QuarantineRun> &runs,
+          unsigned threads)
 {
-    PaintStats stats;
-    uint64_t hi = shard.hi;
-    for (const QuarantineRun &run : shard.runs)
-        hi = std::max(hi, run.end());
-    ShadowMap::View view =
-        shadow.view(alignDown(shard.lo, kGranuleBytes),
-                    alignUp(hi, kGranuleBytes));
-    for (const QuarantineRun &run : shard.runs) {
-        stats += view.paint(run.addr + kChunkHeader,
-                            run.size - kChunkHeader);
-    }
-    return stats;
-}
-
-} // namespace
-
-PaintStats
-paintShardsConcurrent(ShadowMap &shadow,
-                      const std::vector<QuarantineShard> &shards)
-{
-    // Only shards that actually have work get a worker, so a lone
-    // busy shard paints inline. A painter's fault (e.g. an address
-    // beyond the simulated VA width) resurfaces as the catchable
-    // exception the serial path would have thrown.
-    std::vector<size_t> work;
-    for (size_t i = 0; i < shards.size(); ++i) {
-        if (!shards[i].runs.empty())
-            work.push_back(i);
-    }
-    std::vector<PaintStats> partial(work.size());
-    forkJoin(work.size(), [&](size_t w) {
-        partial[w] = paintOneShard(shadow, shards[work[w]]);
+    CHERIVOKE_ASSERT(threads > 0);
+    // A painter's fault (e.g. an address beyond the simulated VA
+    // width) resurfaces as the catchable exception a serial paint
+    // would have thrown.
+    const size_t tasks = std::min<size_t>(threads, runs.size());
+    std::vector<PaintStats> partial(tasks);
+    forkJoinRanges(runs.size(), tasks, [&](size_t t, size_t lo,
+                                           size_t hi) {
+        // Summed locally: adjacent tasks' slots of partial share a
+        // cache line, and adding into them per run would bounce it.
+        PaintStats stats;
+        for (size_t i = lo; i < hi; ++i) {
+            stats += shadow.paint(runs[i].addr + kChunkHeader,
+                                  runs[i].size - kChunkHeader);
+        }
+        partial[t] = stats;
     });
-    // Deterministic merge in shard (address-band) order: identical
-    // totals to a serial shard-by-shard paint.
     PaintStats stats;
     for (const PaintStats &p : partial)
         stats += p;
@@ -135,35 +113,16 @@ CherivokeAllocator::needsSweep() const
 }
 
 PaintStats
-CherivokeAllocator::prepareSweep(unsigned paint_shards,
-                                 uint32_t min_birth)
+CherivokeAllocator::prepareSweep(unsigned threads, uint32_t min_birth)
 {
     CHERIVOKE_ASSERT(!epochOpen(),
                      "(prepareSweep with an epoch already open)");
-    CHERIVOKE_ASSERT(paint_shards > 0);
     ++sweeps_;
     // Freeze: this epoch revokes exactly the (tier-qualified) frees
     // made so far; later frees accumulate in a fresh quarantine for
     // the next one. min_birth == 0 moves the whole buffer.
     frozen_ = quarantine_.splitBornSince(min_birth);
-    PaintStats stats;
-    // Paint payload granules only; a run's header granule may
-    // legitimately hold the base of a live one-past-the-end
-    // capability of the previous allocation.
-    if (paint_shards == 1) {
-        for (const QuarantineRun &run : frozen_.orderedRuns()) {
-            stats += shadow_.paint(run.addr + kChunkHeader,
-                                   run.size - kChunkHeader);
-        }
-        return stats;
-    }
-    // Sharded: one painter thread per non-empty address band, each
-    // through its own shard-restricted view. Byte-identical shadow
-    // contents and PaintStats to the serial paint (see
-    // paintShardsConcurrent).
-    stats += paintShardsConcurrent(shadow_,
-                                   frozen_.shardedRuns(paint_shards));
-    return stats;
+    return paintRuns(shadow_, frozen_.orderedRuns(), threads);
 }
 
 uint64_t

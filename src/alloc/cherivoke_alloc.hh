@@ -97,16 +97,19 @@ class TierStamper
 };
 
 /**
- * Paint every shard's quarantined runs, one worker thread per
- * non-empty shard, each through a shard-restricted ShadowMap::View
- * (payload spans only: run headers are skipped exactly as the serial
- * paint does). Views cover disjoint granule ranges and the shadow
- * store path is thread-safe, so the result — shadow contents and the
- * returned PaintStats, merged in shard order — is identical to
- * painting the same shards serially.
+ * Paint the payload span of every run in @p runs (address-ordered,
+ * disjoint), in contiguous index ranges on min(@p threads, runs)
+ * forkJoinRanges tasks; one task paints on the calling thread. Run
+ * headers stay unpainted: a run's header granule may hold the base
+ * of a live one-past-the-end capability of the previous allocation.
+ * Two runs never share a whole shadow byte, and the partial bytes
+ * they share go through the atomic shadowApplyBits, so the shadow
+ * bytes and the returned PaintStats, merged in task order, equal a
+ * serial paint's for every thread count.
  */
-PaintStats paintShardsConcurrent(
-    ShadowMap &shadow, const std::vector<QuarantineShard> &shards);
+PaintStats paintRuns(ShadowMap &shadow,
+                     const std::vector<QuarantineRun> &runs,
+                     unsigned threads);
 
 /** The CHERIvoke allocator facade. */
 class CherivokeAllocator
@@ -168,14 +171,9 @@ class CherivokeAllocator
      * and are NOT released by this epoch's finishSweep — required
      * for incremental/concurrent revocation (§3.5).
      *
-     * With @p paint_shards > 1 the revocation set is partitioned
-     * into address bands and each band is painted *concurrently*, on
-     * its own worker thread, through its own shard-restricted
-     * shadow-map view (the raw shadow-store path is thread-safe).
-     * Whole runs stay within one shard, so the store sequence per
-     * shard — and the returned statistics, merged in shard order —
-     * are identical for every shard count, and the painted shadow
-     * bytes are identical to a serial paint.
+     * The frozen runs paint on @p threads tasks (paintRuns): the
+     * shadow bytes and the returned statistics are the same for
+     * every thread count.
      * @return paint statistics for the cost model
      *
      * With @p min_birth > 0 the freeze is *tier-scoped*: only runs
@@ -184,7 +182,7 @@ class CherivokeAllocator
      * default (0) freezes everything — bit-identical to the
      * historical unscoped path.
      */
-    PaintStats prepareSweep(unsigned paint_shards = 1,
+    PaintStats prepareSweep(unsigned threads = 1,
                             uint32_t min_birth = 0);
 
     /** Unpaint and return the *frozen* runs to the free lists.

@@ -194,39 +194,6 @@ Quarantine::orderedRuns() const
     return ordered_;
 }
 
-std::vector<QuarantineShard>
-Quarantine::shardedRuns(size_t shards) const
-{
-    CHERIVOKE_ASSERT(shards > 0);
-    std::vector<QuarantineShard> out;
-    const std::vector<QuarantineRun> &ordered = orderedRuns();
-    if (ordered.empty())
-        return out;
-
-    // Granule-aligned address bands over the quarantined span.
-    const uint64_t span_lo = ordered.front().addr;
-    const uint64_t span_hi = ordered.back().end();
-    const uint64_t band =
-        alignUp((span_hi - span_lo + shards - 1) / shards,
-                kGranuleBytes);
-
-    auto it = ordered.begin();
-    for (size_t s = 0; s < shards; ++s) {
-        QuarantineShard shard;
-        shard.lo = span_lo + s * band;
-        shard.hi = s + 1 == shards
-                       ? std::max(span_hi, shard.lo)
-                       : span_lo + (s + 1) * band;
-        while (it != ordered.end() && it->addr < shard.hi) {
-            shard.runs.push_back(*it);
-            ++it;
-        }
-        out.push_back(std::move(shard));
-    }
-    CHERIVOKE_ASSERT(it == ordered.end());
-    return out;
-}
-
 uint64_t
 Quarantine::bytesBornSince(uint32_t min_birth) const
 {

@@ -15,10 +15,10 @@
  * quarantined free costs two hash probes and at most one slab write,
  * replacing the former std::map's O(log n) ordered insert.
  *
- * Address order is only needed once per sweep (deterministic paint,
- * release and shard order), so the ordered view is materialised
- * lazily and cached; prepareSweep/finishSweep/shardedRuns share one
- * materialisation instead of copying every run per call.
+ * Address order is only needed once per sweep (deterministic paint
+ * and release order), so the ordered view is materialised lazily and
+ * cached; prepareSweep and finishSweep share one materialisation
+ * instead of copying every run per call.
  */
 
 #ifndef CHERIVOKE_ALLOC_QUARANTINE_HH
@@ -46,21 +46,6 @@ struct QuarantineRun
     uint32_t birth = 0;
 
     uint64_t end() const { return addr + size; }
-};
-
-/**
- * One address band of a sharded revocation set: the runs whose start
- * address falls in [lo, hi), in address order. Sharding keeps whole
- * runs together (a run starting in a band may extend past its upper
- * bound), so concatenating the shards reproduces runs() exactly —
- * painting shard by shard performs the identical store sequence to
- * an unsharded paint.
- */
-struct QuarantineShard
-{
-    uint64_t lo = 0;
-    uint64_t hi = 0;
-    std::vector<QuarantineRun> runs;
 };
 
 /**
@@ -138,18 +123,10 @@ class Quarantine
     /**
      * Runs in address order, materialised lazily and cached until
      * the next add — the no-copy view the sweep protocol iterates.
-     * prepareSweep, finishSweep and shardedRuns on a frozen epoch
-     * all share one materialisation.
+     * prepareSweep paints it in index ranges and finishSweep
+     * unpaints it: on a frozen epoch both share one materialisation.
      */
     const std::vector<QuarantineRun> &orderedRuns() const;
-
-    /**
-     * Partition the runs into @p shards address bands for parallel
-     * or per-shard-view painting. Every run appears in exactly one
-     * shard; shards are in address order and may be empty. Built
-     * straight from the ordered view — no intermediate full copy.
-     */
-    std::vector<QuarantineShard> shardedRuns(size_t shards) const;
 
     /**
      * Hand every run back to the allocator's free lists ("internal

@@ -34,8 +34,8 @@ ShadowMap::apply(uint64_t addr, uint64_t size, bool set)
                         kGranuleShift;
 
     uint64_t g = g0;
-    // Head: partial first shadow byte. Atomic RMW — an adjacent
-    // paint shard may own the byte's other granules.
+    // Head: partial first shadow byte. Atomic RMW — another painter
+    // may own the byte's other granules.
     if (g & 7) {
         const uint64_t byte_addr = mem::kShadowBase + (g >> 3);
         const unsigned lo = g & 7;
@@ -127,45 +127,6 @@ ShadowMap::isRevoked(uint64_t addr) const
     const uint64_t g = addr >> kGranuleShift;
     const uint8_t byte = mem_->peekU8(mem::kShadowBase + (g >> 3));
     return (byte >> (g & 7)) & 1;
-}
-
-ShadowMap::View
-ShadowMap::view(uint64_t lo, uint64_t hi)
-{
-    return View(*this, lo, hi);
-}
-
-ShadowMap::View::View(ShadowMap &map, uint64_t lo, uint64_t hi)
-    : map_(&map), lo_(lo), hi_(hi)
-{
-    CHERIVOKE_ASSERT(lo <= hi);
-    CHERIVOKE_ASSERT(isAligned(lo, kGranuleBytes) &&
-                         isAligned(hi, kGranuleBytes),
-                     "(shard bounds must be granule aligned)");
-}
-
-std::pair<uint64_t, uint64_t>
-ShadowMap::View::clamp(uint64_t addr, uint64_t size) const
-{
-    const uint64_t lo = std::max(addr, lo_);
-    const uint64_t hi = std::min(addr + size, hi_);
-    if (lo >= hi)
-        return {lo_, 0};
-    return {lo, hi - lo};
-}
-
-PaintStats
-ShadowMap::View::paint(uint64_t addr, uint64_t size)
-{
-    const auto [lo, clamped] = clamp(addr, size);
-    return map_->paint(lo, clamped);
-}
-
-PaintStats
-ShadowMap::View::clear(uint64_t addr, uint64_t size)
-{
-    const auto [lo, clamped] = clamp(addr, size);
-    return map_->clear(lo, clamped);
 }
 
 uint64_t

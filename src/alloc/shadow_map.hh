@@ -14,9 +14,9 @@
  * All painting goes through TaggedMemory's raw shadow-store path
  * (shadowFill / shadowApplyBits): whole-byte spans are plain fills
  * (each byte belongs to exactly one quarantined run), partial
- * head/tail bytes are atomic RMWs (adjacent paint shards may share
- * them). Shard views over disjoint granule ranges can therefore
- * paint concurrently from several threads and still produce shadow
+ * head/tail bytes are atomic RMWs (adjacent runs may share them).
+ * Disjoint granule ranges can therefore paint concurrently from
+ * several threads (alloc::paintRuns) and still produce shadow
  * contents byte-identical to a serial paint.
  */
 
@@ -24,7 +24,6 @@
 #define CHERIVOKE_ALLOC_SHADOW_MAP_HH
 
 #include <cstdint>
-#include <utility>
 
 #include "mem/addr_space.hh"
 #include "mem/tagged_memory.hh"
@@ -56,8 +55,6 @@ struct PaintStats
 class ShadowMap
 {
   public:
-    class View;
-
     explicit ShadowMap(mem::TaggedMemory &memory) : mem_(&memory) {}
 
     /** Set the revocation bits for every granule overlapping
@@ -80,51 +77,10 @@ class ShadowMap
     /** Population count over [addr, addr+size) for verification. */
     uint64_t countPainted(uint64_t addr, uint64_t size) const;
 
-    /** A shard view covering [lo, hi); bounds granule-aligned. */
-    View view(uint64_t lo, uint64_t hi);
-
   private:
     PaintStats apply(uint64_t addr, uint64_t size, bool set);
 
     mem::TaggedMemory *mem_;
-};
-
-/**
- * A range-restricted view of the shadow map: one shard of a sharded
- * paint/clear. Paint and clear requests are clamped to the view's
- * [lo, hi) address range, so a run crossing a shard boundary can be
- * painted from both adjacent shards without double-painting — each
- * shard covers exactly its own granules, and their union equals one
- * unsharded paint.
- */
-class ShadowMap::View
-{
-  public:
-    View(ShadowMap &map, uint64_t lo, uint64_t hi);
-
-    /** Paint the intersection of [addr, addr+size) with the view. */
-    PaintStats paint(uint64_t addr, uint64_t size);
-
-    /** Clear the same intersection after a sweep. */
-    PaintStats clear(uint64_t addr, uint64_t size);
-
-    /** The §3.3 lookup, unrestricted (reads are always safe). */
-    bool isRevoked(uint64_t addr) const
-    {
-        return map_->isRevoked(addr);
-    }
-
-    uint64_t lo() const { return lo_; }
-    uint64_t hi() const { return hi_; }
-
-  private:
-    /** Clamp [addr, addr+size) to the view; size 0 when disjoint. */
-    std::pair<uint64_t, uint64_t> clamp(uint64_t addr,
-                                        uint64_t size) const;
-
-    ShadowMap *map_;
-    uint64_t lo_;
-    uint64_t hi_;
 };
 
 } // namespace alloc

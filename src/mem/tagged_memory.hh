@@ -285,19 +285,19 @@ class TaggedMemory
     /**
      * Byte-fill for the revocation shadow region: no page-table
      * checks, no capability-tag clearing (shadow bytes never carry
-     * tags), and no shared counters — the per-shard
+     * tags), and no shared counters — each painter's
      * alloc::PaintStats are the accounting, so there is nothing to
      * race on. Pages materialise under the directory's striped
-     * locks, and painter shards partition the granule space so no
-     * two threads ever fill the same byte: safe to call from several
-     * painting threads concurrently.
+     * locks, and a whole shadow byte belongs to one quarantined run,
+     * so painters given disjoint runs never fill the same byte: safe
+     * to call from several painting threads concurrently.
      */
     void shadowFill(uint64_t addr, uint8_t byte, uint64_t size);
 
     /**
      * Atomically OR @p mask into (set) or AND it out of (clear) the
      * shadow byte at @p addr. This is the partial-byte
-     * read-modify-write of a paint head/tail; adjacent shards may
+     * read-modify-write of a paint head/tail; adjacent runs may
      * share the byte, so the RMW must be atomic for threaded
      * painting to produce byte-identical shadow contents.
      */

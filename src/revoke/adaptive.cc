@@ -489,8 +489,8 @@ class AdaptivePolicy final : public RevocationPolicy
         }
         backend.setEpochScope(scope);
         // The sweep thread count is a performance knob only: the
-        // sharded sweep reports statistics bit-identical to the
-        // serial one, so changing it never perturbs modelled output.
+        // threaded paint and sweep report statistics bit-identical to
+        // serial ones, so changing it never perturbs modelled output.
         SweepOptions &options = engine.sweeper().options();
         const unsigned prev_threads = options.threads;
         options.threads = dec.sweepThreads;

@@ -139,8 +139,6 @@ struct BackendContext
     alloc::CherivokeAllocator *allocator = nullptr;
     mem::AddressSpace *space = nullptr;
     Sweeper *sweeper = nullptr;
-    /** Shadow-map paint shards (EngineConfig::paintShards). */
-    unsigned paintShards = 1;
 };
 
 /**

@@ -17,11 +17,11 @@ void
 SweepBackend::beginEpoch(EpochStats &epoch, bool want_barrier)
 {
     // Freeze + paint this epoch's (possibly tier-scoped) revocation
-    // set (sharded shadow-map views when configured). With the
-    // default full-depth scope the frozen bytes equal the whole
-    // quarantine at entry — the historical bytesReleased value.
-    epoch.paint =
-        ctx_.allocator->prepareSweep(ctx_.paintShards, scope_.minBirth);
+    // set, on the sweep's threads. With the default full-depth scope
+    // the frozen bytes equal the whole quarantine at entry — the
+    // historical bytesReleased value.
+    epoch.paint = ctx_.allocator->prepareSweep(
+        ctx_.sweeper->options().threads, scope_.minBirth);
     epoch.bytesReleased = ctx_.allocator->frozenBytes();
 
     if (want_barrier) {

@@ -187,7 +187,6 @@ RevocationEngine::RevocationEngine(
       sweeper_plan_(config.sweeperPlan)
 {
     CHERIVOKE_ASSERT(config_.pagesPerSlice > 0);
-    CHERIVOKE_ASSERT(config_.paintShards > 0);
     if (!sweeper_plan_.empty() && !config_.backgroundSweeper)
         fatal("%zu sweeper fault injection(s) need the background "
               "sweeper: set CHERIVOKE_BG_SWEEPER=1",
@@ -222,8 +221,8 @@ RevocationEngine::attachBackend(size_t index, BackendKind kind)
 {
     Domain &dom = domains_[index];
     dom.backend = makeBackend(kind, config_.backendConfig);
-    dom.backend->bind(BackendContext{dom.allocator, dom.space,
-                                     &sweeper_, config_.paintShards});
+    dom.backend->bind(
+        BackendContext{dom.allocator, dom.space, &sweeper_});
     dom.allocator->setObserver(dom.backend.get());
 }
 

@@ -119,8 +119,8 @@ struct EngineConfig
     PolicyKind policy = PolicyKind::StopTheWorld;
     /** Pages per bounded pause for incremental/concurrent epochs. */
     size_t pagesPerSlice = 64;
-    /** Shards the quarantine is split into for painting (per-shard
-     *  shadow-map views; 1 = unsharded). */
+    /** Read by nothing: the paint runs on sweep.threads. Kept
+     *  because perfbench/bench.cc assigns it. */
     unsigned paintShards = 1;
     /** Default revocation backend for every domain (overridable per
      *  domain via setDomainBackend, like per-domain policies). */
@@ -357,8 +357,8 @@ class RevocationEngine
     /// @{
 
     /**
-     * Open an epoch: freeze + paint the quarantine (across
-     * config().paintShards shadow-map shards), install the load
+     * Open an epoch: freeze + paint the quarantine (on
+     * config().sweep.threads threads), install the load
      * barrier if the policy requires one, sweep the registers, build
      * the page worklist.
      */

@@ -146,12 +146,9 @@ Sweeper::sweepPages(mem::AddressSpace &space,
     // worker's fault resurfaces as the catchable exception a serial
     // sweep would have thrown.
     const size_t workers = std::min<size_t>(options_.threads, count);
-    const size_t per = (count + workers - 1) / workers;
     std::vector<SweepStats> partial(workers);
-    forkJoin(workers, [&](size_t t) {
-        partial[t] = sweepPageRange(space, shadow, pages,
-                                    lo + std::min(count, t * per),
-                                    lo + std::min(count, (t + 1) * per));
+    forkJoinRanges(count, workers, [&](size_t t, size_t b, size_t e) {
+        partial[t] = sweepPageRange(space, shadow, pages, lo + b, lo + e);
     });
 
     // Merge in worklist order.

@@ -84,6 +84,17 @@ allocConfigFor(const ExperimentConfig &config)
     return acfg;
 }
 
+/** Throw FatalError before any synthesis thread starts when the
+ *  tenant manager has no slot for every tenant. */
+void
+checkTenantCount(unsigned tenants)
+{
+    if (tenants > tenant::kMaxTenants)
+        fatal("%u tenants exceed the limit of %zu "
+              "(tenant::kMaxTenants)",
+              tenants, tenant::kMaxTenants);
+}
+
 revoke::EngineConfig
 engineConfigFor(const ExperimentConfig &config)
 {
@@ -94,7 +105,6 @@ engineConfigFor(const ExperimentConfig &config)
     engine_cfg.sweep.threads = config.threads;
     engine_cfg.policy = config.policy;
     engine_cfg.pagesPerSlice = config.pagesPerSlice;
-    engine_cfg.paintShards = config.paintShards;
     engine_cfg.backend = config.backend;
     engine_cfg.backendConfig = config.backendConfig;
     engine_cfg.backgroundSweeper = config.bgSweeper;
@@ -304,6 +314,7 @@ std::vector<workload::Trace>
 synthesizeTenantTraces(const workload::BenchmarkProfile &profile,
                        const ExperimentConfig &config)
 {
+    checkTenantCount(config.tenants);
     workload::BenchmarkProfile tenant_profile = profile;
     if (config.tenantHeapMiB > 0)
         tenant_profile.liveHeapMiB = config.tenantHeapMiB;
@@ -331,6 +342,7 @@ runMultiTenantBenchmark(const workload::BenchmarkProfile &profile,
                         const std::vector<workload::Trace> *traces)
 {
     CHERIVOKE_ASSERT(config.tenants >= 1);
+    checkTenantCount(config.tenants);
     // Each per-tenant list is empty or has one entry per tenant.
     auto check_list = [&](const char *knob, size_t entries) {
         if (entries != 0 && entries != config.tenants)

@@ -46,8 +46,8 @@ struct ExperimentConfig
     revoke::SweepKernel kernel = revoke::SweepKernel::Vector;
     bool usePteCapDirty = true; //!< modelled in the x86 runs (§5.3)
     bool useCloadTags = false;  //!< not modelled on x86 (§5.3)
-    /** Sweep threads; applies only to sweeps without a cache model
-     *  (a modelled sweep feeds its hierarchy on one thread). */
+    /** Paint and sweep threads; a sweep with a cache model still
+     *  feeds its hierarchy on one thread. */
     unsigned threads = 1;
     /** Epoch scheduling policy the revocation engine dispatches to. */
     revoke::PolicyKind policy = revoke::PolicyKind::StopTheWorld;
@@ -58,9 +58,8 @@ struct ExperimentConfig
     revoke::BackendConfig backendConfig{};
     /** Pages per bounded pause (incremental/concurrent policies). */
     size_t pagesPerSlice = 64;
-    /** Quarantine address bands painted concurrently at epoch open
-     *  (1 = unsharded serial paint); results are bit-identical to
-     *  serial for every shard count. */
+    /** Read by nothing: the paint runs on `threads`. Kept because
+     *  perfbench/bench.cc assigns it. */
     unsigned paintShards = 1;
     double scale = 1.0 / 64;
     double durationSec = 1.5;
@@ -263,8 +262,10 @@ void injectChurnOps(workload::Trace &host,
  * the binary codec captures the lifecycle schedule too). Tenants
  * synthesise in parallel, one thread each; the traces are the serial
  * ones byte for byte, and a failure rethrows the lowest failing
- * tenant's exception. Exposed so benches can record traces once
- * (through tenant/trace_codec) and replay them deterministically.
+ * tenant's exception. More than tenant::kMaxTenants tenants throw
+ * FatalError before any thread starts. Exposed so benches can record
+ * traces once (through tenant/trace_codec) and replay them
+ * deterministically.
  */
 std::vector<workload::Trace>
 synthesizeTenantTraces(const workload::BenchmarkProfile &profile,
@@ -274,7 +275,8 @@ synthesizeTenantTraces(const workload::BenchmarkProfile &profile,
  * Host config.tenants copies of @p profile on one shared
  * TaggedMemory/RevocationEngine and model the aggregate revocation
  * cost. config.tenants == 1 reproduces runBenchmark's measured
- * statistics exactly.
+ * statistics exactly; more than tenant::kMaxTenants throw FatalError
+ * before any work starts.
  * @param traces replay these per-tenant op streams (count must match
  *        config.tenants) instead of synthesising fresh ones
  */

@@ -52,8 +52,6 @@ knobTable()
         {"CHERIVOKE_PAGE_BUDGET_MIB", Real, "0", false,
          "soft resident-page budget over shared tenant memory, MiB; "
          "0 = off"},
-        {"CHERIVOKE_PAINT_SHARDS", Unsigned, "1", true,
-         "quarantine bands painted concurrently at epoch open"},
         {"CHERIVOKE_POLICY", Text, "stop-the-world", false,
          "epoch policy: stw | stop-the-world | incremental | "
          "concurrent | adaptive"},
@@ -72,8 +70,9 @@ knobTable()
          "phase, 1 runs 2"},
         {"CHERIVOKE_TENANT_HEAP_MIB", Real, "0", false,
          "per-tenant live-heap target, MiB; 0 = the profile's own"},
+        // tenant::kMaxTenants: the tenant manager's slot count.
         {"CHERIVOKE_TENANT_MAX", Unsigned, "8", true,
-         "tenant count of alloc_hotpath, largest of tenant_scale"},
+         "tenant count of alloc_hotpath, largest of tenant_scale", 512},
         {"CHERIVOKE_TENANT_POLICIES", TextList, "", false,
          "per-tenant epoch policies, one per tenant"},
         {"CHERIVOKE_TENANT_SCOPE", Text, "per-tenant", false,
@@ -81,8 +80,10 @@ knobTable()
          "global"},
         {"CHERIVOKE_TENANT_WEIGHTS", RealList, "", true,
          "tenant scheduling weights, one per tenant, e.g. 2,1,1"},
+        // Each epoch starts up to this many paint and sweep threads.
         {"CHERIVOKE_THREADS", Unsigned, "1", true,
-         "sweep worker threads (sweeps without a cache model)"},
+         "paint and sweep threads (a sweep with a cache model runs "
+         "on one)", 64},
     };
     return table;
 }

@@ -1,5 +1,6 @@
 #include "support/fork_join.hh"
 
+#include <algorithm>
 #include <exception>
 #include <thread>
 #include <vector>
@@ -39,6 +40,20 @@ forkJoin(size_t n, const std::function<void(size_t)> &task)
         if (e)
             std::rethrow_exception(e);
     }
+}
+
+void
+forkJoinRanges(size_t n, size_t tasks,
+               const std::function<void(size_t, size_t, size_t)> &task)
+{
+    if (tasks == 0)
+        return;
+    const size_t per = n / tasks;
+    const size_t extra = n % tasks;
+    const auto begin = [&](size_t t) {
+        return t * per + std::min(t, extra);
+    };
+    forkJoin(tasks, [&](size_t t) { task(t, begin(t), begin(t + 1)); });
 }
 
 } // namespace cherivoke

@@ -1,9 +1,10 @@
 /**
  * @file
  * The simulator's one fork-join primitive: the threaded sweep, the
- * sharded paint and tenant trace synthesis all fan independent
- * tasks out over threads with it and merge the results in task
- * order afterwards, so the parallel result equals the serial one.
+ * threaded paint, the trace codec, page population and tenant trace
+ * synthesis all fan independent tasks out over threads with it and
+ * merge the results in task order afterwards, so the parallel result
+ * equals the serial one.
  */
 
 #ifndef CHERIVOKE_SUPPORT_FORK_JOIN_HH
@@ -22,6 +23,18 @@ namespace cherivoke {
  * a serial loop would have raised it.
  */
 void forkJoin(size_t n, const std::function<void(size_t)> &task);
+
+/**
+ * Split the index range [0, @p n) into @p tasks contiguous ranges, in
+ * order, and run task(t, lo, hi) for each through forkJoin. The
+ * first n % tasks ranges hold one index more than the rest, so sizes
+ * differ by at most one and, when tasks > n, only trailing ranges
+ * are empty; no task runs when tasks == 0. Exceptions resurface as
+ * forkJoin rethrows them.
+ */
+void forkJoinRanges(
+    size_t n, size_t tasks,
+    const std::function<void(size_t, size_t, size_t)> &task);
 
 } // namespace cherivoke
 

@@ -74,12 +74,10 @@ populatePages(void *addr, size_t bytes)
     const size_t pages = (last - first) / page;
     const size_t tasks = std::clamp(bytes / kPopulateTaskBytes,
                                     size_t{1}, kMaxPopulateTasks);
-    forkJoin(tasks, [&](size_t t) {
-        const size_t begin = t * pages / tasks;
-        const size_t end = (t + 1) * pages / tasks;
+    forkJoinRanges(pages, tasks, [&](size_t, size_t lo, size_t hi) {
         // A refused advice (EINVAL before Linux 5.14) is ignored.
-        madvise(reinterpret_cast<void *>(first + begin * page),
-                (end - begin) * page, MADV_POPULATE_WRITE);
+        madvise(reinterpret_cast<void *>(first + lo * page),
+                (hi - lo) * page, MADV_POPULATE_WRITE);
     });
 }
 

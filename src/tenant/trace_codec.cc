@@ -67,24 +67,13 @@ constexpr size_t kTaskRecords = size_t{64} << 10;
  *  does not start a thread per 64 Ki records. */
 constexpr size_t kMaxTasks = 16;
 
-/** Contiguous record ranges, one per forkJoin task, in record
- *  order: task t's records all precede task t + 1's. */
-struct TaskRanges
+/** Codec tasks for @p n records: one per kTaskRecords, at least one
+ *  and at most kMaxTasks, each given a contiguous record range. */
+size_t
+codecTasks(size_t n)
 {
-    explicit TaskRanges(size_t n)
-        : records(n),
-          tasks(std::clamp<size_t>(n / kTaskRecords, 1, kMaxTasks))
-    {}
-
-    size_t begin(size_t t) const
-    {
-        return t * (records / tasks) + std::min(t, records % tasks);
-    }
-    size_t end(size_t t) const { return begin(t + 1); }
-
-    size_t records;
-    size_t tasks;
-};
+    return std::clamp<size_t>(n / kTaskRecords, 1, kMaxTasks);
+}
 
 void
 encodeRecord(const workload::TraceOp &op, uint8_t *rec)
@@ -188,14 +177,13 @@ encodeTrace(const workload::Trace &trace)
     populatePages(out.data(), bytes);
     out.resize(bytes);
     uint8_t *records = out.data() + kTraceHeaderBytes;
-    const TaskRanges ranges(ops.size());
+    const size_t tasks = codecTasks(ops.size());
     // One flag per task (char, not vector<bool>, so each task
     // writes its own byte): did its range hold a lifecycle op?
-    std::vector<char> lifecycle(ranges.tasks, 0);
-    forkJoin(ranges.tasks, [&](size_t t) {
-        const size_t end = ranges.end(t);
+    std::vector<char> lifecycle(tasks, 0);
+    forkJoinRanges(ops.size(), tasks, [&](size_t t, size_t lo, size_t hi) {
         bool any = false;
-        for (size_t i = ranges.begin(t); i < end; ++i) {
+        for (size_t i = lo; i < hi; ++i) {
             encodeRecord(ops[i], records + i * kTraceRecordBytes);
             any |= workload::isLifecycleOp(ops[i].kind);
         }
@@ -264,13 +252,11 @@ decodeTrace(const uint8_t *data, size_t size)
             HugePageAllocator<TraceOp>().deallocate(p, n);
         });
     const uint8_t *records = data + kTraceHeaderBytes;
-    const TaskRanges ranges(n);
     // Each task stops at its first bad record, and forkJoin rethrows
     // the lowest failing task's fault: the lowest bad record, as a
     // serial decode reports it.
-    forkJoin(ranges.tasks, [&](size_t t) {
-        const size_t end = ranges.end(t);
-        for (size_t i = ranges.begin(t); i < end; ++i)
+    forkJoinRanges(n, codecTasks(n), [&](size_t, size_t lo, size_t hi) {
+        for (size_t i = lo; i < hi; ++i)
             std::construct_at(
                 ops.get() + i,
                 decodeRecord(records + i * kTraceRecordBytes, i,

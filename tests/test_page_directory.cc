@@ -25,7 +25,6 @@ namespace {
 
 using alloc::PaintStats;
 using alloc::QuarantineRun;
-using alloc::QuarantineShard;
 using alloc::ShadowMap;
 
 TEST(PageDirectoryTest, LazyMaterialisationPreserved)
@@ -146,31 +145,23 @@ TEST(PageDirectoryTest, ConcurrentShadowBitApplication)
         ASSERT_EQ(mem.peekU8(base + b), 0xff) << "byte " << b;
 }
 
-/** Band the runs by start address, exactly as
- *  Quarantine::shardedRuns does — including runs that straddle a
- *  band boundary (they stay whole in the band holding their start). */
-std::vector<QuarantineShard>
-bandRuns(const std::vector<QuarantineRun> &runs, uint64_t lo,
-         uint64_t hi, unsigned shards)
+/** Paint @p runs serially: the reference every threaded paint must
+ *  reproduce. Returns the statistics; the shadow holds the bytes. */
+PaintStats
+paintSerially(ShadowMap &shadow, const std::vector<QuarantineRun> &runs)
 {
-    std::vector<QuarantineShard> out(shards);
-    const uint64_t span = (hi - lo + shards - 1) / shards;
-    for (unsigned s = 0; s < shards; ++s) {
-        out[s].lo = lo + s * span;
-        out[s].hi = std::min(hi, lo + (s + 1) * span);
-    }
+    PaintStats stats;
     for (const QuarantineRun &run : runs) {
-        const unsigned s = static_cast<unsigned>(
-            std::min<uint64_t>((run.addr - lo) / span, shards - 1));
-        out[s].runs.push_back(run);
+        stats += shadow.paint(run.addr + alloc::kChunkHeader,
+                              run.size - alloc::kChunkHeader);
     }
-    return out;
+    return stats;
 }
 
 TEST(PageDirectoryTest, ThreadedPaintMatchesSerial)
 {
     // A deterministic run list over a 4 MiB heap span, sized and
-    // spaced so that many runs straddle the shard band boundaries.
+    // spaced so that many adjacent runs share a partial shadow byte.
     Rng rng(97);
     std::vector<QuarantineRun> runs;
     uint64_t cursor = kHeapBase;
@@ -185,42 +176,53 @@ TEST(PageDirectoryTest, ThreadedPaintMatchesSerial)
     }
     ASSERT_GT(runs.size(), 100u);
 
-    // Serial reference.
-    TaggedMemory ref_mem;
-    ShadowMap ref_shadow(ref_mem);
-    PaintStats ref_stats;
-    for (const QuarantineRun &run : runs) {
-        ref_stats += ref_shadow.paint(run.addr + alloc::kChunkHeader,
-                                      run.size - alloc::kChunkHeader);
-    }
     const uint64_t s_lo = shadowAddrOf(kHeapBase);
     const uint64_t s_len = shadowAddrOf(span_end) - s_lo + 1;
-    std::vector<uint8_t> ref_bytes(s_len);
-    ref_mem.peekBytes(s_lo, ref_bytes.data(), ref_bytes.size());
-    ASSERT_GT(ref_stats.total(), 0u);
-
-    for (const unsigned shards : {1u, 2u, 4u, 8u}) {
-        TaggedMemory mem;
-        ShadowMap shadow(mem);
-        const PaintStats stats = alloc::paintShardsConcurrent(
-            shadow,
-            bandRuns(runs, kHeapBase, span_end, shards));
-        EXPECT_EQ(stats.bitOps, ref_stats.bitOps) << shards;
-        EXPECT_EQ(stats.byteOps, ref_stats.byteOps) << shards;
-        EXPECT_EQ(stats.wordOps, ref_stats.wordOps) << shards;
-        EXPECT_EQ(stats.dwordOps, ref_stats.dwordOps) << shards;
+    auto shadowOf = [&](const TaggedMemory &mem) {
         std::vector<uint8_t> bytes(s_len);
         mem.peekBytes(s_lo, bytes.data(), bytes.size());
-        EXPECT_EQ(bytes, ref_bytes)
-            << "shadow contents diverged at shards=" << shards;
+        return bytes;
+    };
+
+    // The first five runs on eight threads: more threads than runs.
+    const std::vector<QuarantineRun> few(runs.begin(), runs.begin() + 5);
+    const std::vector<QuarantineRun> *lists[] = {&runs, &few};
+    for (const std::vector<QuarantineRun> *list : lists) {
+        TaggedMemory ref_mem;
+        ShadowMap ref_shadow(ref_mem);
+        const PaintStats ref_stats = paintSerially(ref_shadow, *list);
+        const std::vector<uint8_t> ref_bytes = shadowOf(ref_mem);
+        ASSERT_GT(ref_stats.total(), 0u);
+
+        for (const unsigned threads : {1u, 2u, 4u, 8u}) {
+            TaggedMemory mem;
+            ShadowMap shadow(mem);
+            const PaintStats stats =
+                alloc::paintRuns(shadow, *list, threads);
+            EXPECT_TRUE(stats == ref_stats)
+                << list->size() << " runs, threads=" << threads;
+            EXPECT_EQ(shadowOf(mem), ref_bytes)
+                << "shadow contents diverged at " << list->size()
+                << " runs, threads=" << threads;
+        }
     }
 }
 
-TEST(PageDirectoryTest, ThreadedPaintThroughViewsSharingBytes)
+TEST(PageDirectoryTest, ThreadedPaintOfNoRuns)
 {
-    // Adjacent views that split inside one shadow byte: the two
-    // painters RMW the same byte concurrently, which must lose
-    // neither half (the atomic shadowApplyBits path).
+    TaggedMemory mem;
+    ShadowMap shadow(mem);
+    for (const unsigned threads : {1u, 4u}) {
+        EXPECT_EQ(alloc::paintRuns(shadow, {}, threads).total(), 0u);
+    }
+    EXPECT_EQ(mem.residentPages(), 0u);
+}
+
+TEST(PageDirectoryTest, ThreadedPaintSharingBytes)
+{
+    // Two adjacent paint ranges that split inside one shadow byte:
+    // the two painters RMW the same byte concurrently, which must
+    // lose neither half (the atomic shadowApplyBits path).
     for (int repeat = 0; repeat < 20; ++repeat) {
         TaggedMemory mem;
         ShadowMap shadow(mem);
@@ -235,11 +237,9 @@ TEST(PageDirectoryTest, ThreadedPaintThroughViewsSharingBytes)
                             ProtRead | ProtWrite);
         // Split at granule 3 of 8 within a shadow byte.
         const uint64_t split = kHeapBase + 3 * kGranuleBytes;
-        ShadowMap::View left = shadow.view(kHeapBase, split);
-        ShadowMap::View right =
-            shadow.view(split, kHeapBase + 1 * MiB);
-        std::thread a([&] { left.paint(kHeapBase, 64 * KiB); });
-        std::thread b([&] { right.paint(kHeapBase, 64 * KiB); });
+        const uint64_t end = kHeapBase + 64 * KiB;
+        std::thread a([&] { shadow.paint(kHeapBase, split - kHeapBase); });
+        std::thread b([&] { shadow.paint(split, end - split); });
         a.join();
         b.join();
         EXPECT_EQ(shadow.countPainted(kHeapBase, 64 * KiB),

@@ -336,41 +336,6 @@ TEST_F(QuarantineMergeTest, ReleaseCountsAggregatedRuns)
     dl.validateHeap();
 }
 
-TEST_F(QuarantineMergeTest, ShardedRunsPartitionExactly)
-{
-    add(0);
-    add(2); // two separate runs
-    for (const size_t shards : {1u, 2u, 3u, 7u}) {
-        const auto sharded = quarantine.shardedRuns(shards);
-        ASSERT_EQ(sharded.size(), shards);
-        std::vector<QuarantineRun> flattened;
-        uint64_t prev_hi = 0;
-        for (const QuarantineShard &shard : sharded) {
-            EXPECT_LE(shard.lo, shard.hi);
-            EXPECT_GE(shard.lo, prev_hi);
-            prev_hi = shard.hi;
-            for (const QuarantineRun &run : shard.runs) {
-                EXPECT_GE(run.addr, shard.lo)
-                    << "run must start inside its shard band";
-                EXPECT_LT(run.addr, shard.hi);
-                flattened.push_back(run);
-            }
-        }
-        // Concatenating the shards reproduces runs() exactly.
-        const auto reference = quarantine.runs();
-        ASSERT_EQ(flattened.size(), reference.size()) << shards;
-        for (size_t i = 0; i < reference.size(); ++i) {
-            EXPECT_EQ(flattened[i].addr, reference[i].addr);
-            EXPECT_EQ(flattened[i].size, reference[i].size);
-        }
-    }
-}
-
-TEST_F(QuarantineMergeTest, ShardedRunsEmptyQuarantine)
-{
-    EXPECT_TRUE(quarantine.shardedRuns(4).empty());
-}
-
 TEST(QuarantineUnit, TotalBytesAccumulates)
 {
     mem::AddressSpace space;

@@ -4,13 +4,14 @@
  * (stop-the-world / incremental / concurrent), the guarantee that a
  * threaded sweep reports statistics identical to the serial sweep on
  * the same trace (and, with a cache model, identical cache/DRAM
- * traffic), and the sharded paint path.
+ * traffic), and the threaded paint path.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "alloc/cherivoke_alloc.hh"
@@ -297,17 +298,17 @@ TEST(RevocationEngineTest, PolicyNamesRoundTrip)
     EXPECT_FALSE(parsePolicy("nonsense", parsed));
 }
 
-TEST(RevocationEngineTest, ShardedPaintMatchesUnsharded)
+TEST(RevocationEngineTest, ThreadedPaintMatchesSerial)
 {
-    // Identical images painted with 1 vs N shards: identical paint
-    // statistics (whole runs stay within one shard, so the store
-    // sequence is the same) and identical sweep outcome.
-    auto run = [](unsigned shards) {
+    // Identical images painted on 1 vs N threads: identical paint
+    // statistics (a run's stores are counted the same whichever
+    // task paints it) and identical sweep outcome.
+    auto run = [](unsigned threads) {
         mem::AddressSpace space;
         CherivokeAllocator heap(space, CherivokeConfig{});
         std::vector<uint64_t> freed;
         buildImage(space, heap, freed);
-        const alloc::PaintStats paint = heap.prepareSweep(shards);
+        const alloc::PaintStats paint = heap.prepareSweep(threads);
         Sweeper sweeper;
         const SweepStats stats =
             sweeper.sweep(space, heap.shadowMap());
@@ -316,30 +317,74 @@ TEST(RevocationEngineTest, ShardedPaintMatchesUnsharded)
     };
     const auto [paint1, sweep1] = run(1);
     ASSERT_GT(paint1.total(), 0u);
-    for (const unsigned shards : {2u, 3u, 8u}) {
-        const auto [paintN, sweepN] = run(shards);
-        EXPECT_EQ(paintN.bitOps, paint1.bitOps) << shards;
-        EXPECT_EQ(paintN.byteOps, paint1.byteOps) << shards;
-        EXPECT_EQ(paintN.wordOps, paint1.wordOps) << shards;
-        EXPECT_EQ(paintN.dwordOps, paint1.dwordOps) << shards;
-        EXPECT_TRUE(sweepN == sweep1) << shards;
+    for (const unsigned threads : {2u, 3u, 8u}) {
+        const auto [paintN, sweepN] = run(threads);
+        EXPECT_TRUE(paintN == paint1) << threads;
+        EXPECT_TRUE(sweepN == sweep1) << threads;
     }
 }
 
-TEST(RevocationEngineTest, EngineLevelShardedPaint)
+/** Every byte and tag of the sweepable pages, and the allocator's
+ *  byte counts: what an epoch leaves of the image. */
+std::vector<uint64_t>
+heapImage(const mem::AddressSpace &space, const CherivokeAllocator &heap)
 {
-    mem::AddressSpace space;
-    CherivokeAllocator heap(space, smallConfig());
-    EngineConfig cfg;
-    cfg.paintShards = 4;
-    RevocationEngine engine(heap, space, cfg);
-    std::vector<uint64_t> freed;
-    buildImage(space, heap, freed);
-    const EpochStats epoch = engine.revokeNow();
-    EXPECT_GT(epoch.paint.total(), 0u);
-    EXPECT_GT(epoch.sweep.capsRevoked, 0u);
-    EXPECT_EQ(heap.quarantinedBytes(), 0u);
-    heap.dl().validateHeap();
+    std::vector<uint64_t> image{heap.liveBytes(), heap.footprintBytes()};
+    for (const mem::Segment &seg : space.sweepableSegments()) {
+        for (uint64_t p = seg.base; p < seg.end(); p += kPageBytes) {
+            const mem::Page *page = space.memory().pageIfPresent(p);
+            if (!page) {
+                image.push_back(0);
+                continue;
+            }
+            image.push_back(1);
+            image.insert(image.end(), page->tags.begin(),
+                         page->tags.end());
+            for (size_t b = 0; b < kPageBytes; b += 8) {
+                uint64_t word;
+                std::memcpy(&word, &page->data[b], sizeof(word));
+                image.push_back(word);
+            }
+        }
+    }
+    return image;
+}
+
+TEST(RevocationEngineTest, EngineLevelThreadedPaint)
+{
+    // One epoch on a 4-thread engine (threaded paint and sweep) must
+    // leave the statistics and the heap of a 1-thread engine's.
+    struct Outcome
+    {
+        EpochStats epoch;
+        std::vector<uint64_t> image;
+    };
+    auto run = [](unsigned threads) {
+        mem::AddressSpace space;
+        CherivokeAllocator heap(space, smallConfig());
+        EngineConfig cfg;
+        cfg.sweep.threads = threads;
+        RevocationEngine engine(heap, space, cfg);
+        std::vector<uint64_t> freed;
+        buildImage(space, heap, freed);
+        Outcome out{engine.revokeNow(), {}};
+        EXPECT_EQ(heap.quarantinedBytes(), 0u) << threads;
+        heap.dl().validateHeap();
+        out.image = heapImage(space, heap);
+        return out;
+    };
+    const Outcome serial = run(1);
+    ASSERT_GT(serial.epoch.paint.total(), 0u);
+    ASSERT_GT(serial.epoch.sweep.capsRevoked, 0u);
+
+    const Outcome threaded = run(4);
+    EXPECT_TRUE(threaded.epoch.paint == serial.epoch.paint);
+    EXPECT_TRUE(threaded.epoch.sweep == serial.epoch.sweep);
+    EXPECT_EQ(threaded.epoch.internalFrees, serial.epoch.internalFrees);
+    EXPECT_EQ(threaded.epoch.bytesReleased, serial.epoch.bytesReleased);
+    EXPECT_EQ(threaded.epoch.slices, serial.epoch.slices);
+    EXPECT_EQ(threaded.image, serial.image)
+        << "the 4-thread epoch left a different heap";
 }
 
 TEST(RevocationEngineTest, DrainIsIdempotent)

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "alloc/shadow_map.hh"
@@ -142,46 +143,25 @@ TEST_F(ShadowMapTest, DisjointRangesIndependent)
     EXPECT_EQ(shadow.countPainted(heap + 1024, 256), 16u);
 }
 
-TEST_F(ShadowMapTest, ShardViewsClampToTheirRange)
-{
-    // Two adjacent shard views splitting [heap, heap+4096) at an odd
-    // granule boundary: each paints the full range, clamped; their
-    // union must equal one unsharded paint, with no double coverage.
-    const uint64_t split = heap + 17 * kGranuleBytes;
-    ShadowMap::View left = shadow.view(heap, split);
-    ShadowMap::View right = shadow.view(split, heap + 4096);
-
-    left.paint(heap, 4096);
-    EXPECT_EQ(shadow.countPainted(heap, 4096), 17u)
-        << "left view must paint only its own granules";
-    right.paint(heap, 4096);
-    EXPECT_EQ(shadow.countPainted(heap, 4096), 256u);
-
-    // Out-of-range requests are no-ops with empty statistics.
-    const PaintStats disjoint = left.paint(heap + 64 * KiB, 4096);
-    EXPECT_EQ(disjoint.total(), 0u);
-    EXPECT_EQ(shadow.countPainted(heap + 64 * KiB, 4096), 0u);
-}
-
-TEST_F(ShadowMapTest, ShardedPaintIdempotentAcrossBoundaries)
+TEST_F(ShadowMapTest, PaintIdempotentAcrossAdjacentRanges)
 {
     const uint64_t size = 64 * KiB;
-    // Reference: one unsharded paint.
+    // Reference: one paint of the whole span.
     shadow.paint(heap, size);
     std::vector<bool> reference;
     for (uint64_t a = heap; a < heap + size; a += kGranuleBytes)
         reference.push_back(shadow.isRevoked(a));
     shadow.clear(heap, size);
 
-    // Sharded: three views with deliberately awkward boundaries.
+    // Three adjacent ranges with deliberately awkward boundaries,
+    // b1 inside a shadow byte.
     const uint64_t b1 = heap + 333 * kGranuleBytes;
     const uint64_t b2 = heap + 2048 * kGranuleBytes;
-    ShadowMap::View views[] = {shadow.view(heap, b1),
-                               shadow.view(b1, b2),
-                               shadow.view(b2, heap + size)};
+    const std::pair<uint64_t, uint64_t> ranges[] = {
+        {heap, b1}, {b1, b2}, {b2, heap + size}};
     for (int repeat = 0; repeat < 2; ++repeat) { // idempotence
-        for (ShadowMap::View &v : views)
-            v.paint(heap, size);
+        for (const auto &[lo, hi] : ranges)
+            shadow.paint(lo, hi - lo);
         size_t idx = 0;
         for (uint64_t a = heap; a < heap + size;
              a += kGranuleBytes) {
@@ -191,10 +171,10 @@ TEST_F(ShadowMapTest, ShardedPaintIdempotentAcrossBoundaries)
         }
     }
 
-    // Unpaint through the views; clearing twice is also idempotent.
+    // Unpaint range by range; clearing twice is also idempotent.
     for (int repeat = 0; repeat < 2; ++repeat) {
-        for (ShadowMap::View &v : views)
-            v.clear(heap, size);
+        for (const auto &[lo, hi] : ranges)
+            shadow.clear(lo, hi - lo);
         EXPECT_EQ(shadow.countPainted(heap, size), 0u);
     }
 }

@@ -313,6 +313,29 @@ TEST_F(TenantTracesTest, ListLengthErrorNamesTheKnob)
     }
 }
 
+TEST_F(TenantTracesTest, TenantCountOverTheLimitFailsFirst)
+{
+    // One tenant past the manager's slots fails before a synthesis
+    // thread starts, through either entry point.
+    config.tenants = static_cast<unsigned>(tenant::kMaxTenants + 1);
+    const std::string want =
+        "fatal: " + std::to_string(config.tenants) +
+        " tenants exceed the limit of " +
+        std::to_string(tenant::kMaxTenants) + " (tenant::kMaxTenants)";
+    try {
+        synthesizeTenantTraces(profile, config);
+        ADD_FAILURE() << "synthesised " << config.tenants << " tenants";
+    } catch (const FatalError &err) {
+        EXPECT_EQ(err.what(), want);
+    }
+    try {
+        runMultiTenantBenchmark(profile, config);
+        ADD_FAILURE() << "ran " << config.tenants << " tenants";
+    } catch (const FatalError &err) {
+        EXPECT_EQ(err.what(), want);
+    }
+}
+
 TEST_F(TenantTracesTest, ChurnOpsLandWhereSerialInjectionPutsThem)
 {
     config.tenants = 4;

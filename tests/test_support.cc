@@ -7,12 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "support/bitops.hh"
@@ -317,6 +320,81 @@ TEST(ForkJoin, LowestFailingIndexWins)
         ADD_FAILURE() << "no exception";
     } catch (const std::runtime_error &e) {
         EXPECT_STREQ(e.what(), "1");
+    }
+}
+
+/** The ranges forkJoinRanges hands out, indexed by task. */
+std::vector<std::pair<size_t, size_t>>
+rangesOf(size_t n, size_t tasks)
+{
+    std::vector<std::pair<size_t, size_t>> ranges(tasks, {SIZE_MAX, 0});
+    forkJoinRanges(n, tasks, [&](size_t t, size_t lo, size_t hi) {
+        ranges[t] = {lo, hi};
+    });
+    return ranges;
+}
+
+TEST(ForkJoinRanges, CoversEveryIndexOnceInOrder)
+{
+    for (const size_t n : {1u, 7u, 8u, 9u, 100u, 1000u}) {
+        for (const size_t tasks : {1u, 2u, 3u, 4u, 8u, 16u}) {
+            const auto ranges = rangesOf(n, tasks);
+            size_t next = 0, smallest = SIZE_MAX, largest = 0;
+            for (const auto &[lo, hi] : ranges) {
+                ASSERT_EQ(lo, next) << n << " over " << tasks;
+                ASSERT_LE(lo, hi) << n << " over " << tasks;
+                smallest = std::min(smallest, hi - lo);
+                largest = std::max(largest, hi - lo);
+                next = hi;
+            }
+            EXPECT_EQ(next, n) << n << " over " << tasks;
+            EXPECT_LE(largest - smallest, 1u) << n << " over " << tasks;
+        }
+    }
+}
+
+TEST(ForkJoinRanges, OnlyTrailingRangesAreEmpty)
+{
+    // Nine pages on eight tasks: one task takes two, none idles.
+    const auto nine = rangesOf(9, 8);
+    EXPECT_EQ(nine[0], std::make_pair(size_t{0}, size_t{2}));
+    for (size_t t = 1; t < 8; ++t)
+        EXPECT_EQ(nine[t].second - nine[t].first, 1u) << t;
+
+    const auto three = rangesOf(3, 8);
+    for (size_t t = 0; t < 8; ++t) {
+        EXPECT_EQ(three[t].second - three[t].first, t < 3 ? 1u : 0u)
+            << t;
+    }
+}
+
+TEST(ForkJoinRanges, EmptyRangeAndNoTasks)
+{
+    for (const auto &[lo, hi] : rangesOf(0, 4)) {
+        EXPECT_EQ(lo, 0u);
+        EXPECT_EQ(hi, 0u);
+    }
+    bool ran = false;
+    forkJoinRanges(10, 0, [&](size_t, size_t, size_t) { ran = true; });
+    EXPECT_FALSE(ran);
+}
+
+TEST(ForkJoinRanges, LowestFailingRangeWins)
+{
+    // Range 1 sleeps before it throws, so the higher ranges throw
+    // first; the exception names the range's first index.
+    try {
+        forkJoinRanges(60, 6, [](size_t t, size_t lo, size_t) {
+            if (t == 0)
+                return;
+            if (t == 1)
+                std::this_thread::sleep_for(
+                    std::chrono::milliseconds(20));
+            throw std::runtime_error(std::to_string(lo));
+        });
+        ADD_FAILURE() << "no exception";
+    } catch (const std::runtime_error &e) {
+        EXPECT_STREQ(e.what(), "10");
     }
 }
 

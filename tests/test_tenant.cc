@@ -397,24 +397,25 @@ TEST(EnvParsing, StrictIntegerAndFloat)
 
     // Unsigned knobs reject what does not fit instead of truncating:
     // 2^32 would otherwise become 0, and 2^32 + 1 would become 1.
-    setenv("CHERIVOKE_THREADS", "12", 1);
-    EXPECT_EQ(knobUnsigned("CHERIVOKE_THREADS"), 12u);
-    setenv("CHERIVOKE_THREADS", "4294967295", 1);
-    EXPECT_EQ(knobUnsigned("CHERIVOKE_THREADS"), 4294967295u);
+    setenv("CHERIVOKE_REMOTE_BATCH", "12", 1);
+    EXPECT_EQ(knobUnsigned("CHERIVOKE_REMOTE_BATCH"), 12u);
+    setenv("CHERIVOKE_REMOTE_BATCH", "4294967295", 1);
+    EXPECT_EQ(knobUnsigned("CHERIVOKE_REMOTE_BATCH"), 4294967295u);
     for (const char *text : {"4294967296", "4294967297"}) {
-        setenv("CHERIVOKE_THREADS", text, 1);
+        setenv("CHERIVOKE_REMOTE_BATCH", text, 1);
         try {
-            knobUnsigned("CHERIVOKE_THREADS");
+            knobUnsigned("CHERIVOKE_REMOTE_BATCH");
             ADD_FAILURE() << text << " was accepted";
         } catch (const FatalError &err) {
-            EXPECT_NE(std::string(err.what()).find("CHERIVOKE_THREADS"),
-                      std::string::npos)
+            EXPECT_NE(
+                std::string(err.what()).find("CHERIVOKE_REMOTE_BATCH"),
+                std::string::npos)
                 << err.what();
         }
     }
-    setenv("CHERIVOKE_THREADS", "0", 1);
-    EXPECT_THROW(knobUnsigned("CHERIVOKE_THREADS"), FatalError);
-    unsetenv("CHERIVOKE_THREADS");
+    setenv("CHERIVOKE_REMOTE_BATCH", "0", 1);
+    EXPECT_THROW(knobUnsigned("CHERIVOKE_REMOTE_BATCH"), FatalError);
+    unsetenv("CHERIVOKE_REMOTE_BATCH");
     setenv("CHERIVOKE_SWEEPER_RETRIES", "0", 1); // bound >= 0
     EXPECT_EQ(knobUnsigned("CHERIVOKE_SWEEPER_RETRIES"), 0u);
     unsetenv("CHERIVOKE_SWEEPER_RETRIES");
@@ -433,6 +434,25 @@ TEST(EnvParsing, StrictIntegerAndFloat)
                                  "of range (must be 1..63)");
     }
     unsetenv("CHERIVOKE_COLORS");
+
+    // Thread and tenant counts become threads started per epoch and
+    // per synthesis, so a typo cannot start thousands of them.
+    setenv("CHERIVOKE_THREADS", "64", 1);
+    EXPECT_EQ(knobUnsigned("CHERIVOKE_THREADS"), 64u);
+    setenv("CHERIVOKE_THREADS", "4000", 1);
+    EXPECT_THROW(knobUnsigned("CHERIVOKE_THREADS"), FatalError);
+    unsetenv("CHERIVOKE_THREADS");
+    setenv("CHERIVOKE_TENANT_MAX", "512", 1);
+    EXPECT_EQ(knobUnsigned("CHERIVOKE_TENANT_MAX"), tenant::kMaxTenants);
+    setenv("CHERIVOKE_TENANT_MAX", "513", 1);
+    try {
+        knobUnsigned("CHERIVOKE_TENANT_MAX");
+        ADD_FAILURE() << "513 tenants were accepted";
+    } catch (const FatalError &err) {
+        EXPECT_STREQ(err.what(), "fatal: CHERIVOKE_TENANT_MAX: 513 is "
+                                 "out of range (must be 1..512)");
+    }
+    unsetenv("CHERIVOKE_TENANT_MAX");
 
     setenv("CHERIVOKE_TENANT_WEIGHTS", "2,1,1", 1);
     const std::vector<double> w = knobRealList("CHERIVOKE_TENANT_WEIGHTS");
