@@ -73,12 +73,21 @@ class CostModelClock
     void set(uint64_t ns) { now_ns_ = ns; }
     void advance(uint64_t ns) { now_ns_ += ns; }
 
-    /** Advance by @p seconds of model time (non-negative). */
+    /** Advance by @p seconds of model time; a non-positive or NaN
+     *  @p seconds leaves the clock, and a step past 2^64 - 1 ns
+     *  saturates it there. */
     void
     advanceSeconds(double seconds)
     {
-        if (seconds > 0)
-            now_ns_ += static_cast<uint64_t>(seconds * 1e9);
+        if (!(seconds > 0))
+            return;
+        // 2^64 as a double: casting it or more is undefined.
+        constexpr double kLimitNs = 18446744073709551616.0;
+        const double ns = seconds * 1e9;
+        const uint64_t step =
+            ns < kLimitNs ? static_cast<uint64_t>(ns) : UINT64_MAX;
+        now_ns_ = step > UINT64_MAX - now_ns_ ? UINT64_MAX
+                                               : now_ns_ + step;
     }
 
   private:

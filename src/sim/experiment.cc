@@ -294,7 +294,7 @@ injectChurnOps(workload::Trace &host, const TenantChurnPlan &plan)
         schedule.emplace_back(cycle.retireAt, retire);
     }
 
-    workload::OpVector merged;
+    workload::TraceOpsBuilder merged;
     merged.reserve(host.ops.size() + schedule.size());
     size_t next_event = 0;
     for (size_t i = 0; i < host.ops.size(); ++i) {
@@ -307,7 +307,7 @@ injectChurnOps(workload::Trace &host, const TenantChurnPlan &plan)
     }
     for (; next_event < schedule.size(); ++next_event)
         merged.push_back(schedule[next_event].second);
-    host.ops = std::move(merged);
+    host.ops = merged.build();
 }
 
 std::vector<workload::Trace>

@@ -156,7 +156,7 @@ countMutatorTraffic(const workload::Trace &trace, size_t opsLimit,
     for (size_t i = 0; i < ops.size(); ++i) {
         for (; bound != bounds.end() && *bound <= i; ++bound)
             meet_boundary();
-        const workload::TraceOp &op = ops[i];
+        const workload::TraceOp op = ops[i];
         const unsigned exec = mutatorExecutorOf(op, i, m);
         ++st[exec].ops;
         if (op.kind == workload::OpKind::Malloc) {

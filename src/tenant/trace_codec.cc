@@ -4,9 +4,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <memory>
 #include <sstream>
-#include <type_traits>
 
 #include "support/fault.hh"
 #include "support/fork_join.hh"
@@ -61,8 +59,9 @@ getF64(const uint8_t *src)
 }
 
 /** Records per codec task: a trace of fewer than two of these
- *  encodes and decodes on the calling thread. */
-constexpr size_t kTaskRecords = size_t{64} << 10;
+ *  encodes and decodes on the calling thread. Decode tasks split the
+ *  trace's blocks, so there is at least one block per task. */
+constexpr size_t kTaskRecords = workload::kTraceBlockOps;
 /** Most tasks one trace is split into, so a ten-million-op trace
  *  does not start a thread per 64 Ki records. */
 constexpr size_t kMaxTasks = 16;
@@ -152,6 +151,11 @@ decodeRecord(const uint8_t *rec, size_t index, uint32_t version,
         break;
     }
     op.dt = getF64(&rec[24]);
+    if (!workload::validDt(op.dt))
+        heapFault(HeapFaultKind::CodecCorruption,
+                  "binary trace record %llu: dt %g is negative or "
+                  "not finite",
+                  static_cast<unsigned long long>(index), op.dt);
     return op;
 }
 
@@ -184,8 +188,9 @@ encodeTrace(const workload::Trace &trace)
     forkJoinRanges(ops.size(), tasks, [&](size_t t, size_t lo, size_t hi) {
         bool any = false;
         for (size_t i = lo; i < hi; ++i) {
-            encodeRecord(ops[i], records + i * kTraceRecordBytes);
-            any |= workload::isLifecycleOp(ops[i].kind);
+            const workload::TraceOp op = ops[i];
+            encodeRecord(op, records + i * kTraceRecordBytes);
+            any |= workload::isLifecycleOp(op.kind);
         }
         lifecycle[t] = any;
     });
@@ -204,7 +209,6 @@ workload::Trace
 decodeTrace(const uint8_t *data, size_t size)
 {
     using workload::OpKind;
-    using workload::TraceOp;
     if (size < kTraceHeaderBytes)
         fatal("binary trace truncated: %zu bytes, need a %zu-byte "
               "header",
@@ -239,30 +243,26 @@ decodeTrace(const uint8_t *data, size_t size)
         version >= kTraceVersionLifecycle
             ? workload::kMaxOpKind
             : static_cast<uint8_t>(OpKind::RootPtr);
-    // Uninitialised storage on a huge-page mapping, owned before any
-    // task starts, so a task's throw unwinds through the owner and
-    // unmaps it. Each op is constructed once, by the task that
-    // decodes its record, whose first write faults in a 2 MiB page
-    // where the advice holds; TraceOp is trivially destructible, so a
-    // partly written buffer needs no destruction.
-    static_assert(std::is_trivially_destructible_v<TraceOp>);
+    // The builder maps the slots before any task starts, so a task's
+    // throw unwinds through it and unmaps them. Each task packs whole
+    // blocks of records, so no two tasks share a block's tables, and
+    // a task's first write to a fresh 2 MiB page faults all of it in
+    // where the advice holds.
     const size_t n = count;
-    std::shared_ptr<TraceOp> ops(
-        HugePageAllocator<TraceOp>().allocate(n), [n](TraceOp *p) {
-            HugePageAllocator<TraceOp>().deallocate(p, n);
-        });
+    workload::TraceOpsBuilder ops(n);
+    const size_t blocks =
+        (n + workload::kTraceBlockOps - 1) / workload::kTraceBlockOps;
     const uint8_t *records = data + kTraceHeaderBytes;
     // Each task stops at its first bad record, and forkJoin rethrows
     // the lowest failing task's fault: the lowest bad record, as a
     // serial decode reports it.
-    forkJoinRanges(n, codecTasks(n), [&](size_t, size_t lo, size_t hi) {
-        for (size_t i = lo; i < hi; ++i)
-            std::construct_at(
-                ops.get() + i,
-                decodeRecord(records + i * kTraceRecordBytes, i,
-                             version, kind_limit));
+    forkJoinRanges(blocks, codecTasks(n), [&](size_t, size_t lo, size_t hi) {
+        const size_t end = std::min(hi * workload::kTraceBlockOps, n);
+        for (size_t i = lo * workload::kTraceBlockOps; i < end; ++i)
+            ops.set(i, decodeRecord(records + i * kTraceRecordBytes, i,
+                                    version, kind_limit));
     });
-    return workload::Trace{workload::TraceOps(std::move(ops), n)};
+    return workload::Trace{ops.build()};
 }
 
 workload::Trace

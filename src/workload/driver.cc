@@ -118,13 +118,15 @@ TraceReplayer::indexObjects()
         return;
     }
     std::unordered_map<uint64_t, uint64_t> dense;
-    OpVector ops(ops_.begin(), ops_.end());
-    for (TraceOp &op : ops) {
+    TraceOpsBuilder ops;
+    ops.reserve(ops_.size());
+    for (TraceOp op : ops_) {
         forEachObjectId(op, [&](uint64_t &id) {
             id = dense.try_emplace(id, dense.size()).first->second;
         });
+        ops.push_back(op);
     }
-    ops_ = std::move(ops);
+    ops_ = ops.build();
     objects_ = ObjectTable(dense.size());
 }
 
@@ -167,7 +169,7 @@ TraceReplayer::step(cache::Hierarchy *hierarchy)
     if (next_ == 0)
         indexObjects();
     auto &memory = space_->memory();
-    const TraceOp &op = ops_[next_++];
+    const TraceOp op = ops_[next_++];
     result_.virtualSeconds += op.dt;
     // Model time advances in lock-step with the trace, so adaptive
     // scheduling sees only deterministic, replayable inputs.

@@ -60,7 +60,7 @@ sizeLawMeans(const LogUniform &law, double line_density)
 Trace
 synthesize(const BenchmarkProfile &profile, const SynthConfig &config)
 {
-    OpVector ops;
+    TraceOpsBuilder ops;
     Rng rng(config.seed);
 
     const double s = config.scale;
@@ -241,7 +241,7 @@ synthesize(const BenchmarkProfile &profile, const SynthConfig &config)
             ops.push_back(st);
         }
     }
-    return Trace{std::move(ops)};
+    return Trace{ops.build()};
 }
 
 } // namespace workload

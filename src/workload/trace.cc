@@ -1,5 +1,7 @@
 #include "workload/trace.hh"
 
+#include <algorithm>
+#include <cstring>
 #include <istream>
 #include <limits>
 #include <ostream>
@@ -7,6 +9,7 @@
 #include <string>
 
 #include "support/logging.hh"
+#include "support/zero_pages.hh"
 
 namespace cherivoke {
 namespace workload {
@@ -48,35 +51,27 @@ opFromName(const std::string &name)
     fatal("unknown trace op '%s'", name.c_str());
 }
 
-/** The text format's numeric columns, in line order after the op
- *  name (dt, which every kind defines, follows them). */
-enum Column : unsigned
-{
-    kId = 1,
-    kSize = 2,
-    kSrc = 4,
-    kDst = 8,
-    kOffset = 16,
-};
-
-/** The columns @p kind defines. `save` writes 0 in the others and
- *  `load` ignores them. */
-unsigned
-columnsOf(OpKind kind)
-{
-    switch (kind) {
-      case OpKind::Malloc: return kId | kSize;
-      case OpKind::Free:
-      case OpKind::SpawnTenant:
-      case OpKind::RetireTenant: return kId;
-      case OpKind::StorePtr: return kSrc | kDst | kOffset;
-      case OpKind::StoreData: return kDst | kOffset;
-      case OpKind::RootPtr: return kSrc | kOffset;
-    }
-    return 0;
-}
+/** A block's dt table is scanned while it holds at most this many
+ *  bit patterns; past that the builder looks them up in a map. */
+constexpr size_t kScanDts = 8;
+/** Ops the first push_back into an unreserved builder maps. */
+constexpr size_t kMinCapacity = 1024;
 
 } // namespace
+
+TraceOps::Store::~Store()
+{
+    HugePageAllocator<PackedOp>().deallocate(slots, capacity);
+}
+
+TraceOps::TraceOps(const std::vector<TraceOp> &ops)
+{
+    TraceOpsBuilder builder;
+    builder.reserve(ops.size());
+    for (const TraceOp &op : ops)
+        builder.push_back(op);
+    *this = builder.build();
+}
 
 TraceOps
 TraceOps::prefix(size_t n) const
@@ -85,6 +80,115 @@ TraceOps::prefix(size_t n) const
     TraceOps out = *this;
     out.size_ = n;
     return out;
+}
+
+TraceFootprint
+TraceOps::footprint() const
+{
+    TraceFootprint fp;
+    if (!store_)
+        return fp;
+    fp.bytes = store_->capacity * sizeof(PackedOp);
+    for (const Block &block : store_->blocks) {
+        fp.bytes += block.dts.size() * sizeof(uint64_t) +
+                    block.wide.size() * sizeof(TraceOp);
+        fp.wideOps += block.wide.size();
+        fp.maxDtValues = std::max(fp.maxDtValues, block.dts.size());
+    }
+    return fp;
+}
+
+TraceOpsBuilder::TraceOpsBuilder(size_t size)
+{
+    reserve(size);
+    addBlocks(size);
+    size_ = size;
+}
+
+void
+TraceOpsBuilder::reserve(size_t capacity)
+{
+    TraceOps::Store &store = *store_;
+    if (capacity <= store.capacity)
+        return;
+    HugePageAllocator<PackedOp> alloc;
+    PackedOp *slots = alloc.allocate(capacity);
+    if (size_ > 0)
+        std::memcpy(slots, store.slots, size_ * sizeof(PackedOp));
+    alloc.deallocate(store.slots, store.capacity);
+    store.slots = slots;
+    store.capacity = capacity;
+}
+
+void
+TraceOpsBuilder::addBlocks(size_t n)
+{
+    const size_t blocks = (n + kTraceBlockOps - 1) / kTraceBlockOps;
+    std::vector<TraceOps::Block> &all = store_->blocks;
+    while (all.size() < blocks)
+        all.emplace_back().dts.push_back(0); // +0.0 at index 0
+    dt_maps_.resize(blocks);
+}
+
+void
+TraceOpsBuilder::makeRoom()
+{
+    if (size_ == store_->capacity)
+        reserve(std::max(2 * size_, kMinCapacity));
+    addBlocks(size_ + 1);
+}
+
+uint32_t
+TraceOpsBuilder::findDt(size_t b, uint64_t bits)
+{
+    std::vector<uint64_t> &dts = store_->blocks[b].dts;
+    if (dts.size() <= kScanDts) {
+        for (size_t k = 0; k < dts.size(); ++k) {
+            if (dts[k] == bits)
+                return static_cast<uint32_t>(k);
+        }
+        dts.push_back(bits);
+        if (dts.size() > kScanDts) {
+            for (size_t k = 0; k < dts.size(); ++k)
+                dt_maps_[b].emplace(dts[k], static_cast<uint32_t>(k));
+        }
+        return static_cast<uint32_t>(dts.size() - 1);
+    }
+    const auto [it, added] = dt_maps_[b].try_emplace(
+        bits, static_cast<uint32_t>(dts.size()));
+    if (added)
+        dts.push_back(bits);
+    return it->second;
+}
+
+void
+TraceOpsBuilder::setWide(size_t i, const TraceOp &op)
+{
+    CHERIVOKE_ASSERT(i < size_, "(op past the builder's size)");
+    const unsigned fields = fieldsOf(op.kind);
+    CHERIVOKE_ASSERT(fields != 0, "(not an op kind)");
+    std::vector<TraceOp> &wide = store_->blocks[i / kTraceBlockOps].wide;
+    TraceOp whole;
+    whole.kind = op.kind;
+    whole.id = fields & (kFieldId | kFieldSrc) ? op.id : 0;
+    whole.size = fields & (kFieldSize | kFieldDst) ? op.size : 0;
+    whole.offset = fields & kFieldOffset ? op.offset : 0;
+    whole.dt = op.dt;
+    store_->slots[i] = {TraceOps::kWideOp,
+                        static_cast<uint32_t>(wide.size()), 0, 0};
+    wide.push_back(whole);
+}
+
+TraceOps
+TraceOpsBuilder::build()
+{
+    TraceOps ops;
+    ops.store_ = std::move(store_);
+    ops.size_ = size_;
+    store_ = std::make_unique<TraceOps::Store>();
+    dt_maps_ = {};
+    size_ = 0;
+    return ops;
 }
 
 double
@@ -114,14 +218,15 @@ Trace::save(std::ostream &os) const
         os.precision(std::numeric_limits<double>::max_digits10);
     os << "# cherivoke-trace v1\n";
     for (const auto &op : ops) {
-        const unsigned cols = columnsOf(op.kind);
-        const auto col = [cols](unsigned c, uint64_t v) {
-            return (cols & c) ? v : 0;
+        const unsigned fields = fieldsOf(op.kind);
+        const auto col = [fields](unsigned f, uint64_t v) {
+            return (fields & f) ? v : 0;
         };
-        os << opName(op.kind) << ' ' << col(kId, op.id) << ' '
-           << col(kSize, op.size) << ' ' << col(kSrc, op.src) << ' '
-           << col(kDst, op.dst) << ' ' << col(kOffset, op.offset)
-           << ' ' << op.dt << '\n';
+        os << opName(op.kind) << ' ' << col(kFieldId, op.id) << ' '
+           << col(kFieldSize, op.size) << ' '
+           << col(kFieldSrc, op.src) << ' ' << col(kFieldDst, op.dst)
+           << ' ' << col(kFieldOffset, op.offset) << ' ' << op.dt
+           << '\n';
     }
     os.precision(precision);
 }
@@ -129,40 +234,53 @@ Trace::save(std::ostream &os) const
 Trace
 Trace::load(std::istream &is)
 {
-    OpVector ops;
+    TraceOpsBuilder ops;
     std::string line;
     while (std::getline(is, line)) {
         if (line.empty() || line[0] == '#')
             continue;
         std::istringstream ls(line);
+        // operator>> reads "-5" into a uint64_t as 2^64 - 5.
+        const auto column = [&](uint64_t &v) {
+            ls >> std::ws;
+            if (ls.peek() == '-')
+                fatal("negative trace column: %s", line.c_str());
+            ls >> v;
+        };
         std::string name;
         uint64_t id = 0, size = 0, src = 0, dst = 0, offset = 0;
         TraceOp op;
-        ls >> name >> id >> size >> src >> dst >> offset >> op.dt;
+        ls >> name;
+        for (uint64_t *v : {&id, &size, &src, &dst, &offset})
+            column(*v);
+        ls >> op.dt;
         if (ls.fail())
             fatal("malformed trace line: %s", line.c_str());
         op.kind = opFromName(name);
-        const unsigned cols = columnsOf(op.kind);
-        if ((cols & kOffset) &&
+        const unsigned fields = fieldsOf(op.kind);
+        if ((fields & kFieldOffset) &&
             offset > std::numeric_limits<uint32_t>::max())
             fatal("trace offset %llu overflows 32 bits: %s",
                   static_cast<unsigned long long>(offset),
                   line.c_str());
+        if (!validDt(op.dt))
+            fatal("trace dt is negative or not finite: %s",
+                  line.c_str());
         // No kind defines both members of a TraceOp union pair, so
         // these assignments never overwrite one another.
-        if (cols & kId)
+        if (fields & kFieldId)
             op.id = id;
-        if (cols & kSize)
+        if (fields & kFieldSize)
             op.size = size;
-        if (cols & kSrc)
+        if (fields & kFieldSrc)
             op.src = src;
-        if (cols & kDst)
+        if (fields & kFieldDst)
             op.dst = dst;
-        if (cols & kOffset)
+        if (fields & kFieldOffset)
             op.offset = static_cast<uint32_t>(offset);
         ops.push_back(op);
     }
-    return Trace{std::move(ops)};
+    return Trace{ops.build()};
 }
 
 } // namespace workload

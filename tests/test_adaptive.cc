@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -153,6 +154,26 @@ steadyPressure()
     p.epochSeq = 1;
     p.attachSeq = 1;
     return p;
+}
+
+TEST(CostModelClock, AdvanceSecondsSaturates)
+{
+    CostModelClock clock;
+    clock.advanceSeconds(1.5);
+    EXPECT_EQ(clock.peekNs(), 1500000000u);
+    // Non-positive and NaN steps leave the clock where it is.
+    clock.advanceSeconds(-1);
+    clock.advanceSeconds(std::nan(""));
+    EXPECT_EQ(clock.peekNs(), 1500000000u);
+    // A step past 2^64 - 1 ns, or a sum past it, stops there.
+    clock.advanceSeconds(1e30);
+    EXPECT_EQ(clock.peekNs(), UINT64_MAX);
+    clock.set(UINT64_MAX - 5);
+    clock.advanceSeconds(1e-6);
+    EXPECT_EQ(clock.peekNs(), UINT64_MAX);
+    clock.set(0);
+    clock.advanceSeconds(std::numeric_limits<double>::infinity());
+    EXPECT_EQ(clock.peekNs(), UINT64_MAX);
 }
 
 TEST(AdaptiveController, EmptyWindowUsesConservativeDefaults)

@@ -9,6 +9,7 @@
  */
 
 #include <cstdlib>
+#include <iterator>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -313,7 +314,7 @@ TEST(TenantManager, TenantsShareTheCallersOps)
     const workload::TraceOps head = host.ops.prefix(n);
     EXPECT_EQ(head.begin(), host.ops.begin());
     EXPECT_EQ(head.size(), n);
-    EXPECT_EQ(head.end(), host.ops.begin() + n);
+    EXPECT_EQ(head.end(), std::next(host.ops.begin(), n));
     EXPECT_EQ(manager.tenant(slot).trace().ops.size(),
               host.ops.size());
 }

@@ -9,9 +9,12 @@
  * TraceBuffers where op buffers live.
  */
 
+#include <bit>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -24,6 +27,7 @@
 #include "revoke/revocation_engine.hh"
 #include "support/fault.hh"
 #include "support/logging.hh"
+#include "support/rng.hh"
 #include "support/units.hh"
 #include "tenant/trace_codec.hh"
 #include "workload/driver.hh"
@@ -58,18 +62,21 @@ free 3 0 0 0 0 0.001
 // Field-wise (not memcmp: struct padding is indeterminate). dt is
 // compared bit-exactly — the codec stores the IEEE double verbatim.
 bool
+sameOp(const TraceOp &x, const TraceOp &y)
+{
+    return x.kind == y.kind && x.id == y.id && x.size == y.size &&
+           x.src == y.src && x.dst == y.dst && x.offset == y.offset &&
+           std::bit_cast<uint64_t>(x.dt) ==
+               std::bit_cast<uint64_t>(y.dt);
+}
+
+bool
 opsIdentical(const Trace &a, const Trace &b)
 {
     if (a.ops.size() != b.ops.size())
         return false;
     for (size_t i = 0; i < a.ops.size(); ++i) {
-        const TraceOp &x = a.ops[i], &y = b.ops[i];
-        uint64_t dtx, dty;
-        std::memcpy(&dtx, &x.dt, sizeof(dtx));
-        std::memcpy(&dty, &y.dt, sizeof(dty));
-        if (x.kind != y.kind || x.id != y.id || x.size != y.size ||
-            x.src != y.src || x.dst != y.dst ||
-            x.offset != y.offset || dtx != dty)
+        if (!sameOp(a.ops[i], b.ops[i]))
             return false;
     }
     return true;
@@ -218,6 +225,32 @@ TEST(TraceCodec, RejectsMalformedInput)
         std::istringstream is("storeptr 0 0 1 2 4294967295 0\n");
         EXPECT_EQ(Trace::load(is).ops[0].offset, 4294967295u);
     }
+    // A '-' before an integer column is refused, not wrapped modulo
+    // 2^64 (nor reported as an offset overflow), and dt must be
+    // finite and not negative.
+    for (const char *line :
+         {"malloc -5 64 0 0 0 0", "malloc 1 -64 0 0 0 0",
+          "storedata 0 0 0 1 -8 0", "free 1 0 0 0 0 -0.5",
+          "free 1 0 0 0 0 nan", "free 1 0 0 0 0 inf"}) {
+        std::istringstream is(line);
+        try {
+            Trace::load(is);
+            ADD_FAILURE() << "loaded " << line;
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(line),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    {
+        // -0.0 is a valid dt and keeps its sign bit; so is a huge one.
+        std::istringstream is("free 1 0 0 0 0 -0\n"
+                              "free 2 0 0 0 0 1e30\n");
+        const Trace t = Trace::load(is);
+        EXPECT_EQ(std::bit_cast<uint64_t>(t.ops[0].dt),
+                  std::bit_cast<uint64_t>(-0.0));
+        EXPECT_EQ(t.ops[1].dt, 1e30);
+    }
     // Missing file.
     EXPECT_THROW(tenant::loadTraceFile("/nonexistent/x.cvt"),
                  FatalError);
@@ -351,10 +384,8 @@ lifecycleTrace()
     TraceOp retire;
     retire.kind = OpKind::RetireTenant;
     retire.id = 1000;
-    const TraceOp *split = sample.ops.begin() + 2;
-    std::vector<TraceOp> ops(sample.ops.begin(), split);
-    ops.push_back(spawn);
-    ops.insert(ops.end(), split, sample.ops.end());
+    std::vector<TraceOp> ops(sample.ops.begin(), sample.ops.end());
+    ops.insert(ops.begin() + 2, spawn);
     ops.push_back(retire);
     return Trace{std::move(ops)};
 }
@@ -579,12 +610,204 @@ TEST(TraceCodecTasks, LowestBadRecordIsReported)
         << decodeFault(cut);
 }
 
+TEST(TraceCodecTasks, BadDtIsReportedAtItsRecord)
+{
+    // dt must be finite and not negative; the decoder checks it in
+    // its one pass, and the fault names the record.
+    const std::vector<uint8_t> good =
+        tenant::encodeTrace(longTrace(kLongOps, false));
+    const size_t dt_at = tenant::kTraceHeaderBytes +
+                         kInTask3 * tenant::kTraceRecordBytes + 24;
+    for (const double dt : {-0.5, std::numeric_limits<double>::quiet_NaN(),
+                            std::numeric_limits<double>::infinity()}) {
+        std::vector<uint8_t> bad = good;
+        std::memcpy(&bad[dt_at], &dt, sizeof(dt));
+        EXPECT_NE(decodeFault(bad).find("record 250000:"),
+                  std::string::npos)
+            << dt << ": " << decodeFault(bad);
+    }
+    // -0.0 decodes, sign bit and all.
+    std::vector<uint8_t> negative_zero = good;
+    const double nz = -0.0;
+    std::memcpy(&negative_zero[dt_at], &nz, sizeof(nz));
+    EXPECT_EQ(std::bit_cast<uint64_t>(
+                  tenant::decodeTrace(negative_zero).ops[kInTask3].dt),
+              std::bit_cast<uint64_t>(nz));
+}
+
+TEST(TraceCodecTasks, WideOpsAndNewDtsDecodeInPlace)
+{
+    // A wide op (an id past 32 bits) and a dt no other op of its
+    // block has, in a middle block and in the last, partial one:
+    // each decode task packs its own blocks' tables.
+    const Trace base = longTrace(kLongOps, false);
+    std::vector<TraceOp> ops(base.ops.begin(), base.ops.end());
+    for (const size_t i : {2 * kTaskRecords + 5, kLongOps - 7}) {
+        ops[i] = TraceOp{};
+        ops[i].kind = OpKind::Free;
+        ops[i].id = (uint64_t{1} << 32) + i;
+        ops[i + 1].dt = 0.375;
+    }
+    const Trace trace{ops};
+    const std::vector<uint8_t> bytes = tenant::encodeTrace(trace);
+    const Trace decoded = tenant::decodeTrace(bytes);
+    ASSERT_EQ(decoded.ops.size(), ops.size());
+    for (size_t i = 0; i < ops.size(); ++i)
+        ASSERT_TRUE(sameOp(decoded.ops[i], ops[i])) << "op " << i;
+    EXPECT_EQ(decoded.ops.footprint().wideOps, 2u);
+    EXPECT_TRUE(tenant::encodeTrace(decoded) == bytes);
+}
+
+// ---- Packed op storage -----------------------------------------
+
+namespace {
+
+constexpr uint64_t kTwo32 = uint64_t{1} << 32;
+constexpr size_t kBlock = workload::kTraceBlockOps;
+
+/** True when @p op has an id/src or a dst too wide for a slot. */
+bool
+needsWideSlot(const TraceOp &op)
+{
+    switch (op.kind) {
+      case OpKind::StorePtr: return op.src >= kTwo32 || op.dst >= kTwo32;
+      case OpKind::StoreData: return op.dst >= kTwo32;
+      default: return op.id >= kTwo32;
+    }
+}
+
+/**
+ * Three blocks and a partial fourth of canonical ops of every kind,
+ * seeded: ids at and around 2^32, Malloc sizes up to UINT64_MAX and
+ * offsets up to 2^32 - 1. Blocks 0, 2 and 3 take their dts from
+ * +0.0, -0.0 and a denormal; block 1 holds only narrow ops, each
+ * with a dt no other op has, so its table fills to a block's ops
+ * plus +0.0.
+ */
+std::vector<TraceOp>
+edgeOps()
+{
+    const uint64_t ids[] = {0, 1, kTwo32 - 1, kTwo32, UINT64_MAX};
+    const uint64_t sizes[] = {0, 1, kTwo32 - 1, kTwo32, UINT64_MAX};
+    const uint32_t offsets[] = {0, 16, UINT32_MAX};
+    const double dts[] = {0.0, -0.0,
+                          std::numeric_limits<double>::denorm_min()};
+    Rng rng(31);
+    std::vector<TraceOp> ops(3 * kBlock + 300);
+    for (size_t i = 0; i < ops.size(); ++i) {
+        const bool narrow = i / kBlock == 1;
+        const auto id = [&] {
+            return narrow ? rng.nextBounded(kTwo32)
+                          : ids[rng.nextBounded(std::size(ids))];
+        };
+        const auto offset = [&] {
+            return offsets[rng.nextBounded(std::size(offsets))];
+        };
+        TraceOp &op = ops[i];
+        op.kind = static_cast<OpKind>(
+            rng.nextBounded(workload::kMaxOpKind + 1));
+        switch (op.kind) {
+          case OpKind::Malloc:
+            op.id = id();
+            op.size = sizes[rng.nextBounded(std::size(sizes))];
+            break;
+          case OpKind::StorePtr:
+            op.src = id();
+            op.dst = id();
+            op.offset = offset();
+            break;
+          case OpKind::StoreData:
+            op.dst = id();
+            op.offset = offset();
+            break;
+          case OpKind::RootPtr:
+            op.src = id();
+            op.offset = offset();
+            break;
+          default:
+            op.id = id();
+            break;
+        }
+        op.dt = narrow ? std::ldexp(static_cast<double>(i), -20)
+                       : dts[rng.nextBounded(std::size(dts))];
+    }
+    return ops;
+}
+
+} // namespace
+
+TEST(TracePacking, EveryOpRoundTripsBitForBit)
+{
+    static_assert(sizeof(workload::PackedOp) == 16);
+    const std::vector<TraceOp> ops = edgeOps();
+    const Trace trace{ops};
+    ASSERT_EQ(trace.ops.size(), ops.size());
+    size_t wide = 0;
+    for (size_t i = 0; i < ops.size(); ++i) {
+        ASSERT_TRUE(sameOp(trace.ops[i], ops[i])) << "op " << i;
+        wide += needsWideSlot(ops[i]);
+    }
+    const workload::TraceFootprint fp = trace.ops.footprint();
+    EXPECT_GT(wide, 0u);
+    EXPECT_EQ(fp.wideOps, wide);
+    EXPECT_EQ(fp.maxDtValues, kBlock + 1);
+
+    // A prefix ending at a block boundary, and one crossing it.
+    for (const size_t n : {kBlock, kBlock + 1, 2 * kBlock - 1}) {
+        const workload::TraceOps head = trace.ops.prefix(n);
+        ASSERT_EQ(head.size(), n);
+        size_t i = 0;
+        for (const TraceOp &op : head)
+            ASSERT_TRUE(sameOp(op, ops[i++])) << n << ": op " << i;
+        EXPECT_EQ(i, n);
+    }
+
+    // Text and binary round trips are exact, and re-encode the same.
+    std::ostringstream text;
+    trace.save(text);
+    std::istringstream is(text.str());
+    const Trace loaded = Trace::load(is);
+    EXPECT_TRUE(opsIdentical(trace, loaded));
+    std::ostringstream again;
+    loaded.save(again);
+    EXPECT_TRUE(again.str() == text.str());
+    const std::vector<uint8_t> bytes = tenant::encodeTrace(trace);
+    const Trace decoded = tenant::decodeTrace(bytes);
+    EXPECT_TRUE(opsIdentical(trace, decoded));
+    EXPECT_EQ(decoded.ops.footprint().wideOps, wide);
+    EXPECT_TRUE(tenant::encodeTrace(decoded) == bytes);
+}
+
+TEST(TracePacking, FieldsAKindDoesNotDefineReadAsZero)
+{
+    // A stray value in a field the kind does not define is not kept,
+    // in a slot or in the wide table, as decode has never kept one.
+    TraceOp free_op;
+    free_op.kind = OpKind::Free;
+    free_op.id = 3;
+    free_op.size = 99;
+    free_op.offset = 7;
+    TraceOp wide_data;
+    wide_data.kind = OpKind::StoreData;
+    wide_data.src = 5;
+    wide_data.dst = kTwo32 + 1;
+    wide_data.offset = 8;
+    const Trace trace{std::vector<TraceOp>{free_op, wide_data}};
+    EXPECT_EQ(trace.ops.footprint().wideOps, 1u);
+    EXPECT_EQ(trace.ops[0].id, 3u);
+    EXPECT_EQ(trace.ops[0].size, 0u);
+    EXPECT_EQ(trace.ops[0].offset, 0u);
+    EXPECT_EQ(trace.ops[1].src, 0u);
+    EXPECT_EQ(trace.ops[1].dst, kTwo32 + 1);
+    EXPECT_EQ(trace.ops[1].offset, 8u);
+}
+
 // ---- Where op buffers live -------------------------------------
 
 TEST(TraceBuffers, EmptyTraceEncodesToAHeaderAndDecodesToNoOps)
 {
     // mmap refuses a zero length, so an empty buffer maps nothing.
-    const Trace empty{workload::OpVector{}};
+    const Trace empty{std::vector<TraceOp>{}};
     const std::vector<uint8_t> bytes = tenant::encodeTrace(empty);
     EXPECT_EQ(bytes.size(), tenant::kTraceHeaderBytes);
     EXPECT_EQ(headerVersion(bytes), tenant::kTraceVersionClassic);
@@ -594,17 +817,18 @@ TEST(TraceBuffers, EmptyTraceEncodesToAHeaderAndDecodesToNoOps)
     EXPECT_EQ(tenant::encodeTrace(decoded), bytes);
 }
 
-TEST(TraceBuffers, MappedVectorGrownPastItsReservationKeepsEveryOp)
+TEST(TraceBuffers, BuilderGrownPastItsReservationKeepsEveryOp)
 {
-    // Each growth maps a new buffer, copies the ops and unmaps the
-    // old one; 262k ops (8 MiB) span several 2 MiB pages.
+    // Each growth maps a new slot buffer, copies the slots and unmaps
+    // the old one; 262k ops (4 MiB of slots) span several 2 MiB
+    // pages and five blocks.
     const Trace source = longTrace(kLongOps, true);
-    workload::OpVector ops;
+    workload::TraceOpsBuilder ops;
     ops.reserve(1000);
     for (const TraceOp &op : source.ops)
         ops.push_back(op);
-    EXPECT_GT(ops.capacity(), size_t{1000});
-    const Trace grown{std::move(ops)};
+    const Trace grown{ops.build()};
+    EXPECT_GT(grown.ops.capacity(), size_t{1000});
     EXPECT_TRUE(opsIdentical(source, grown));
 }
 

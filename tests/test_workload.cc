@@ -393,6 +393,20 @@ TEST(TraceReplayer, EmptyGlobalsSegmentFailsBeforeAnyOp)
     EXPECT_EQ(r.freeCalls, 1u);
 }
 
+TEST(TraceReplayer, HugeDtSaturatesTheModelClock)
+{
+    // 1e30 s is a valid dt, but 1e39 ns is past what the clock's
+    // uint64_t can count: the clock stops at its largest value.
+    TraceOp op = mallocOp(1, 64);
+    op.dt = 1e30;
+    IdRulesMachine m;
+    TraceReplayer replayer(m.space, m.allocator, &m.engine,
+                           Trace{std::vector<TraceOp>{op}});
+    replayer.step();
+    EXPECT_EQ(m.engine.modelClock().peekNs(), UINT64_MAX);
+    EXPECT_EQ(replayer.finish().virtualSeconds, 1e30);
+}
+
 TEST(Trace, LoadRejectsGarbage)
 {
     std::stringstream ss("frobnicate 1 2 3 4 5 0.1\n");
@@ -561,6 +575,28 @@ TEST(Synth, PresizedTraceFitsItsOps)
             }
         }
     }
+}
+
+TEST(Synth, TraceHoldsSixteenBytesPerOp)
+{
+    // Synthesised ids count up from 1 and a trace has at most two
+    // dt values (0 and the steady-state step), so every op packs
+    // into one 16-byte slot: no wide op, and tables of a few bytes
+    // per 64 Ki-op block.
+    static_assert(sizeof(PackedOp) == 16);
+    SynthConfig cfg;
+    cfg.scale = 1.0 / 8;
+    cfg.durationSec = 0.4;
+    cfg.seed = 42;
+    const Trace trace = synthesize(profileFor("omnetpp"), cfg);
+    ASSERT_EQ(trace.ops.size(), 466208u);
+    const TraceFootprint fp = trace.ops.footprint();
+    EXPECT_EQ(fp.wideOps, 0u);
+    EXPECT_LE(fp.maxDtValues, 2u);
+    const size_t blocks =
+        (trace.ops.size() + kTraceBlockOps - 1) / kTraceBlockOps;
+    EXPECT_LE(fp.bytes, sizeof(PackedOp) * trace.ops.capacity() +
+                            2 * sizeof(double) * blocks);
 }
 
 class SynthDriverTest : public ::testing::Test
