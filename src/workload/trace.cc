@@ -51,9 +51,6 @@ opFromName(const std::string &name)
     fatal("unknown trace op '%s'", name.c_str());
 }
 
-/** A block's dt table is scanned while it holds at most this many
- *  bit patterns; past that the builder looks them up in a map. */
-constexpr size_t kScanDts = 8;
 /** Ops the first push_back into an unreserved builder maps. */
 constexpr size_t kMinCapacity = 1024;
 
@@ -142,17 +139,9 @@ uint32_t
 TraceOpsBuilder::findDt(size_t b, uint64_t bits)
 {
     std::vector<uint64_t> &dts = store_->blocks[b].dts;
-    if (dts.size() <= kScanDts) {
-        for (size_t k = 0; k < dts.size(); ++k) {
-            if (dts[k] == bits)
-                return static_cast<uint32_t>(k);
-        }
+    if (dts.size() == 1) {
         dts.push_back(bits);
-        if (dts.size() > kScanDts) {
-            for (size_t k = 0; k < dts.size(); ++k)
-                dt_maps_[b].emplace(dts[k], static_cast<uint32_t>(k));
-        }
-        return static_cast<uint32_t>(dts.size() - 1);
+        return 1;
     }
     const auto [it, added] = dt_maps_[b].try_emplace(
         bits, static_cast<uint32_t>(dts.size()));

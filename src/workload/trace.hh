@@ -363,13 +363,14 @@ class TraceOpsBuilder
             return 1;
         return findDt(b, bits);
     }
-    /** dtIndex's general case. */
+    /** dtIndex's general case: @p bits is neither +0.0 nor block
+     *  @p b's entry 1. */
     uint32_t findDt(size_t b, uint64_t bits);
 
     std::unique_ptr<TraceOps::Store> store_ =
         std::make_unique<TraceOps::Store>();
-    /** Per block, once its dt table outgrows a linear scan: each
-     *  bit pattern's index. Dropped by build(). */
+    /** Per block, the index of each dt bit pattern past entry 1.
+     *  Dropped by build(). */
     std::vector<std::unordered_map<uint64_t, uint32_t>> dt_maps_;
     size_t size_ = 0;
 };
