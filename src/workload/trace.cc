@@ -85,13 +85,11 @@ TraceOps::footprint() const
     TraceFootprint fp;
     if (!store_)
         return fp;
-    fp.bytes = store_->capacity * sizeof(PackedOp);
-    for (const Block &block : store_->blocks) {
-        fp.bytes += block.dts.size() * sizeof(uint64_t) +
-                    block.wide.size() * sizeof(TraceOp);
+    for (const Block &block : store_->blocks)
         fp.wideOps += block.wide.size();
-        fp.maxDtValues = std::max(fp.maxDtValues, block.dts.size());
-    }
+    fp.bytes = store_->capacity * sizeof(PackedOp) +
+               store_->blocks.size() * sizeof(uint64_t) +
+               fp.wideOps * sizeof(TraceOp);
     return fp;
 }
 
@@ -121,10 +119,8 @@ void
 TraceOpsBuilder::addBlocks(size_t n)
 {
     const size_t blocks = (n + kTraceBlockOps - 1) / kTraceBlockOps;
-    std::vector<TraceOps::Block> &all = store_->blocks;
-    while (all.size() < blocks)
-        all.emplace_back().dts.push_back(0); // +0.0 at index 0
-    dt_maps_.resize(blocks);
+    if (store_->blocks.size() < blocks)
+        store_->blocks.resize(blocks);
 }
 
 void
@@ -133,21 +129,6 @@ TraceOpsBuilder::makeRoom()
     if (size_ == store_->capacity)
         reserve(std::max(2 * size_, kMinCapacity));
     addBlocks(size_ + 1);
-}
-
-uint32_t
-TraceOpsBuilder::findDt(size_t b, uint64_t bits)
-{
-    std::vector<uint64_t> &dts = store_->blocks[b].dts;
-    if (dts.size() == 1) {
-        dts.push_back(bits);
-        return 1;
-    }
-    const auto [it, added] = dt_maps_[b].try_emplace(
-        bits, static_cast<uint32_t>(dts.size()));
-    if (added)
-        dts.push_back(bits);
-    return it->second;
 }
 
 void
@@ -175,7 +156,6 @@ TraceOpsBuilder::build()
     ops.store_ = std::move(store_);
     ops.size_ = size_;
     store_ = std::make_unique<TraceOps::Store>();
-    dt_maps_ = {};
     size_ = 0;
     return ops;
 }

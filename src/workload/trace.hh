@@ -16,7 +16,6 @@
 #include <iterator>
 #include <limits>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 namespace cherivoke {
@@ -118,9 +117,9 @@ fieldsOf(OpKind kind)
     return 0;
 }
 
-/** Ops per block: a TraceOps buffer keeps its dt and wide-op tables
- *  per block of this many ops, so writers of different blocks never
- *  share a table. */
+/** Ops per block: a TraceOps buffer keeps its dt value and wide-op
+ *  table per block of this many ops, so writers of different blocks
+ *  never share one. */
 constexpr size_t kTraceBlockOps = size_t{64} << 10;
 
 /**
@@ -128,10 +127,12 @@ constexpr size_t kTraceBlockOps = size_t{64} << 10;
  * the low half of size/dst, and `c` a Malloc's size high half or
  * another kind's offset; fields the kind does not define are 0.
  * `head` holds the kind in its low TraceOps::kPackedKindBits bits
- * and, above them, the index of the op's dt bit pattern in its
- * block's dt table. An op whose id/src or dst does not fit 32 bits
- * is kept whole in its block's wide table instead: its head's kind
- * is TraceOps::kWideOp and `a` its index there.
+ * and, above them, one bit choosing the op's dt: clear for +0.0, set
+ * for its block's dt, the first other bit pattern a slot of the
+ * block took. An op whose id/src or dst does not fit 32 bits, or
+ * whose dt is neither, is kept whole in its block's wide table
+ * instead: its head's kind is TraceOps::kWideOp and `a` its index
+ * there.
  */
 struct PackedOp
 {
@@ -145,12 +146,11 @@ static_assert(sizeof(PackedOp) == 16);
 /** What a TraceOps buffer holds, for footprint checks. */
 struct TraceFootprint
 {
-    /** Slots for capacity() ops plus every block's table entries. */
+    /** Slots for capacity() ops plus every block's dt value and
+     *  wide-table entries. */
     size_t bytes = 0;
     /** Ops kept whole in wide tables. */
     size_t wideOps = 0;
-    /** Most distinct dt bit patterns in one block, +0.0 included. */
-    size_t maxDtValues = 0;
 };
 
 class TraceOpsBuilder;
@@ -162,8 +162,8 @@ class TraceOpsBuilder;
  * TraceReplayer, bumps a reference count and never copies an op;
  * prefix() shares the buffer too. The buffer holds each op in a
  * 16-byte PackedOp slot on its own huge-page mapping
- * (HugePageAllocator), with per-block tables of dt bit patterns and
- * wide ops; `ops[i]` unpacks op i by value, bit for bit as it was
+ * (HugePageAllocator), with each block's dt value and table of ops
+ * kept whole; `ops[i]` unpacks op i by value, bit for bit as it was
  * written, with the fields its kind does not define read as 0. A
  * TraceOpsBuilder writes a buffer once, before any handle to it
  * exists, and it never changes after.
@@ -175,11 +175,14 @@ class TraceOps
         (1u << kPackedKindBits) - 1;
     /** A PackedOp head kind: the op is in its block's wide table. */
     static constexpr uint32_t kWideOp = kPackedKindMask;
+    /** The PackedOp head bit choosing the block's dt over +0.0. */
+    static constexpr uint32_t kBlockDt = 1u << kPackedKindBits;
 
-    /** One block's tables. dts[0] is +0.0's bit pattern. */
     struct Block
     {
-        std::vector<uint64_t> dts;
+        /** The dt bit pattern kBlockDt names: the first other than
+         *  +0.0's that a slot of the block took (0 until one does). */
+        uint64_t dt = 0;
         std::vector<TraceOp> wide;
     };
 
@@ -206,8 +209,8 @@ class TraceOps
             op.id = s.a;
             op.size = s.b | (malloc ? uint64_t{s.c} << 32 : 0);
             op.offset = malloc ? 0 : s.c;
-            op.dt = std::bit_cast<double>(
-                block.dts[s.head >> kPackedKindBits]);
+            op.dt = std::bit_cast<double>(s.head & kBlockDt ? block.dt
+                                                            : 0);
             return op;
         }
 
@@ -310,8 +313,10 @@ class TraceOpsBuilder
         set(size_++, op);
     }
 
-    /** Write op @p i (< size()). Calls for ops of one block must not
-     *  overlap; calls for different blocks may run concurrently. */
+    /** Write op @p i (< size()). The block's first op to take a
+     *  slot with a dt other than +0.0 sets the block's dt. Calls for
+     *  ops of one block must not overlap; calls for different blocks
+     *  may run concurrently. */
     void
     set(size_t i, const TraceOp &op)
     {
@@ -328,11 +333,17 @@ class TraceOpsBuilder
             setWide(i, op);
             return;
         }
-        const size_t b = i / kTraceBlockOps;
+        const uint64_t dt = std::bit_cast<uint64_t>(op.dt);
+        uint64_t &block_dt = store_->blocks[i / kTraceBlockOps].dt;
+        if (block_dt == 0)
+            block_dt = dt;
+        if (dt != 0 && dt != block_dt) {
+            setWide(i, op);
+            return;
+        }
         store_->slots[i] = {
             static_cast<uint32_t>(op.kind) |
-                dtIndex(b, std::bit_cast<uint64_t>(op.dt))
-                    << TraceOps::kPackedKindBits,
+                (dt != 0 ? TraceOps::kBlockDt : 0),
             static_cast<uint32_t>(first), static_cast<uint32_t>(second),
             malloc ? static_cast<uint32_t>(second >> 32) : offset};
     }
@@ -352,26 +363,8 @@ class TraceOpsBuilder
      *  fields its kind defines, in its block's wide table. */
     void setWide(size_t i, const TraceOp &op);
 
-    /** Index of @p bits in block @p b's dt table, added if new. */
-    uint32_t
-    dtIndex(size_t b, uint64_t bits)
-    {
-        if (bits == 0)
-            return 0; // +0.0 is entry 0 of every table
-        const std::vector<uint64_t> &dts = store_->blocks[b].dts;
-        if (dts.size() > 1 && dts[1] == bits)
-            return 1;
-        return findDt(b, bits);
-    }
-    /** dtIndex's general case: @p bits is neither +0.0 nor block
-     *  @p b's entry 1. */
-    uint32_t findDt(size_t b, uint64_t bits);
-
     std::unique_ptr<TraceOps::Store> store_ =
         std::make_unique<TraceOps::Store>();
-    /** Per block, the index of each dt bit pattern past entry 1.
-     *  Dropped by build(). */
-    std::vector<std::unordered_map<uint64_t, uint32_t>> dt_maps_;
     size_t size_ = 0;
 };
 

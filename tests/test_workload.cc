@@ -581,8 +581,8 @@ TEST(Synth, TraceHoldsSixteenBytesPerOp)
 {
     // Synthesised ids count up from 1 and a trace has at most two
     // dt values (0 and the steady-state step), so every op packs
-    // into one 16-byte slot: no wide op, and tables of a few bytes
-    // per 64 Ki-op block.
+    // into one 16-byte slot: no wide op (a third dt in a block would
+    // make one), and one dt value per 64 Ki-op block.
     static_assert(sizeof(PackedOp) == 16);
     SynthConfig cfg;
     cfg.scale = 1.0 / 8;
@@ -592,11 +592,10 @@ TEST(Synth, TraceHoldsSixteenBytesPerOp)
     ASSERT_EQ(trace.ops.size(), 466208u);
     const TraceFootprint fp = trace.ops.footprint();
     EXPECT_EQ(fp.wideOps, 0u);
-    EXPECT_LE(fp.maxDtValues, 2u);
     const size_t blocks =
         (trace.ops.size() + kTraceBlockOps - 1) / kTraceBlockOps;
-    EXPECT_LE(fp.bytes, sizeof(PackedOp) * trace.ops.capacity() +
-                            2 * sizeof(double) * blocks);
+    EXPECT_EQ(fp.bytes, sizeof(PackedOp) * trace.ops.capacity() +
+                            sizeof(double) * blocks);
 }
 
 class SynthDriverTest : public ::testing::Test
