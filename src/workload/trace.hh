@@ -334,12 +334,14 @@ class TraceOpsBuilder
             return;
         }
         const uint64_t dt = std::bit_cast<uint64_t>(op.dt);
-        uint64_t &block_dt = store_->blocks[i / kTraceBlockOps].dt;
-        if (block_dt == 0)
-            block_dt = dt;
-        if (dt != 0 && dt != block_dt) {
-            setWide(i, op);
-            return;
+        if (dt != 0) {
+            uint64_t &block_dt = store_->blocks[i / kTraceBlockOps].dt;
+            if (block_dt == 0) {
+                block_dt = dt;
+            } else if (block_dt != dt) {
+                setWide(i, op);
+                return;
+            }
         }
         store_->slots[i] = {
             static_cast<uint32_t>(op.kind) |
